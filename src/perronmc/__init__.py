@@ -7,80 +7,18 @@ mutation-selection equilibrium residual, and a multitype branching
 simulation tie the two together.
 """
 
-from .chain_sim import (
-    Excursion,
-    RowSampler,
-    SampleBatch,
-    Truncation,
-    build_sampler,
-    mix_seed,
-    sample_batch,
-    sample_excursion,
-)
 from .errors import PerronMCError
-from .estimator import (
-    EstimateReport,
-    EstimationConfig,
-    estimate_lambda,
-    estimate_u,
-    estimate_uk,
-    g_hat,
-    run_estimation,
-)
-from .gw_app import GWOutcome, Population, conditioned_proportions, run_tree
-from .matrix_core import (
-    NonNegativeMatrix,
-    PrimitivityCertificate,
-    RowDecomposition,
-    check_primitive,
-    decompose,
-    scale,
-    validate,
-)
-from .oracle import (
-    EquilibriumResidual,
-    LemmaSeries,
-    PerronPair,
-    lemma_partial_sums,
-    power_iteration,
-    quasispecies_residual,
-)
+from .estimator import EstimationConfig, run_estimation
+from .matrix_core import validate
+from .oracle import power_iteration
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Excursion",
-    "RowSampler",
-    "SampleBatch",
-    "Truncation",
-    "build_sampler",
-    "mix_seed",
-    "sample_batch",
-    "sample_excursion",
-    "PerronMCError",
-    "EstimateReport",
-    "EstimationConfig",
-    "estimate_lambda",
-    "estimate_u",
-    "estimate_uk",
-    "g_hat",
-    "run_estimation",
-    "GWOutcome",
-    "Population",
-    "conditioned_proportions",
-    "run_tree",
-    "NonNegativeMatrix",
-    "PrimitivityCertificate",
-    "RowDecomposition",
-    "check_primitive",
-    "decompose",
-    "scale",
     "validate",
-    "EquilibriumResidual",
-    "LemmaSeries",
-    "PerronPair",
-    "lemma_partial_sums",
+    "run_estimation",
+    "EstimationConfig",
     "power_iteration",
-    "quasispecies_residual",
+    "PerronMCError",
     "__version__",
 ]

@@ -19,17 +19,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AllTruncated
+from .errors import AllTruncated, InvalidArgument
 from .matrix_core import RowDecomposition
 
 __all__ = [
     "RowSampler",
-    "Excursion",
-    "Truncation",
     "SampleBatch",
     "mix_seed",
     "build_sampler",
-    "sample_excursion",
     "sample_batch",
 ]
 
@@ -73,30 +70,12 @@ class RowSampler:
 
 
 @dataclass(frozen=True)
-class Excursion:
-    """One first-return path: visits = (X_0, ..., X_{tau-1}), X_tau = base."""
-
-    base_state: int
-    visits: np.ndarray
-    return_time: int
-
-
-@dataclass(frozen=True)
-class Truncation:
-    """Outcome of an attempt that did not return within ``cap`` steps."""
-
-    base_state: int
-    cap: int
-
-
-@dataclass(frozen=True)
 class SampleBatch:
     """A deterministic batch of first-return excursions from one base state.
 
     The visit sequences are stored flat (``states``) with one length per
     kept excursion (``lengths``), ordered by attempt; truncated attempts are
-    excluded from the arrays but counted.  ``excursions`` materializes the
-    per-path view on demand.
+    excluded from the arrays but counted.
     """
 
     base_state: int
@@ -124,14 +103,6 @@ class SampleBatch:
         np.cumsum(self.lengths[:-1], out=out[1:])
         return out
 
-    @cached_property
-    def excursions(self) -> list[Excursion]:
-        parts = np.split(self.states, np.cumsum(self.lengths)[:-1])
-        return [
-            Excursion(self.base_state, visits, int(visits.shape[0]))
-            for visits in parts
-        ]
-
 
 def build_sampler(decomp: RowDecomposition) -> RowSampler:
     """Build the inverse-CDF tables for a row decomposition."""
@@ -150,31 +121,6 @@ def _step_states(sampler_cum: np.ndarray, last_positive: np.ndarray,
     rows = sampler_cum[current]
     nxt = (rows <= u[:, None]).sum(axis=1)
     return np.minimum(nxt, last_positive[current])
-
-
-def sample_excursion(sampler: RowSampler, k: int, rng: np.random.Generator,
-                     cap: int) -> Excursion | Truncation:
-    """Sample one first-return excursion from state ``k``.
-
-    Returns a :class:`Truncation` if the chain does not come back to ``k``
-    within ``cap`` steps; truncation is an outcome, not an error.
-    """
-    if not 0 <= k < sampler.n:
-        raise ValueError(f"base state {k} outside 0..{sampler.n - 1}")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    visits = [k]
-    current = k
-    for _ in range(cap):
-        u = rng.random()
-        row = sampler.cumulative[current]
-        nxt = int(np.searchsorted(row, u, side="right"))
-        current = min(nxt, int(sampler.last_positive[current]))
-        if current == k:
-            arr = np.asarray(visits, dtype=np.int64)
-            return Excursion(base_state=k, visits=arr, return_time=len(visits))
-        visits.append(current)
-    return Truncation(base_state=k, cap=cap)
 
 
 def _walk_block(sampler: RowSampler, k: int, block: int,
@@ -224,7 +170,7 @@ def _walk_block(sampler: RowSampler, k: int, block: int,
 
 
 def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
-                 cap: int = 10**6, shards: int = 1) -> SampleBatch:
+                 cap: int, shards: int) -> SampleBatch:
     """Sample ``count`` excursion attempts, split deterministically by shard.
 
     Args:
@@ -240,13 +186,13 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
         AllTruncated: every attempt hit the cap.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InvalidArgument("count must be >= 1")
     if shards < 1:
-        raise ValueError("shards must be >= 1")
+        raise InvalidArgument("shards must be >= 1")
     if cap < 1:
-        raise ValueError("cap must be >= 1")
+        raise InvalidArgument("cap must be >= 1")
     if not 0 <= k < sampler.n:
-        raise ValueError(f"base state {k} outside 0..{sampler.n - 1}")
+        raise InvalidArgument(f"base state {k} outside 0..{sampler.n - 1}")
 
     block = -(-count // shards)
     all_states = []

@@ -12,8 +12,10 @@ States are 1-based on this surface (and in reports); the library is
 resolved configuration, contain no timestamps, and are byte-identical for
 identical invocations.
 
-Exit codes: 0 success; 1 bad input (parse/validation/precondition);
-2 not primitive; 3 a statistical or numerical guard refused to report.
+Exit codes: 0 success, otherwise the ``exit_code`` of the error's family
+in :mod:`perronmc.errors`: 1 bad input (parse/validation/precondition,
+and usage errors), 2 not primitive, 3 a statistical or numerical guard
+refused to report.
 """
 
 from __future__ import annotations
@@ -21,62 +23,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import estimator, gw_app, oracle
-from .errors import (
-    AllTruncated,
-    BracketFailure,
-    Divergence,
-    EmptyBatch,
-    NoConvergence,
-    NoSurvivors,
-    NotPrimitive,
-    ParseError,
-    PerronMCError,
-    PopulationOverflow,
-    TruncationBiasGuard,
-)
+from .errors import InputError, InvalidArgument, ParseError, PerronMCError
 from .matrix_core import NonNegativeMatrix, validate
 
-__all__ = ["RunConfig", "parse_matrix", "run", "main"]
-
-EXIT_OK = 0
-EXIT_INPUT = 1
-EXIT_NOT_PRIMITIVE = 2
-EXIT_GUARD = 3
-
-_GUARD_ERRORS = (
-    AllTruncated,
-    BracketFailure,
-    Divergence,
-    EmptyBatch,
-    NoConvergence,
-    NoSurvivors,
-    PopulationOverflow,
-    TruncationBiasGuard,
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation; every field is echoed into the report."""
-
-    subcommand: str
-    matrix_path: str
-    base_state: int = 1
-    samples: int = 100_000
-    seed: int = 0
-    cap: int = 1_000_000
-    shards: int = 1
-    tol: float = 1e-10
-    trials: int = 10_000
-    horizon: int = 10
-    offspring_law: str = "poisson"
-    output: str = "json"
+__all__ = ["parse_matrix", "run", "main"]
 
 
 def parse_matrix(path: str | Path) -> NonNegativeMatrix:
@@ -144,7 +99,7 @@ def _rows_from_csv(path: Path) -> list[list[float]]:
     return rows
 
 
-def _config_dict(cfg: RunConfig) -> dict:
+def _config_dict(cfg: argparse.Namespace) -> dict:
     base = {
         "subcommand": cfg.subcommand,
         "matrix_path": cfg.matrix_path,
@@ -161,7 +116,12 @@ def _config_dict(cfg: RunConfig) -> dict:
     return base
 
 
-def _estimate_payload(report: estimator.EstimateReport, cfg: RunConfig) -> dict:
+def _estimate_payload(matrix: NonNegativeMatrix,
+                      cfg: argparse.Namespace) -> dict:
+    report = estimator.run_estimation(matrix, estimator.EstimationConfig(
+        base_state=cfg.base_state - 1, samples=cfg.samples, seed=cfg.seed,
+        cap=cfg.cap, shards=cfg.shards, tol=cfg.tol,
+    ))
     return {
         "lambda_hat": report.lambda_hat,
         "u_hat": report.u_hat.tolist(),
@@ -185,22 +145,23 @@ def _oracle_payload(matrix: NonNegativeMatrix) -> dict:
     }
 
 
-def run(config: RunConfig) -> dict:
-    """Execute one subcommand and return the report as a plain dict."""
+def run(config: argparse.Namespace) -> dict:
+    """Execute one subcommand and return the report as a plain dict.
+
+    ``config`` is the resolved invocation from :func:`_config_from_args`;
+    every field is echoed into the report.
+    """
     matrix = parse_matrix(config.matrix_path)
     if not 1 <= config.base_state <= matrix.n:
         raise ParseError(config.matrix_path,
                          f"base state {config.base_state} outside 1..{matrix.n}")
-    k = config.base_state - 1
 
     if config.subcommand == "estimate":
-        report = estimator.run_estimation(matrix, _estimation_config(config, k))
-        payload = _estimate_payload(report, config)
+        payload = _estimate_payload(matrix, config)
     elif config.subcommand == "oracle":
         payload = _oracle_payload(matrix)
     elif config.subcommand == "compare":
-        report = estimator.run_estimation(matrix, _estimation_config(config, k))
-        payload = _estimate_payload(report, config)
+        payload = _estimate_payload(matrix, config)
         payload.update(_oracle_payload(matrix))
         u_hat = np.asarray(payload["u_hat"])
         u = np.asarray(payload["u"])
@@ -210,7 +171,8 @@ def run(config: RunConfig) -> dict:
         )
     elif config.subcommand == "lemma-check":
         pair = oracle.power_iteration(matrix)
-        series = oracle.lemma_partial_sums(matrix, k, pair.eigenvalue)
+        series = oracle.lemma_partial_sums(matrix, config.base_state - 1,
+                                           pair.eigenvalue)
         payload = {
             "lambda": pair.eigenvalue,
             "base_state": config.base_state,
@@ -232,17 +194,10 @@ def run(config: RunConfig) -> dict:
             "l1_to_oracle": float(np.abs(proportions - pair.vector).sum()),
         }
     else:
-        raise ValueError(f"unknown subcommand {config.subcommand!r}")
+        raise InvalidArgument(f"unknown subcommand {config.subcommand!r}")
 
     payload["config"] = _config_dict(config)
     return payload
-
-
-def _estimation_config(cfg: RunConfig, k: int) -> estimator.EstimationConfig:
-    return estimator.EstimationConfig(
-        base_state=k, samples=cfg.samples, seed=cfg.seed, cap=cfg.cap,
-        shards=cfg.shards, tol=cfg.tol,
-    )
 
 
 def _render_text(payload: dict, lines: list[str] | None = None,
@@ -260,8 +215,18 @@ def _render_text(payload: dict, lines: list[str] | None = None,
     return lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the input family's code, not argparse's 2,
+    which this CLI reports for a matrix that is not primitive."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(InputError.exit_code, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    defaults = estimator.EstimationConfig()
+    parser = _Parser(
         prog="perronmc",
         description="Dominant eigenpair of a non-negative matrix by "
                     "excursion-weighted Monte Carlo, with deterministic checks.",
@@ -269,18 +234,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, sampling: bool):
-        p.add_argument("matrix", help="path to a .json or .csv matrix file")
-        p.add_argument("--base-state", type=int, default=1,
-                       help="1-based excursion base state (default 1)")
-        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+        p.add_argument("matrix_path", metavar="matrix",
+                       help="path to a .json or .csv matrix file")
+        p.add_argument("--base-state", type=int,
+                       default=defaults.base_state + 1,
+                       help="1-based excursion base state (default %(default)s)")
+        p.add_argument("--seed", type=int, default=defaults.seed,
+                       help="64-bit RNG seed")
         p.add_argument("--output", choices=("json", "text"), default="json")
         if sampling:
-            p.add_argument("--samples", type=int, default=100_000)
-            p.add_argument("--cap", type=int, default=1_000_000,
+            p.add_argument("--samples", type=int, default=defaults.samples)
+            p.add_argument("--cap", type=int, default=defaults.cap,
                            help="excursion length cap")
-            p.add_argument("--shards", type=int, default=1,
+            p.add_argument("--shards", type=int, default=defaults.shards,
                            help="independent RNG streams")
-            p.add_argument("--tol", type=float, default=1e-10,
+            p.add_argument("--tol", type=float, default=defaults.tol,
                            help="tolerance on the mean return weight")
 
     common(sub.add_parser("estimate", help="Monte Carlo eigenpair"), True)
@@ -290,49 +258,31 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="return-weight series at the oracle value"), False)
     gw = sub.add_parser("gw-sim", help="branching-tree type proportions")
     common(gw, False)
-    gw.add_argument("--trials", type=int, default=10_000)
-    gw.add_argument("--horizon", type=int, default=10)
+    gw.add_argument("--trials", type=int, default=gw_app.DEFAULT_TRIALS)
+    gw.add_argument("--horizon", type=int, default=gw_app.DEFAULT_HORIZON)
     gw.add_argument("--offspring-law", choices=gw_app.OFFSPRING_LAWS,
-                    default="poisson")
+                    default=gw_app.DEFAULT_LAW)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        "subcommand": args.subcommand,
-        "matrix_path": args.matrix,
-        "base_state": args.base_state,
-        "seed": args.seed % (1 << 64),
-        "output": args.output,
-    }
-    for name in ("samples", "cap", "shards", "tol", "trials", "horizon"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if hasattr(args, "offspring_law"):
-        fields["offspring_law"] = args.offspring_law
-    return RunConfig(**fields)
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The resolved invocation: the parsed flags, seed reduced mod 2**64."""
+    return argparse.Namespace(**{**vars(args), "seed": args.seed % (1 << 64)})
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
+    config = _config_from_args(_build_parser().parse_args(argv))
     try:
         payload = run(config)
-    except NotPrimitive as exc:
-        print(f"error: NotPrimitive: {exc}", file=sys.stderr)
-        return EXIT_NOT_PRIMITIVE
-    except _GUARD_ERRORS as exc:
+    except PerronMCError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except (PerronMCError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.exit_code
 
     if config.output == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     else:
         print("\n".join(_render_text(payload)))
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

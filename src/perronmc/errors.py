@@ -1,11 +1,13 @@
 """Exception hierarchy shared by all perronmc modules.
 
-Every error raised by the library derives from :class:`PerronMCError`, so
-callers (and the CLI) can distinguish three broad families:
+Every error raised by the library derives from exactly one of three
+families under :class:`PerronMCError`, and the family's ``exit_code`` is
+the CLI's exit status:
 
-* input problems (bad matrices, bad files, violated preconditions),
-* structural problems (the matrix is not primitive),
-* statistical / numerical guards that refuse to report a result.
+* :class:`InputError` (1): bad matrices, bad files, violated preconditions;
+* :class:`StructuralError` (2): the matrix is not primitive;
+* :class:`GuardError` (3): a statistical or numerical guard refused to
+  report a result.
 """
 
 from __future__ import annotations
@@ -14,16 +16,40 @@ from __future__ import annotations
 class PerronMCError(Exception):
     """Base class for all library errors."""
 
+    exit_code: int
+
+
+class InputError(PerronMCError):
+    """Bad matrices, bad files, or a violated precondition."""
+
+    exit_code = 1
+
+
+class StructuralError(PerronMCError):
+    """The matrix lacks the structure the method needs."""
+
+    exit_code = 2
+
+
+class GuardError(PerronMCError):
+    """A statistical or numerical guard refused to report a result."""
+
+    exit_code = 3
+
+
+class InvalidArgument(InputError, ValueError):
+    """An argument lies outside its documented range."""
+
 
 # ---------------------------------------------------------------------------
 # Matrix validation
 
 
-class NotSquare(PerronMCError):
+class NotSquare(InputError):
     """Input is ragged, rectangular, or not two-dimensional."""
 
 
-class NegativeEntry(PerronMCError):
+class NegativeEntry(InputError):
     def __init__(self, row: int, col: int, value: float):
         self.row = row
         self.col = col
@@ -31,7 +57,7 @@ class NegativeEntry(PerronMCError):
         super().__init__(f"entry ({row}, {col}) is negative: {value}")
 
 
-class NonFiniteEntry(PerronMCError):
+class NonFiniteEntry(InputError):
     def __init__(self, row: int, col: int, value: float):
         self.row = row
         self.col = col
@@ -39,19 +65,19 @@ class NonFiniteEntry(PerronMCError):
         super().__init__(f"entry ({row}, {col}) is not finite: {value}")
 
 
-class ZeroRow(PerronMCError):
+class ZeroRow(InputError):
     def __init__(self, row: int):
         self.row = row
         super().__init__(f"row {row} sums to zero; every row needs a positive entry")
 
 
-class NonPositiveScale(PerronMCError):
+class NonPositiveScale(InputError):
     def __init__(self, value: float):
         self.value = value
         super().__init__(f"scale factor must be > 0, got {value}")
 
 
-class NotPrimitive(PerronMCError):
+class NotPrimitive(StructuralError):
     def __init__(self, n: int, bound: int):
         self.n = n
         self.bound = bound
@@ -65,7 +91,7 @@ class NotPrimitive(PerronMCError):
 # Sampling
 
 
-class AllTruncated(PerronMCError):
+class AllTruncated(GuardError):
     def __init__(self, attempts: int, cap: int):
         self.attempts = attempts
         self.cap = cap
@@ -79,12 +105,12 @@ class AllTruncated(PerronMCError):
 # Estimation guards
 
 
-class EmptyBatch(PerronMCError):
+class EmptyBatch(GuardError):
     def __init__(self) -> None:
         super().__init__("batch contains no non-truncated excursions")
 
 
-class BracketFailure(PerronMCError):
+class BracketFailure(GuardError):
     def __init__(self, g_lo: float, g_hi: float, lo: float, hi: float):
         self.g_lo = g_lo
         self.g_hi = g_hi
@@ -96,7 +122,7 @@ class BracketFailure(PerronMCError):
         )
 
 
-class TruncationBiasGuard(PerronMCError):
+class TruncationBiasGuard(GuardError):
     def __init__(self, truncated: int, attempted: int, limit: float):
         self.truncated = truncated
         self.attempted = attempted
@@ -111,7 +137,7 @@ class TruncationBiasGuard(PerronMCError):
 # Deterministic oracles
 
 
-class NoConvergence(PerronMCError):
+class NoConvergence(GuardError):
     def __init__(self, iterations: int):
         self.iterations = iterations
         super().__init__(
@@ -120,7 +146,7 @@ class NoConvergence(PerronMCError):
         )
 
 
-class Divergence(PerronMCError):
+class Divergence(GuardError):
     def __init__(self, term_index: int, partial_sum: float):
         self.term_index = term_index
         self.partial_sum = partial_sum
@@ -130,7 +156,7 @@ class Divergence(PerronMCError):
         )
 
 
-class NotOnSimplex(PerronMCError):
+class NotOnSimplex(InputError):
     def __init__(self, detail: str):
         super().__init__(f"vector is not on the unit simplex: {detail}")
 
@@ -139,7 +165,7 @@ class NotOnSimplex(PerronMCError):
 # Branching simulation
 
 
-class PopulationOverflow(PerronMCError):
+class PopulationOverflow(GuardError):
     def __init__(self, generation: int, ceiling: int):
         self.generation = generation
         self.ceiling = ceiling
@@ -148,7 +174,7 @@ class PopulationOverflow(PerronMCError):
         )
 
 
-class NoSurvivors(PerronMCError):
+class NoSurvivors(GuardError):
     def __init__(self, trials: int, horizon: int):
         self.trials = trials
         self.horizon = horizon
@@ -158,7 +184,7 @@ class NoSurvivors(PerronMCError):
         )
 
 
-class Subcritical(PerronMCError):
+class Subcritical(InputError):
     def __init__(self, eigenvalue: float):
         self.eigenvalue = eigenvalue
         super().__init__(
@@ -171,7 +197,7 @@ class Subcritical(PerronMCError):
 # CLI
 
 
-class ParseError(PerronMCError):
+class ParseError(InputError):
     def __init__(self, path: str, detail: str):
         self.path = path
         self.detail = detail

@@ -24,55 +24,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_sim import Excursion, SampleBatch, build_sampler, sample_batch
-from .errors import BracketFailure, EmptyBatch, TruncationBiasGuard
+from .chain_sim import SampleBatch, build_sampler, sample_batch
+from .errors import BracketFailure, EmptyBatch, InvalidArgument, TruncationBiasGuard
 from .matrix_core import NonNegativeMatrix, check_primitive, decompose
 
 __all__ = [
-    "PathLogWeights",
-    "VisitTally",
     "EstimateReport",
     "EstimationConfig",
-    "path_log_weights",
-    "return_weight_log",
     "g_hat",
     "estimate_lambda",
-    "visit_tally",
     "estimate_u",
-    "estimate_uk",
     "shard_dispersion",
     "run_estimation",
 ]
 
 TRUNCATION_BIAS_LIMIT = 1e-3
 BISECTION_MAX_ITER = 200
-
-
-@dataclass(frozen=True)
-class PathLogWeights:
-    """Log weights along one excursion.
-
-    Attributes:
-        per_step_log: log w_n for n = 0..tau-1; the first entry is 0.
-        return_log: log of the full return weight w_tau.
-    """
-
-    per_step_log: np.ndarray
-    return_log: float
-
-
-@dataclass(frozen=True)
-class VisitTally:
-    """Accumulated visit weights over a batch.
-
-    Attributes:
-        numerators: per-state sums of w_n over all steps of all paths.
-        denominator: total weight, defined as the sum of the numerators
-            (every step credits exactly one state).
-    """
-
-    numerators: np.ndarray
-    denominator: float
 
 
 @dataclass(frozen=True)
@@ -90,7 +57,11 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Knobs for :func:`run_estimation`; defaults suit desk-scale matrices."""
+    """Knobs for :func:`run_estimation`; defaults suit desk-scale matrices.
+
+    These field defaults are the only copy of the sampling defaults: the
+    CLI's flags read them from here.
+    """
 
     base_state: int = 0
     samples: int = 100_000
@@ -98,24 +69,6 @@ class EstimationConfig:
     cap: int = 1_000_000
     shards: int = 1
     tol: float = 1e-10
-
-
-def path_log_weights(exc: Excursion, fitness: np.ndarray,
-                     log_lambda: float) -> PathLogWeights:
-    """Per-step and return log weights for a single excursion."""
-    log_f = np.log(fitness[exc.visits])
-    tau = exc.return_time
-    prefix = np.concatenate(([0.0], np.cumsum(log_f)[:-1]))
-    per_step = prefix - np.arange(tau) * log_lambda
-    per_step.flags.writeable = False
-    return_log = float(log_f.sum() - tau * log_lambda)
-    return PathLogWeights(per_step_log=per_step, return_log=return_log)
-
-
-def return_weight_log(exc: Excursion, fitness: np.ndarray,
-                      log_lambda: float) -> float:
-    """log of the return weight lam**(-tau) * prod_{t<tau} f(X_t)."""
-    return float(np.log(fitness[exc.visits]).sum() - exc.return_time * log_lambda)
 
 
 def _require_paths(batch: SampleBatch) -> int:
@@ -161,13 +114,13 @@ def g_hat(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
     """
     _require_paths(batch)
     if not lam > 0:
-        raise ValueError("trial eigenvalue must be > 0")
+        raise InvalidArgument("trial eigenvalue must be > 0")
     counts = _state_visit_counts(batch, fitness.shape[0])
     return _g_from_counts(counts, fitness, lam)
 
 
 def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
-                    tol: float = 1e-10) -> float:
+                    tol: float = EstimationConfig.tol) -> float:
     """Solve mean-return-weight(lam) = 1 by bisection on [min f, max f].
 
     The paths do not depend on the trial value, so the target is a
@@ -184,7 +137,7 @@ def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
     """
     _require_paths(batch)
     if not tol > 0:
-        raise ValueError("tol must be > 0")
+        raise InvalidArgument("tol must be > 0")
     lo = float(fitness.min())
     hi = float(fitness.max())
     if lo == hi:
@@ -234,41 +187,24 @@ def _step_weights(batch: SampleBatch, fitness: np.ndarray,
     return np.exp(log_w)
 
 
-def visit_tally(batch: SampleBatch, fitness: np.ndarray,
-                lam: float) -> VisitTally:
-    """Accumulate per-state visit weights for the batch at ``lam``.
+def estimate_u(batch: SampleBatch, fitness: np.ndarray,
+               lam: float) -> np.ndarray:
+    """Eigenvector estimate: normalized visit-weight tally, on the simplex.
 
-    The numerator at the base state equals the non-truncated path count
+    The tally at the base state equals the non-truncated path count
     exactly: w_0 = 1 on every path and the base state is never revisited
-    inside an excursion.
+    inside an excursion.  So ``u[k]`` is bitwise the reciprocal mean total
+    path weight.
     """
     _require_paths(batch)
     if not lam > 0:
-        raise ValueError("trial eigenvalue must be > 0")
+        raise InvalidArgument("trial eigenvalue must be > 0")
     weights = _step_weights(batch, fitness, lam)
     numerators = np.bincount(batch.states, weights=weights,
                              minlength=fitness.shape[0])
-    numerators.flags.writeable = False
-    return VisitTally(numerators=numerators, denominator=float(numerators.sum()))
-
-
-def estimate_u(batch: SampleBatch, fitness: np.ndarray,
-               lam: float) -> np.ndarray:
-    """Eigenvector estimate: normalized visit-weight tally, on the simplex."""
-    tally = visit_tally(batch, fitness, lam)
-    u = tally.numerators / tally.denominator
+    u = numerators / numerators.sum()
     u.flags.writeable = False
     return u
-
-
-def estimate_uk(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
-    """Base-state coordinate as 1 / (mean total path weight).
-
-    Equals ``estimate_u(...)[k]`` bitwise: the tally numerator at the base
-    state is exactly the path count, so both reduce to the same division.
-    """
-    tally = visit_tally(batch, fitness, lam)
-    return float(batch.path_count / tally.denominator)
 
 
 def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,

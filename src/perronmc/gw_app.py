@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_sim import mix_seed
-from .errors import NoSurvivors, PopulationOverflow, Subcritical
+from .errors import InvalidArgument, NoSurvivors, PopulationOverflow, Subcritical
 from .matrix_core import NonNegativeMatrix, RowDecomposition, check_primitive, decompose
 from .oracle import power_iteration
 
@@ -34,7 +34,10 @@ __all__ = [
 ]
 
 DEFAULT_CEILING = 10**9
-OFFSPRING_LAWS = ("poisson", "deterministic")
+DEFAULT_TRIALS = 10_000
+DEFAULT_HORIZON = 10
+DEFAULT_LAW = "poisson"
+OFFSPRING_LAWS = (DEFAULT_LAW, "deterministic")
 
 
 @dataclass(frozen=True)
@@ -65,15 +68,15 @@ def _offspring_total(count: int, mean: float, law: str,
     if law == "deterministic":
         per_parent = round(mean)
         if abs(mean - per_parent) > 1e-9:
-            raise ValueError(
+            raise InvalidArgument(
                 f"deterministic offspring law needs integer means, got {mean}"
             )
         return count * per_parent
-    raise ValueError(f"unknown offspring law {law!r}; pick from {OFFSPRING_LAWS}")
+    raise InvalidArgument(f"unknown offspring law {law!r}; pick from {OFFSPRING_LAWS}")
 
 
 def step_generation(pop: Population, decomp: RowDecomposition,
-                    rng: np.random.Generator, law: str = "poisson",
+                    rng: np.random.Generator, law: str = DEFAULT_LAW,
                     ceiling: int = DEFAULT_CEILING) -> Population:
     """Advance the population by one generation.
 
@@ -97,18 +100,17 @@ def step_generation(pop: Population, decomp: RowDecomposition,
     return Population(counts=child, generation=generation)
 
 
-def run_tree(matrix: NonNegativeMatrix, initial: Population, horizon: int,
-             seed: int, law: str = "poisson",
+def run_tree(decomp: RowDecomposition, initial: Population, horizon: int,
+             seed: int, law: str = DEFAULT_LAW,
              ceiling: int = DEFAULT_CEILING) -> GWOutcome:
-    """Simulate one tree for ``horizon`` generations.
+    """Simulate one tree of the process with mean matrix ``decomp`` for
+    ``horizon`` generations.
 
     Extinction is absorbing, so simulation stops early once every count is
     zero.  Deterministic for fixed arguments.
     """
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    check_primitive(matrix)
-    decomp = decompose(matrix)
+        raise InvalidArgument("horizon must be >= 1")
     rng = np.random.default_rng(seed)
     pop = initial
     for _ in range(horizon):
@@ -123,20 +125,15 @@ def run_tree(matrix: NonNegativeMatrix, initial: Population, horizon: int,
 
 
 def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
-                            horizon: int, seed: int, law: str = "poisson",
-                            mode: str = "averaged",
+                            horizon: int, seed: int, law: str = DEFAULT_LAW,
                             ceiling: int = DEFAULT_CEILING,
                             ) -> tuple[np.ndarray, int]:
     """Average type proportions over trees that survive to the horizon.
 
     Each tree starts from one individual of every type and gets its own
     stream seeded by ``mix_seed(seed, tree_index)``, so trees could run in
-    any order or in parallel without changing the result.
-
-    Args:
-        mode: "averaged" weighs every surviving tree equally (default);
-            "pooled" sums counts before normalizing, so large trees
-            dominate.
+    any order or in parallel without changing the result.  Every surviving
+    tree weighs equally.
 
     Returns:
         (proportions on the simplex, number of surviving trees).
@@ -146,31 +143,25 @@ def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
         NoSurvivors: no tree survived to the horizon.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if mode not in ("averaged", "pooled"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidArgument("trials must be >= 1")
     check_primitive(matrix)
     pair = power_iteration(matrix)
     if pair.eigenvalue <= 1.0:
         raise Subcritical(pair.eigenvalue)
 
+    decomp = decompose(matrix)
     n = matrix.n
     start = Population(counts=np.ones(n, dtype=np.int64), generation=0)
     summed = np.zeros(n)
-    pooled = np.zeros(n)
     survivors = 0
     for t in range(trials):
-        outcome = run_tree(matrix, start, horizon, mix_seed(seed, t),
+        outcome = run_tree(decomp, start, horizon, mix_seed(seed, t),
                            law=law, ceiling=ceiling)
         if outcome.survived:
             survivors += 1
             summed += outcome.proportions
-            pooled += outcome.final_counts
     if survivors == 0:
         raise NoSurvivors(trials, horizon)
-    if mode == "averaged":
-        proportions = summed / survivors
-    else:
-        proportions = pooled / pooled.sum()
+    proportions = summed / survivors
     proportions.flags.writeable = False
     return proportions, survivors

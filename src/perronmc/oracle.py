@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergence, NoConvergence, NotOnSimplex
+from .errors import Divergence, InvalidArgument, NoConvergence, NotOnSimplex
 from .matrix_core import NonNegativeMatrix, decompose
 
 __all__ = [
@@ -47,12 +47,13 @@ class LemmaSeries:
     ``terms[0]`` is the direct-return term A[k, k] / lam; ``terms[n]`` for
     n >= 1 sums the weights of return paths of length n + 1 that avoid the
     base state in between.  At the true eigenvalue the partial sums increase
-    to 1.
+    to 1.  ``tail_ratio`` is the ratio of the last two positive terms, or
+    None when fewer than two terms are positive.
     """
 
     terms: np.ndarray
     partial_sums: np.ndarray
-    tail_ratio: float
+    tail_ratio: float | None
 
 
 @dataclass(frozen=True)
@@ -115,13 +116,13 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int, lam: float,
             the true eigenvalue.
     """
     if not lam > 0:
-        raise ValueError("trial eigenvalue must be > 0")
+        raise InvalidArgument("trial eigenvalue must be > 0")
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InvalidArgument("n_max must be >= 1")
     a = matrix.entries
     n = matrix.n
     if not 0 <= k < n:
-        raise ValueError(f"base state {k} outside 0..{n - 1}")
+        raise InvalidArgument(f"base state {k} outside 0..{n - 1}")
 
     others = np.arange(n) != k
     b = a[np.ix_(others, others)]
@@ -150,10 +151,9 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int, lam: float,
 
     terms_arr = np.asarray(terms)
     positive = np.nonzero(terms_arr > 0.0)[0]
+    tail_ratio = None
     if positive.size >= 2:
         tail_ratio = float(terms_arr[positive[-1]] / terms_arr[positive[-2]])
-    else:
-        tail_ratio = float("nan")
     partial_sums = np.cumsum(terms_arr)
     terms_arr.flags.writeable = False
     partial_sums.flags.writeable = False

@@ -1,10 +1,15 @@
-"""Shared helpers for the test suite: closed forms and matrix generators."""
+"""Shared helpers for the test suite: closed forms, matrix generators, and
+scalar reference paths that the vectorized pipeline is checked against."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from perronmc.chain_sim import RowSampler, SampleBatch
 from perronmc.errors import PerronMCError
+from perronmc.estimator import _step_weights
 from perronmc.matrix_core import NonNegativeMatrix, check_primitive, validate
 
 ACCEPTANCE_2X2 = [[1.0, 2.0], [3.0, 4.0]]
@@ -57,3 +62,122 @@ def random_stochastic_matrix(rng: np.random.Generator, n: int,
     matrix = validate(np.array(rows))
     assert (matrix.entries.sum(axis=1) == 1.0).all()
     return matrix
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference paths
+
+
+@dataclass(frozen=True)
+class Excursion:
+    """One first-return path: visits = (X_0, ..., X_{tau-1}), X_tau = base."""
+
+    base_state: int
+    visits: np.ndarray
+    return_time: int
+
+
+@dataclass(frozen=True)
+class Truncation:
+    """Outcome of an attempt that did not return within ``cap`` steps."""
+
+    base_state: int
+    cap: int
+
+
+def sample_excursion(sampler: RowSampler, k: int, rng: np.random.Generator,
+                     cap: int) -> Excursion | Truncation:
+    """Sample one first-return excursion from state ``k``, one step at a time.
+
+    Returns a :class:`Truncation` if the chain does not come back to ``k``
+    within ``cap`` steps; truncation is an outcome, not an error.
+    """
+    if not 0 <= k < sampler.n:
+        raise ValueError(f"base state {k} outside 0..{sampler.n - 1}")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    visits = [k]
+    current = k
+    for _ in range(cap):
+        u = rng.random()
+        row = sampler.cumulative[current]
+        nxt = int(np.searchsorted(row, u, side="right"))
+        current = min(nxt, int(sampler.last_positive[current]))
+        if current == k:
+            arr = np.asarray(visits, dtype=np.int64)
+            return Excursion(base_state=k, visits=arr, return_time=len(visits))
+        visits.append(current)
+    return Truncation(base_state=k, cap=cap)
+
+
+def excursions(batch: SampleBatch) -> list[Excursion]:
+    """The per-path view of a batch's flat visit arrays."""
+    parts = np.split(batch.states, np.cumsum(batch.lengths)[:-1])
+    return [
+        Excursion(batch.base_state, visits, int(visits.shape[0]))
+        for visits in parts
+    ]
+
+
+@dataclass(frozen=True)
+class PathLogWeights:
+    """Log weights along one excursion.
+
+    Attributes:
+        per_step_log: log w_n for n = 0..tau-1; the first entry is 0.
+        return_log: log of the full return weight w_tau.
+    """
+
+    per_step_log: np.ndarray
+    return_log: float
+
+
+def path_log_weights(exc: Excursion, fitness: np.ndarray,
+                     log_lambda: float) -> PathLogWeights:
+    """Per-step and return log weights for a single excursion."""
+    log_f = np.log(fitness[exc.visits])
+    tau = exc.return_time
+    prefix = np.concatenate(([0.0], np.cumsum(log_f)[:-1]))
+    per_step = prefix - np.arange(tau) * log_lambda
+    return_log = float(log_f.sum() - tau * log_lambda)
+    return PathLogWeights(per_step_log=per_step, return_log=return_log)
+
+
+def return_weight_log(exc: Excursion, fitness: np.ndarray,
+                      log_lambda: float) -> float:
+    """log of the return weight lam**(-tau) * prod_{t<tau} f(X_t)."""
+    return float(np.log(fitness[exc.visits]).sum() - exc.return_time * log_lambda)
+
+
+@dataclass(frozen=True)
+class VisitTally:
+    """Accumulated visit weights over a batch.
+
+    Attributes:
+        numerators: per-state sums of w_n over all steps of all paths.
+        denominator: total weight, defined as the sum of the numerators
+            (every step credits exactly one state).
+    """
+
+    numerators: np.ndarray
+    denominator: float
+
+
+def visit_tally(batch: SampleBatch, fitness: np.ndarray,
+                lam: float) -> VisitTally:
+    """Per-state visit weights of the batch at ``lam``, summed in the same
+    order as :func:`perronmc.estimator.estimate_u` sums them."""
+    numerators = np.bincount(batch.states,
+                             weights=_step_weights(batch, fitness, lam),
+                             minlength=fitness.shape[0])
+    return VisitTally(numerators=numerators, denominator=float(numerators.sum()))
+
+
+def estimate_uk(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
+    """Base-state coordinate as 1 / (mean total path weight).
+
+    Equals ``estimate_u(...)[k]`` bitwise: the tally numerator at the base
+    state is exactly the path count, so both reduce to the same division.
+    """
+    tally = visit_tally(batch, fitness, lam)
+    return float(batch.path_count / tally.denominator)

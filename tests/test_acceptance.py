@@ -12,13 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from perronmc.chain_sim import build_sampler, sample_batch
-from perronmc.estimator import (
-    EstimationConfig,
-    estimate_u,
-    estimate_uk,
-    run_estimation,
-    visit_tally,
-)
+from perronmc.estimator import EstimationConfig, estimate_u, run_estimation
 from perronmc.gw_app import Population, conditioned_proportions, step_generation
 from perronmc.matrix_core import decompose, scale, validate
 from perronmc.oracle import lemma_partial_sums, power_iteration, quasispecies_residual
@@ -26,8 +20,10 @@ from perronmc.oracle import lemma_partial_sums, power_iteration, quasispecies_re
 from _support import (
     ACCEPTANCE_2X2,
     closed_form_2x2,
+    estimate_uk,
     random_primitive_matrix,
     random_stochastic_matrix,
+    visit_tally,
 )
 
 
@@ -109,7 +105,8 @@ def test_criterion_4_stochastic_reduction():
 
             # Independent batch for the mean return time.
             decomp = decompose(matrix)
-            batch = sample_batch(build_sampler(decomp), 0, 10**5, seed=556)
+            batch = sample_batch(build_sampler(decomp), 0, 10**5, seed=556,
+                                 cap=10**6, shards=1)
             mean_tau = float(batch.lengths.mean())
             assert abs(report.u_hat[0] * mean_tau - 1.0) < 0.02
 
@@ -132,7 +129,8 @@ def test_criterion_5_exact_algebraic_invariants():
             assert (report.u_hat >= 0.0).all()
             assert abs(report.u_hat.sum() - 1.0) <= 1e-12
 
-            batch = sample_batch(build_sampler(decomp), k, 300, seed)
+            batch = sample_batch(build_sampler(decomp), k, 300, seed,
+                                 cap=10**6, shards=1)
             tally = visit_tally(batch, decomp.fitness, report.lambda_hat)
             assert tally.numerators[k] == float(batch.path_count)
             assert (estimate_uk(batch, decomp.fitness, report.lambda_hat)

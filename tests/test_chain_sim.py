@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from perronmc.chain_sim import (
-    Excursion,
-    Truncation,
-    build_sampler,
-    mix_seed,
-    sample_batch,
-    sample_excursion,
-)
+from perronmc.chain_sim import build_sampler, mix_seed, sample_batch
 from perronmc.errors import AllTruncated
 from perronmc.matrix_core import decompose, validate
 
-from _support import CHI2_99, random_primitive_matrix
+from _support import (
+    CHI2_99,
+    Excursion,
+    Truncation,
+    excursions,
+    random_primitive_matrix,
+    sample_excursion,
+)
 
 
 def _sampler_for(rows):
@@ -95,10 +95,10 @@ class TestSampleExcursion:
 class TestSampleBatch:
     def test_deterministic_chain_batch(self):
         sampler = _sampler_for(FLIP)
-        batch = sample_batch(sampler, 0, count=100, seed=123)
+        batch = sample_batch(sampler, 0, count=100, seed=123, cap=10**6, shards=1)
         assert batch.path_count == 100
         assert batch.truncated_count == 0
-        for exc in batch.excursions:
+        for exc in excursions(batch):
             np.testing.assert_array_equal(exc.visits, [0, 1])
             assert exc.return_time == 2
 
@@ -106,8 +106,8 @@ class TestSampleBatch:
     def test_bitwise_reproducible(self, shards):
         rng = np.random.default_rng(77)
         sampler = build_sampler(decompose(random_primitive_matrix(rng)))
-        a = sample_batch(sampler, 0, count=5_000, seed=99, shards=shards)
-        b = sample_batch(sampler, 0, count=5_000, seed=99, shards=shards)
+        a = sample_batch(sampler, 0, count=5_000, seed=99, shards=shards, cap=10**6)
+        b = sample_batch(sampler, 0, count=5_000, seed=99, shards=shards, cap=10**6)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.lengths, b.lengths)
         assert a.truncated_count == b.truncated_count
@@ -115,19 +115,19 @@ class TestSampleBatch:
 
     def test_mean_return_time_matches_geometric_law(self):
         sampler = _sampler_for(FAIR)
-        batch = sample_batch(sampler, 0, count=10**6, seed=5, cap=10**4)
+        batch = sample_batch(sampler, 0, count=10**6, seed=5, cap=10**4, shards=1)
         assert batch.truncated_count == 0
         assert abs(batch.lengths.mean() - 2.0) < 0.01
 
     def test_all_truncated(self):
         sampler = _sampler_for(FLIP)
         with pytest.raises(AllTruncated):
-            sample_batch(sampler, 0, count=50, seed=1, cap=1)
+            sample_batch(sampler, 0, count=50, seed=1, cap=1, shards=1)
 
     def test_truncations_counted_not_dropped(self):
         # Return to 0 requires escaping a sticky state; cap cuts some paths.
         sampler = _sampler_for([[0.0, 1.0], [1.0, 500.0]])
-        batch = sample_batch(sampler, 0, count=2_000, seed=8, cap=1_000)
+        batch = sample_batch(sampler, 0, count=2_000, seed=8, cap=1_000, shards=1)
         assert batch.truncated_count > 0
         assert batch.path_count + batch.truncated_count == 2_000
         assert batch.attempted == 2_000
@@ -135,7 +135,8 @@ class TestSampleBatch:
     @pytest.mark.parametrize("count,shards", [(10, 4), (7, 16), (1, 1), (100, 7)])
     def test_shard_partition_covers_count(self, count, shards):
         sampler = _sampler_for(FAIR)
-        batch = sample_batch(sampler, 0, count=count, seed=2, shards=shards)
+        batch = sample_batch(sampler, 0, count=count, seed=2,
+                             shards=shards, cap=10**6)
         assert batch.attempted == count
         assert int(batch.shard_path_counts.sum()) == batch.path_count
 
@@ -145,9 +146,9 @@ class TestSampleBatch:
         matrix = random_primitive_matrix(rng)
         sampler = build_sampler(decompose(matrix))
         k = int(rng.integers(0, matrix.n))
-        batch = sample_batch(sampler, k, count=500, seed=seed, cap=10**5)
+        batch = sample_batch(sampler, k, count=500, seed=seed, cap=10**5, shards=1)
         assert (batch.lengths <= batch.cap).all()
-        for exc in batch.excursions:
+        for exc in excursions(batch):
             assert exc.visits[0] == k
             assert not (exc.visits[1:] == k).any()
             assert exc.return_time == exc.visits.shape[0]

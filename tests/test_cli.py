@@ -5,8 +5,16 @@ import sys
 import numpy as np
 import pytest
 
+from perronmc import cli, gw_app
 from perronmc.cli import main, parse_matrix
-from perronmc.errors import NegativeEntry, ParseError
+from perronmc.errors import (
+    GuardError,
+    InputError,
+    NegativeEntry,
+    ParseError,
+    PerronMCError,
+    StructuralError,
+)
 from perronmc.estimator import EstimationConfig, run_estimation
 from perronmc.matrix_core import validate
 
@@ -92,6 +100,18 @@ def _run_json(capsys, argv):
     return code, json.loads(out) if out else None
 
 
+def _exit_code(argv):
+    """main's return value, or the status of the SystemExit it raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 class TestSubcommands:
     def test_estimate_matches_library(self, capsys, matrix_json):
         code, payload = _run_json(capsys, [
@@ -132,6 +152,16 @@ class TestSubcommands:
         assert code == 0
         assert abs(payload["final_partial_sum"] - 1.0) < 1e-8
         assert payload["terms_used"] >= 2
+
+    def test_lemma_check_single_state_is_strict_json(self, capsys, tmp_path):
+        # One term, so no tail ratio: the report says null, never NaN.
+        path = tmp_path / "one.csv"
+        path.write_text("4.25\n")
+        assert main(["lemma-check", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out,
+                             parse_constant=_reject_constant)
+        assert payload["tail_ratio"] is None
+        assert payload["final_partial_sum"] == 1.0
 
     def test_gw_sim(self, capsys, matrix_json):
         code, payload = _run_json(capsys, [
@@ -190,6 +220,62 @@ class TestExitCodes:
         code = main(["estimate", str(path), "--samples", "50", "--cap", "1"])
         assert code == 3
         assert "AllTruncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["estimate", "M", "--output", "xml"], "usage:"),
+        (["estimate"], "usage:"),
+        (["estimate", "M", "--samples", "0"], "InvalidArgument"),
+        (["gw-sim", "M", "--trials", "0"], "InvalidArgument"),
+    ])
+    def test_bad_input_is_one(self, capsys, matrix_csv, argv, reason):
+        argv = [matrix_csv if a == "M" else a for a in argv]
+        assert _exit_code(argv) == 1
+        assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["estimate", "--help"]])
+    def test_help_is_zero(self, capsys, argv):
+        assert _exit_code(argv) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_every_error_exits_with_its_family_code(self, capsys, monkeypatch,
+                                                    matrix_csv):
+        families = (InputError, StructuralError, GuardError)
+        assert [f.exit_code for f in families] == [1, 2, 3]
+        pending, concrete = [PerronMCError], []
+        while pending:
+            for sub in pending.pop().__subclasses__():
+                pending.append(sub)
+                if sub not in families:
+                    concrete.append(sub)
+        assert len(concrete) >= 18
+        for cls in concrete:
+            owners = [f for f in families if issubclass(cls, f)]
+            assert len(owners) == 1, cls
+            # Skip each class's own constructor; only its type matters here.
+            exc = cls.__new__(cls)
+
+            def fail(config, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(cli, "run", fail)
+            assert main(["oracle", matrix_csv]) == owners[0].exit_code, cls
+            assert f"error: {cls.__name__}" in capsys.readouterr().err
+
+
+class TestDefaults:
+    def test_cli_defaults_are_the_library_defaults(self):
+        parser = cli._build_parser()
+        est = parser.parse_args(["estimate", "m.csv"])
+        gw = parser.parse_args(["gw-sim", "m.csv"])
+        lib = EstimationConfig()
+        assert (
+            (est.base_state - 1, est.samples, est.seed, est.cap, est.shards,
+             est.tol, gw.base_state, gw.seed, gw.trials, gw.horizon,
+             gw.offspring_law)
+            == (lib.base_state, lib.samples, lib.seed, lib.cap, lib.shards,
+                lib.tol, lib.base_state + 1, lib.seed, gw_app.DEFAULT_TRIALS,
+                gw_app.DEFAULT_HORIZON, gw_app.DEFAULT_LAW)
+        )
 
 
 SCHEMAS = {

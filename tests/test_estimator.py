@@ -7,12 +7,8 @@ from perronmc.estimator import (
     EstimationConfig,
     estimate_lambda,
     estimate_u,
-    estimate_uk,
     g_hat,
-    path_log_weights,
-    return_weight_log,
     run_estimation,
-    visit_tally,
 )
 from perronmc.matrix_core import decompose, scale, validate
 from perronmc.oracle import lemma_partial_sums, power_iteration
@@ -20,8 +16,13 @@ from perronmc.oracle import lemma_partial_sums, power_iteration
 from _support import (
     ACCEPTANCE_2X2,
     closed_form_2x2,
+    estimate_uk,
+    excursions,
+    path_log_weights,
     random_primitive_matrix,
     random_stochastic_matrix,
+    return_weight_log,
+    visit_tally,
 )
 
 
@@ -38,14 +39,14 @@ FAIR = [[0.5, 0.5], [0.5, 0.5]]
 class TestPathWeights:
     def test_return_weight_at_unit_lambda(self):
         batch, decomp = _batch_for(FLIP, count=5)
-        exc = batch.excursions[0]
+        exc = excursions(batch)[0]
         fitness = np.array([3.0, 7.0])
         got = return_weight_log(exc, fitness, np.log(1.0))
         assert got == pytest.approx(np.log(21.0), rel=1e-14)
 
     def test_return_weight_at_dominant_value(self):
         batch, _ = _batch_for(FLIP, count=5)
-        exc = batch.excursions[0]
+        exc = excursions(batch)[0]
         lam, _ = closed_form_2x2()
         got = return_weight_log(exc, np.array([3.0, 7.0]), np.log(lam))
         assert got == pytest.approx(np.log(21.0 / lam**2), rel=1e-12)
@@ -53,7 +54,7 @@ class TestPathWeights:
 
     def test_unit_fitness_gives_zero(self):
         batch, decomp = _batch_for(FAIR, count=50, seed=3)
-        for exc in batch.excursions:
+        for exc in excursions(batch):
             assert return_weight_log(exc, decomp.fitness, 0.0) == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
@@ -61,9 +62,10 @@ class TestPathWeights:
         rng = np.random.default_rng(600 + seed)
         matrix = random_primitive_matrix(rng, n_max=6)
         decomp = decompose(matrix)
-        batch = sample_batch(build_sampler(decomp), 0, 200, seed)
+        batch = sample_batch(build_sampler(decomp), 0, 200, seed,
+                             cap=10**6, shards=1)
         log_lambda = float(np.log(rng.uniform(0.5, 2.0) * decomp.fitness.mean()))
-        for exc in batch.excursions[:50]:
+        for exc in excursions(batch)[:50]:
             weights = path_log_weights(exc, decomp.fitness, log_lambda)
             assert weights.per_step_log[0] == 0.0
             diffs = np.diff(weights.per_step_log)
@@ -95,7 +97,8 @@ class TestGHat:
         rng = np.random.default_rng(700 + seed)
         matrix = random_primitive_matrix(rng, n_max=6)
         decomp = decompose(matrix)
-        batch = sample_batch(build_sampler(decomp), 0, 400, seed)
+        batch = sample_batch(build_sampler(decomp), 0, 400, seed,
+                             cap=10**6, shards=1)
         lam = float(rng.uniform(decomp.fitness.min(), decomp.fitness.max()))
         delta = float(rng.uniform(1e-6, 0.5))
         assert (g_hat(batch, decomp.fitness, lam + delta)
@@ -117,7 +120,8 @@ class TestEstimateLambda:
         rng = np.random.default_rng(8)
         matrix = random_stochastic_matrix(rng, 5)
         decomp = decompose(matrix)
-        batch = sample_batch(build_sampler(decomp), 0, 5000, seed=4)
+        batch = sample_batch(build_sampler(decomp), 0, 5000, seed=4,
+                             cap=10**6, shards=1)
         assert estimate_lambda(batch, decomp.fitness) == 1.0
 
     def test_2x2_within_one_percent(self):
@@ -131,7 +135,8 @@ class TestEstimateLambda:
         for seed in range(5):
             matrix = random_primitive_matrix(rng, n_max=6)
             decomp = decompose(matrix)
-            batch = sample_batch(build_sampler(decomp), 0, 2000, seed)
+            batch = sample_batch(build_sampler(decomp), 0, 2000, seed,
+                                 cap=10**6, shards=1)
             lam = estimate_lambda(batch, decomp.fitness)
             assert decomp.fitness.min() <= lam <= decomp.fitness.max()
 
@@ -139,11 +144,13 @@ class TestEstimateLambda:
     def test_dyadic_scaling_is_exact(self, c):
         matrix = validate(ACCEPTANCE_2X2)
         decomp = decompose(matrix)
-        batch = sample_batch(build_sampler(decomp), 0, 20_000, seed=6)
+        batch = sample_batch(build_sampler(decomp), 0, 20_000, seed=6,
+                             cap=10**6, shards=1)
         lam = estimate_lambda(batch, decomp.fitness)
 
         scaled = decompose(scale(matrix, c))
-        batch_c = sample_batch(build_sampler(scaled), 0, 20_000, seed=6)
+        batch_c = sample_batch(build_sampler(scaled), 0, 20_000, seed=6,
+                               cap=10**6, shards=1)
         assert np.array_equal(batch.states, batch_c.states)
         assert estimate_lambda(batch_c, scaled.fitness) == c * lam
 
@@ -174,7 +181,8 @@ class TestEstimateU:
         matrix = random_primitive_matrix(rng)
         decomp = decompose(matrix)
         k = int(rng.integers(0, matrix.n))
-        batch = sample_batch(build_sampler(decomp), k, 500, seed)
+        batch = sample_batch(build_sampler(decomp), k, 500, seed,
+                             cap=10**6, shards=1)
         lam = estimate_lambda(batch, decomp.fitness)
         u = estimate_u(batch, decomp.fitness, lam)
         assert (u >= 0.0).all()
@@ -188,7 +196,8 @@ class TestEstimateU:
         rng = np.random.default_rng(17)
         matrix = random_stochastic_matrix(rng, 4)
         decomp = decompose(matrix)
-        batch = sample_batch(build_sampler(decomp), 1, 5000, seed=18)
+        batch = sample_batch(build_sampler(decomp), 1, 5000, seed=18,
+                             cap=10**6, shards=1)
         u = estimate_u(batch, decomp.fitness, 1.0)
         counts = np.bincount(batch.states, minlength=4).astype(float)
         np.testing.assert_array_equal(u, counts / counts.sum())

@@ -86,30 +86,31 @@ class TestRunTree:
         matrix = scale(random_stochastic_matrix(np.random.default_rng(5), 3),
                        0.5)
         assert power_iteration(matrix).eigenvalue == pytest.approx(0.5)
+        decomp = decompose(matrix)
         survivors = sum(
-            run_tree(matrix, _pop([1, 1, 1]), horizon=50, seed=seed).survived
+            run_tree(decomp, _pop([1, 1, 1]), horizon=50, seed=seed).survived
             for seed in range(10_000)
         )
         assert survivors / 10_000 < 0.01
 
     def test_supercritical_survives_often(self):
-        matrix = validate(ACCEPTANCE_2X2)
+        decomp = decompose(validate(ACCEPTANCE_2X2))
         survivors = sum(
-            run_tree(matrix, _pop([1, 0]), horizon=10, seed=seed).survived
+            run_tree(decomp, _pop([1, 0]), horizon=10, seed=seed).survived
             for seed in range(2_000)
         )
         assert survivors / 2_000 > 0.5
 
     def test_deterministic_given_seed(self):
-        matrix = validate(ACCEPTANCE_2X2)
-        a = run_tree(matrix, _pop([1, 1]), horizon=6, seed=99)
-        b = run_tree(matrix, _pop([1, 1]), horizon=6, seed=99)
+        decomp = decompose(validate(ACCEPTANCE_2X2))
+        a = run_tree(decomp, _pop([1, 1]), horizon=6, seed=99)
+        b = run_tree(decomp, _pop([1, 1]), horizon=6, seed=99)
         assert a.survived == b.survived
         np.testing.assert_array_equal(a.final_counts, b.final_counts)
 
     def test_outcome_shape(self):
-        matrix = validate(ACCEPTANCE_2X2)
-        out = run_tree(matrix, _pop([1, 1]), horizon=5, seed=7)
+        decomp = decompose(validate(ACCEPTANCE_2X2))
+        out = run_tree(decomp, _pop([1, 1]), horizon=5, seed=7)
         if out.survived:
             assert out.proportions.sum() == pytest.approx(1.0)
             np.testing.assert_allclose(
@@ -156,13 +157,6 @@ class TestConditionedProportions:
                        1.02)
         with pytest.raises(NoSurvivors):
             conditioned_proportions(matrix, trials=3, horizon=40, seed=12)
-
-    def test_pooled_mode(self):
-        props, survivors = conditioned_proportions(
-            validate(ACCEPTANCE_2X2), trials=200, horizon=8, seed=33,
-            mode="pooled")
-        assert survivors > 0
-        assert props.sum() == pytest.approx(1.0)
 
     def test_determinism(self):
         matrix = validate(ACCEPTANCE_2X2)
