@@ -11,11 +11,21 @@ dominant eigenvalue, so ``lam`` is found by bisection on the row-sum bracket
 ``[min f, max f]`` using the same fixed batch at every trial value.  The
 eigenvector estimate is the visit-weighted tally normalized to the simplex.
 
-Everything is carried in log space: a path contributes
-``sum_t log(f(X_t) / lam)``, accumulated per state-visit count, and sums of
-weights use the running-maximum log-sum-exp trick.  Evaluating logs of the
-ratios ``f/lam`` (rather than ``log f`` and ``log lam`` separately) makes the
-estimates exactly invariant under scaling the matrix by a power of two.
+A path enters the return weight only through its log fitness sum
+``S_p = sum_t log f(X_t)`` and its length ``tau_p``:
+``log w_tau = S_p - tau_p log lam``.  One O(visits) pass over the batch
+gives these two per-path arrays, after which every bisection step costs
+O(paths); no array grows as paths x N.  The solve runs on
+``f~ = f / 2**e``, with ``2**e`` the power of two that brings ``max f`` into
+``[1, 2)``, and puts ``lam = lam~ * 2**e`` back with ``ldexp``.  Scaling the
+matrix by a power of two changes only ``e``, so the estimates scale
+exactly.
+
+The per-visit weights are needed only at the final ``lam``, for the
+eigenvector tally and the shard jackknife: ``log w_n`` is the running sum
+of ``log(f / lam)`` along the path, restarted at path-aligned chunk
+boundaries so that its rounding error does not grow with the batch size.
+Means of weights use the running-maximum log-sum-exp trick.
 """
 
 from __future__ import annotations
@@ -40,6 +50,8 @@ __all__ = [
 
 TRUNCATION_BIAS_LIMIT = 1e-3
 BISECTION_MAX_ITER = 200
+# Visits per block of the running sum behind the per-visit weights.
+_CUMSUM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -78,29 +90,46 @@ def _require_paths(batch: SampleBatch) -> int:
     return paths
 
 
-def _state_visit_counts(batch: SampleBatch, n_states: int) -> np.ndarray:
-    """(paths, N) matrix of visit counts per state for each excursion."""
-    paths = batch.path_count
-    path_idx = np.repeat(np.arange(paths, dtype=np.int64), batch.lengths)
-    flat = np.bincount(path_idx * n_states + batch.states,
-                       minlength=paths * n_states)
-    return flat.reshape(paths, n_states).astype(float)
-
-
 def _log_mean_exp(logs: np.ndarray) -> float:
     m = logs.max()
     return float(m + np.log(np.exp(logs - m).sum()) - np.log(logs.shape[0]))
 
 
-def _log_g_from_counts(counts: np.ndarray, fitness: np.ndarray,
-                       lam: float) -> float:
-    """log of the batch mean return weight; never materializes the weights."""
-    log_ratio = np.log(fitness / lam)
-    return _log_mean_exp(counts @ log_ratio)
+@dataclass(frozen=True)
+class _PathSums:
+    """The batch as the lam solve sees it: two numbers per path.
 
+    Attributes:
+        exponent: ``e`` with ``f = f~ * 2**e`` and ``max f~`` in [1, 2).
+        lo, hi: the row-sum bracket ``[min f~, max f~]``.
+        log_sums: ``S_p = sum_t log f~(X_t)`` per path.
+        lengths: ``tau_p`` per path, as floats.
+    """
 
-def _g_from_counts(counts: np.ndarray, fitness: np.ndarray, lam: float) -> float:
-    return float(np.exp(_log_g_from_counts(counts, fitness, lam)))
+    exponent: int
+    lo: float
+    hi: float
+    log_sums: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def of(cls, batch: SampleBatch, fitness: np.ndarray) -> "_PathSums":
+        exponent = int(np.frexp(fitness.max())[1]) - 1
+        scaled = np.ldexp(fitness, -exponent)
+        log_sums = np.add.reduceat(np.log(scaled)[batch.states], batch.offsets)
+        return cls(exponent, float(scaled.min()), float(scaled.max()),
+                   log_sums, batch.lengths.astype(float))
+
+    def log_g(self, lam_scaled: float) -> float:
+        """log mean return weight at ``lam = lam_scaled * 2**exponent``."""
+        return _log_mean_exp(self.log_sums - self.lengths * np.log(lam_scaled))
+
+    def g(self, lam: float) -> float:
+        """Mean return weight at ``lam``."""
+        return float(np.exp(self.log_g(np.ldexp(lam, -self.exponent))))
+
+    def unscale(self, lam_scaled: float) -> float:
+        return float(np.ldexp(lam_scaled, self.exponent))
 
 
 def g_hat(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
@@ -115,8 +144,7 @@ def g_hat(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
     _require_paths(batch)
     if not lam > 0:
         raise InvalidArgument("trial eigenvalue must be > 0")
-    counts = _state_visit_counts(batch, fitness.shape[0])
-    return _g_from_counts(counts, fitness, lam)
+    return _PathSums.of(batch, fitness).g(lam)
 
 
 def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
@@ -136,55 +164,79 @@ def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
             lower bound and <= 1 at the upper one).
     """
     _require_paths(batch)
+    return _solve_lambda(_PathSums.of(batch, fitness), tol)
+
+
+def _solve_lambda(sums: _PathSums, tol: float) -> float:
     if not tol > 0:
         raise InvalidArgument("tol must be > 0")
-    lo = float(fitness.min())
-    hi = float(fitness.max())
+    lo, hi = sums.lo, sums.hi
     if lo == hi:
-        return lo
+        return sums.unscale(lo)
 
     # All comparisons happen on log g, which stays finite even where the
     # mean weight itself would overflow; |g - 1| <= tol is equivalent to
     # log1p(-tol) <= log g <= log1p(tol).
     band_lo = float(np.log1p(-tol))
     band_hi = float(np.log1p(tol))
-    counts = _state_visit_counts(batch, fitness.shape[0])
-    log_g_lo = _log_g_from_counts(counts, fitness, lo)
-    log_g_hi = _log_g_from_counts(counts, fitness, hi)
+    log_g_lo = sums.log_g(lo)
+    log_g_hi = sums.log_g(hi)
     if log_g_lo < band_lo or log_g_hi > band_hi:
         raise BracketFailure(float(np.exp(log_g_lo)), float(np.exp(log_g_hi)),
-                             lo, hi)
+                             sums.unscale(lo), sums.unscale(hi))
     if log_g_lo <= band_hi:
-        return lo
+        return sums.unscale(lo)
     if log_g_hi >= band_lo:
-        return hi
+        return sums.unscale(hi)
 
     mid = 0.5 * (lo + hi)
     for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            return mid
-        log_g = _log_g_from_counts(counts, fitness, mid)
+            break
+        log_g = sums.log_g(mid)
         if band_lo <= log_g <= band_hi:
-            return mid
+            break
         if log_g > 0.0:
             lo = mid
         else:
             hi = mid
-    return mid
+    return sums.unscale(mid)
 
 
 def _step_weights(batch: SampleBatch, fitness: np.ndarray,
                   lam: float) -> np.ndarray:
-    """Per-visit weights w_n for the whole batch, flat, with w_0 = 1 exact."""
+    """Per-visit weights w_n for the whole batch, flat, with w_0 = 1 exact.
+
+    ``log w_n`` is the exclusive running sum of ``log(f / lam)`` along the
+    path.  The batch is taken in chunks of whole paths, starting a new one
+    at the first path start in every block of ``_CUMSUM_CHUNK`` visits, and
+    the running sum restarts at each chunk.  It then spans at most
+    ``_CUMSUM_CHUNK`` plus one path's visits, so its rounding error is
+    bounded whatever the batch size, and only the result is batch-sized.
+    """
     log_ratio = np.log(fitness / lam)
-    per_visit = log_ratio[batch.states]
-    running = np.cumsum(per_visit)
-    exclusive = running - per_visit
     starts = batch.offsets
-    base = exclusive[starts]
-    log_w = exclusive - np.repeat(base, batch.lengths)
-    return np.exp(log_w)
+    chunk_starts = np.flatnonzero(np.diff(starts // _CUMSUM_CHUNK, prepend=-1))
+    path_bounds = np.append(chunk_starts, starts.shape[0]).tolist()
+    visit_bounds = np.append(starts, batch.states.shape[0])
+    weights = np.empty(batch.states.shape[0])
+    for p0, p1 in zip(path_bounds[:-1], path_bounds[1:]):
+        v0, v1 = visit_bounds[p0], visit_bounds[p1]
+        per_visit = log_ratio[batch.states[v0:v1]]
+        log_w = np.cumsum(per_visit)
+        log_w -= per_visit
+        log_w -= np.repeat(log_w[starts[p0:p1] - v0], batch.lengths[p0:p1])
+        np.exp(log_w, out=weights[v0:v1])
+    return weights
+
+
+def _eigenvector(batch: SampleBatch, weights: np.ndarray,
+                 n: int) -> np.ndarray:
+    numerators = np.bincount(batch.states, weights=weights, minlength=n)
+    u = numerators / numerators.sum()
+    u.flags.writeable = False
+    return u
 
 
 def estimate_u(batch: SampleBatch, fitness: np.ndarray,
@@ -199,25 +251,15 @@ def estimate_u(batch: SampleBatch, fitness: np.ndarray,
     _require_paths(batch)
     if not lam > 0:
         raise InvalidArgument("trial eigenvalue must be > 0")
-    weights = _step_weights(batch, fitness, lam)
-    numerators = np.bincount(batch.states, weights=weights,
-                             minlength=fitness.shape[0])
-    u = numerators / numerators.sum()
-    u.flags.writeable = False
-    return u
+    return _eigenvector(batch, _step_weights(batch, fitness, lam),
+                        fitness.shape[0])
 
 
-def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,
-                     lam: float) -> np.ndarray | None:
-    """Delete-one-shard jackknife standard errors for the eigenvector.
+def _jackknife_applies(batch: SampleBatch) -> bool:
+    return np.count_nonzero(batch.shard_path_counts) >= 2
 
-    Returns None when fewer than two shards contain paths; the figure is
-    indicative plumbing, not a calibrated confidence interval.
-    """
-    _require_paths(batch)
-    n = fitness.shape[0]
-    weights = _step_weights(batch, fitness, lam)
 
+def _jackknife(batch: SampleBatch, weights: np.ndarray, n: int) -> np.ndarray:
     path_bounds = np.concatenate(([0], np.cumsum(batch.shard_path_counts)))
     visit_bounds = np.concatenate(([0], np.cumsum(batch.lengths)))
     nums = []
@@ -228,8 +270,6 @@ def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,
         v0, v1 = visit_bounds[p0], visit_bounds[p1]
         nums.append(np.bincount(batch.states[v0:v1],
                                 weights=weights[v0:v1], minlength=n))
-    if len(nums) < 2:
-        return None
     nums = np.asarray(nums)
     dens = nums.sum(axis=1)
     total_num = nums.sum(axis=0)
@@ -240,6 +280,20 @@ def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,
     se = np.sqrt((m - 1) / m * (centered**2).sum(axis=0))
     se.flags.writeable = False
     return se
+
+
+def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,
+                     lam: float) -> np.ndarray | None:
+    """Delete-one-shard jackknife standard errors for the eigenvector.
+
+    Returns None when fewer than two shards contain paths; the figure is
+    indicative plumbing, not a calibrated confidence interval.
+    """
+    _require_paths(batch)
+    if not _jackknife_applies(batch):
+        return None
+    return _jackknife(batch, _step_weights(batch, fitness, lam),
+                      fitness.shape[0])
 
 
 def run_estimation(matrix: NonNegativeMatrix,
@@ -276,10 +330,14 @@ def run_estimation(matrix: NonNegativeMatrix,
         raise TruncationBiasGuard(batch.truncated_count, config.samples,
                                   TRUNCATION_BIAS_LIMIT)
 
-    lam = estimate_lambda(batch, decomp.fitness, config.tol)
-    u = estimate_u(batch, decomp.fitness, lam)
-    residual = abs(g_hat(batch, decomp.fitness, lam) - 1.0)
-    dispersion = shard_dispersion(batch, decomp.fitness, lam)
+    sums = _PathSums.of(batch, decomp.fitness)
+    lam = _solve_lambda(sums, config.tol)
+    residual = abs(sums.g(lam) - 1.0)
+    # One tally at the final lam feeds the eigenvector and the jackknife.
+    weights = _step_weights(batch, decomp.fitness, lam)
+    u = _eigenvector(batch, weights, matrix.n)
+    dispersion = (_jackknife(batch, weights, matrix.n)
+                  if _jackknife_applies(batch) else None)
     return EstimateReport(
         lambda_hat=lam,
         u_hat=u,

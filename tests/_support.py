@@ -149,6 +149,16 @@ def return_weight_log(exc: Excursion, fitness: np.ndarray,
     return float(np.log(fitness[exc.visits]).sum() - exc.return_time * log_lambda)
 
 
+def step_weights_by_path(batch: SampleBatch, fitness: np.ndarray,
+                         lam: float) -> np.ndarray:
+    """Per-visit weights w_n, flat, each path summed on its own from zero."""
+    log_ratio = np.log(fitness / lam)
+    return np.concatenate([
+        np.exp(np.concatenate(([0.0], np.cumsum(log_ratio[exc.visits])[:-1])))
+        for exc in excursions(batch)
+    ])
+
+
 @dataclass(frozen=True)
 class VisitTally:
     """Accumulated visit weights over a batch.

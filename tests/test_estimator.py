@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from perronmc import estimator
 from perronmc.chain_sim import build_sampler, sample_batch
 from perronmc.errors import EmptyBatch, NotPrimitive, TruncationBiasGuard
 from perronmc.estimator import (
@@ -9,6 +12,7 @@ from perronmc.estimator import (
     estimate_u,
     g_hat,
     run_estimation,
+    shard_dispersion,
 )
 from perronmc.matrix_core import decompose, scale, validate
 from perronmc.oracle import lemma_partial_sums, power_iteration
@@ -22,6 +26,7 @@ from _support import (
     random_primitive_matrix,
     random_stochastic_matrix,
     return_weight_log,
+    step_weights_by_path,
     visit_tally,
 )
 
@@ -79,6 +84,14 @@ class TestPathWeights:
 class TestGHat:
     def test_stochastic_at_unit_lambda_is_exactly_one(self):
         batch, decomp = _batch_for(FAIR, count=2000, seed=1)
+        assert g_hat(batch, decomp.fitness, 1.0) == 1.0
+
+    def test_stochastic_long_paths_at_unit_lambda_is_exactly_one(self):
+        rng = np.random.default_rng(8)
+        decomp = decompose(random_stochastic_matrix(rng, 50))
+        batch = sample_batch(build_sampler(decomp), 0, 5000, seed=4,
+                             cap=10**6, shards=1)
+        assert batch.lengths.mean() > 40
         assert g_hat(batch, decomp.fitness, 1.0) == 1.0
 
     def test_deterministic_chain_at_two(self):
@@ -140,7 +153,7 @@ class TestEstimateLambda:
             lam = estimate_lambda(batch, decomp.fitness)
             assert decomp.fitness.min() <= lam <= decomp.fitness.max()
 
-    @pytest.mark.parametrize("c", [2.0, 0.5, 4.0])
+    @pytest.mark.parametrize("c", [2.0, 0.5, 4.0, 2.0**-20, 2.0**30])
     def test_dyadic_scaling_is_exact(self, c):
         matrix = validate(ACCEPTANCE_2X2)
         decomp = decompose(matrix)
@@ -153,6 +166,28 @@ class TestEstimateLambda:
                                cap=10**6, shards=1)
         assert np.array_equal(batch.states, batch_c.states)
         assert estimate_lambda(batch_c, scaled.fitness) == c * lam
+        assert g_hat(batch_c, scaled.fitness, c * lam) == g_hat(
+            batch, decomp.fitness, lam)
+
+    def test_peak_memory_has_no_state_factor(self):
+        # Same path count at N=2 and N=400: the solve may hold a few arrays
+        # per visit and per path, never one per (path, state) pair.
+        rng = np.random.default_rng(5)
+        for n in (2, 400):
+            rows = rng.uniform(0.5, 2.0, (n, n))
+            rows[:, 0] = 4.0 * rows.sum(axis=1)  # short excursions
+            batch, decomp = _batch_for(rows, count=20_000, seed=3)
+            assert batch.path_count == 20_000
+            tracemalloc.start()
+            try:
+                live = tracemalloc.get_traced_memory()[0]
+                lam = estimate_lambda(batch, decomp.fitness)
+                g_hat(batch, decomp.fitness, lam)
+                peak = tracemalloc.get_traced_memory()[1] - live
+            finally:
+                tracemalloc.stop()
+            visits = batch.states.shape[0]
+            assert peak <= 6 * 8 * (visits + batch.path_count), n
 
 
 class TestEstimateU:
@@ -202,6 +237,18 @@ class TestEstimateU:
         counts = np.bincount(batch.states, minlength=4).astype(float)
         np.testing.assert_array_equal(u, counts / counts.sum())
 
+    def test_step_weight_error_does_not_grow_with_batch(self):
+        # Skewed 10x10 matrix: returns to state 0 are rare, mean tau ~ 800.
+        rng = np.random.default_rng(0)
+        rows = rng.uniform(0.5, 2.0, (10, 10))
+        rows[:, 0] *= 0.01
+        for count in (200, 2000):
+            batch, decomp = _batch_for(rows, count=count, seed=1)
+            lam = estimate_lambda(batch, decomp.fitness)
+            got = estimator._step_weights(batch, decomp.fitness, lam)
+            ref = step_weights_by_path(batch, decomp.fitness, lam)
+            assert np.abs(got / ref - 1.0).max() <= 1e-11, count
+
     def test_deterministic_chain_uk_exact(self):
         batch, decomp = _batch_for(FLIP, count=100, seed=19)
         assert estimate_uk(batch, decomp.fitness, 1.0) == 0.5
@@ -223,6 +270,15 @@ class TestRunEstimation:
         assert a.g_residual <= 1e-10
         assert a.dispersion is not None and a.dispersion.shape == (2,)
         np.testing.assert_array_equal(a.dispersion, b.dispersion)
+
+    def test_dispersion_without_two_shards_weighs_nothing(self, monkeypatch):
+        batch, decomp = _batch_for(ACCEPTANCE_2X2, count=500, seed=2)
+
+        def no_weights(*args):
+            raise AssertionError("per-visit weights computed")
+
+        monkeypatch.setattr(estimator, "_step_weights", no_weights)
+        assert shard_dispersion(batch, decomp.fitness, 5.0) is None
 
     def test_single_shard_has_no_dispersion(self):
         report = run_estimation(validate(ACCEPTANCE_2X2),
