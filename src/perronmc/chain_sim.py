@@ -5,6 +5,17 @@ chain driven by the row-stochastic kernel, stopped at the first step ``tau``
 with ``X_tau = k``.  Paths that fail to return within a hard length cap are
 counted as truncations rather than silently dropped.
 
+Each step is an inverse-CDF draw: from state ``i`` with uniform ``u`` the
+next state is ``min(#{j : C[i, j] <= u}, last_positive[i])``, where ``C``
+holds the row-wise cumulative sums of the kernel.  A guide table (Chen &
+Asau, 1974) finds that count in O(1) expected time, not by reading the
+whole row: bucket ``b = int(u * N)`` stores how many entries of ``C[i]``
+are at or below ``(b - 1) / N``, a point every ``u`` in the bucket lies
+above, so the count starts there and advances over the few entries left
+in the bucket.  Rows are non-decreasing, so the search stops at exactly
+the count a full scan gives: the table changes the cost of a step, never
+its result, and the random stream is the one a full scan draws.
+
 Reproducibility contract: :func:`sample_batch` is a pure function of
 ``(kernel, k, count, seed, cap, shards)``.  Attempts are assigned to shards
 in contiguous blocks of ``ceil(count / shards)``; shard ``s`` draws from a
@@ -59,10 +70,19 @@ class RowSampler:
         last_positive: per-row index of the last state with positive
             probability, used to clamp lookups so impossible transitions
             are never drawn.
+        guide: (N, N) guide table; ``guide[i, b]`` is the number of entries
+            of ``cumulative[i]`` at or below ``(b - 1) / N``.  A uniform
+            ``u`` with ``int(u * N) == b`` is at least ``b / N`` up to
+            rounding, far above that threshold, so every entry counted is
+            ``<= u`` and the exact count is ``guide[i, b]`` plus the entries
+            in ``((b - 1) / N, u]``.  That interval is shorter than
+            ``2 / N``, so a uniform ``u`` finds fewer than two of the row's
+            N entries in it on average.
     """
 
     cumulative: np.ndarray
     last_positive: np.ndarray
+    guide: np.ndarray
 
     @property
     def n(self) -> int:
@@ -105,22 +125,49 @@ class SampleBatch:
 
 
 def build_sampler(decomp: RowDecomposition) -> RowSampler:
-    """Build the inverse-CDF tables for a row decomposition."""
+    """Build the cumulative rows, their clamp and their guide table.
+
+    The table costs one binary search per row and bucket, O(N^2 log N) in
+    all, done once per kernel.
+    """
     cumulative = np.cumsum(decomp.kernel, axis=1)
+    n = cumulative.shape[1]
     positive = decomp.kernel > 0.0
     # Every row has a positive entry because the fitness is a positive sum.
-    last_positive = decomp.kernel.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
-    cumulative.flags.writeable = False
-    last_positive.flags.writeable = False
-    return RowSampler(cumulative=cumulative, last_positive=last_positive)
+    last_positive = n - 1 - np.argmax(positive[:, ::-1], axis=1)
+    # One bucket low, so that rounding in u * N can never put a uniform
+    # below its bucket's threshold.  Each row ends near 1 > (N - 2) / N, so
+    # no guide entry passes the row's last positive state.
+    thresholds = np.arange(-1, n - 1) / n
+    guide = np.stack([np.searchsorted(row, thresholds, side="right")
+                      for row in cumulative])
+    for table in (cumulative, last_positive, guide):
+        table.flags.writeable = False
+    return RowSampler(cumulative=cumulative, last_positive=last_positive,
+                      guide=guide)
 
 
-def _step_states(sampler_cum: np.ndarray, last_positive: np.ndarray,
-                 current: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse-CDF transition for one step of many walkers."""
-    rows = sampler_cum[current]
-    nxt = (rows <= u[:, None]).sum(axis=1)
-    return np.minimum(nxt, last_positive[current])
+def _step_states(sampler: RowSampler, current: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Next state of each walker: ``min(#{j : C[i, j] <= u}, last_positive[i])``.
+
+    Each count starts at the walker's guide entry and advances while the
+    next cumulative entry is still ``<= u``; each pass touches only the
+    walkers still advancing, and stopping at ``last_positive`` applies the
+    clamp.  Cost is O(1) expected per walker.  ``u * N`` rounds below ``N``
+    for every ``u < 1``, so the bucket is always in range.
+    """
+    n = sampler.n
+    cum = sampler.cumulative.reshape(-1)
+    row = current * n
+    pos = row + sampler.guide.reshape(-1)[row + (u * n).astype(np.intp)]
+    end = row + sampler.last_positive[current]
+    todo = np.flatnonzero((cum[pos] <= u) & (pos < end))
+    while todo.size:
+        p = pos[todo] + 1
+        pos[todo] = p
+        todo = todo[(cum[p] <= u[todo]) & (p < end[todo])]
+    return pos - row
 
 
 def _walk_block(sampler: RowSampler, k: int, block: int,
@@ -132,41 +179,37 @@ def _walk_block(sampler: RowSampler, k: int, block: int,
     generator state.  Returns (flat visit states, per-path lengths,
     truncated count) with truncated attempts removed from the flat arrays.
     """
-    cum = sampler.cumulative
-    last_positive = sampler.last_positive
-
     active = np.arange(block, dtype=np.int64)
     current = np.full(block, k, dtype=np.int64)
     return_time = np.zeros(block, dtype=np.int64)
-    record_walker = [active]
-    record_state = [current]
+    record = [(active, current)]
 
     step = 0
     while active.size and step < cap:
         step += 1
         u = rng.random(active.size)
-        nxt = _step_states(cum, last_positive, current, u)
+        nxt = _step_states(sampler, current, u)
         returned = nxt == k
         return_time[active[returned]] = step
         keep = ~returned
         active = active[keep]
         current = nxt[keep]
         if active.size:
-            record_walker.append(active)
-            record_state.append(current)
+            record.append((active, current))
 
-    walkers = np.concatenate(record_walker)
-    states = np.concatenate(record_state)
     truncated = active
-    if truncated.size:
-        dead = np.zeros(block, dtype=bool)
-        dead[truncated] = True
-        alive = ~dead[walkers]
-        walkers = walkers[alive]
-        states = states[alive]
-    order = np.argsort(walkers, kind="stable")
-    lengths = return_time[return_time > 0]
-    return states[order], lengths, int(truncated.size)
+    kept = return_time > 0
+    lengths = return_time[kept]
+    # Walker w's path starts after the paths of the kept walkers before it;
+    # truncated walkers have return time 0, so they take no room.
+    start = np.cumsum(return_time) - return_time
+    states = np.empty(int(lengths.sum()), dtype=np.int64)
+    for t, (walkers, visited) in enumerate(record):
+        if truncated.size:
+            alive = kept[walkers]
+            walkers, visited = walkers[alive], visited[alive]
+        states[start[walkers] + t] = visited
+    return states, lengths, int(truncated.size)
 
 
 def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,

@@ -90,11 +90,6 @@ def _require_paths(batch: SampleBatch) -> int:
     return paths
 
 
-def _log_mean_exp(logs: np.ndarray) -> float:
-    m = logs.max()
-    return float(m + np.log(np.exp(logs - m).sum()) - np.log(logs.shape[0]))
-
-
 @dataclass(frozen=True)
 class _PathSums:
     """The batch as the lam solve sees it: two numbers per path.
@@ -104,6 +99,9 @@ class _PathSums:
         lo, hi: the row-sum bracket ``[min f~, max f~]``.
         log_sums: ``S_p = sum_t log f~(X_t)`` per path.
         lengths: ``tau_p`` per path, as floats.
+        work: per-path scratch for :meth:`log_g`, so that a bisection step
+            allocates nothing; otherwise every step would allocate, and
+            page in, several path-sized temporaries.
     """
 
     exponent: int
@@ -111,18 +109,32 @@ class _PathSums:
     hi: float
     log_sums: np.ndarray
     lengths: np.ndarray
+    work: np.ndarray
 
     @classmethod
     def of(cls, batch: SampleBatch, fitness: np.ndarray) -> "_PathSums":
         exponent = int(np.frexp(fitness.max())[1]) - 1
         scaled = np.ldexp(fitness, -exponent)
-        log_sums = np.add.reduceat(np.log(scaled)[batch.states], batch.offsets)
+        log_scaled = np.log(scaled)
+        starts = batch.offsets
+        log_sums = np.empty(starts.shape[0])
+        for p0, p1, v0, v1 in _path_chunks(batch):
+            log_sums[p0:p1] = np.add.reduceat(log_scaled[batch.states[v0:v1]],
+                                              starts[p0:p1] - v0)
         return cls(exponent, float(scaled.min()), float(scaled.max()),
-                   log_sums, batch.lengths.astype(float))
+                   log_sums, batch.lengths.astype(float),
+                   np.empty_like(log_sums))
 
     def log_g(self, lam_scaled: float) -> float:
-        """log mean return weight at ``lam = lam_scaled * 2**exponent``."""
-        return _log_mean_exp(self.log_sums - self.lengths * np.log(lam_scaled))
+        """log mean return weight at ``lam = lam_scaled * 2**exponent``,
+        by the max-shifted log-sum-exp of ``S_p - tau_p log lam~``."""
+        logs = self.work
+        np.multiply(self.lengths, np.log(lam_scaled), out=logs)
+        np.subtract(self.log_sums, logs, out=logs)
+        m = logs.max()
+        logs -= m
+        np.exp(logs, out=logs)
+        return float(m + np.log(logs.sum()) - np.log(logs.shape[0]))
 
     def g(self, lam: float) -> float:
         """Mean return weight at ``lam``."""
@@ -204,25 +216,36 @@ def _solve_lambda(sums: _PathSums, tol: float) -> float:
     return sums.unscale(mid)
 
 
+def _path_chunks(batch: SampleBatch) -> list[tuple[int, int, int, int]]:
+    """The batch as chunks of whole paths, ``(p0, p1, v0, v1)``.
+
+    A new chunk starts at the first path start in every block of
+    ``_CUMSUM_CHUNK`` visits, so a chunk holds at most ``_CUMSUM_CHUNK``
+    plus one path's visits.  Per-visit passes that work chunk by chunk hold
+    no batch-sized temporary.
+    """
+    starts = batch.offsets
+    blocks = np.arange(0, batch.states.shape[0], _CUMSUM_CHUNK)
+    first = np.unique(np.searchsorted(starts, blocks))
+    first = first[first < starts.shape[0]]
+    paths = np.append(first, starts.shape[0]).tolist()
+    visits = np.append(starts[first], batch.states.shape[0]).tolist()
+    return list(zip(paths[:-1], paths[1:], visits[:-1], visits[1:]))
+
+
 def _step_weights(batch: SampleBatch, fitness: np.ndarray,
                   lam: float) -> np.ndarray:
     """Per-visit weights w_n for the whole batch, flat, with w_0 = 1 exact.
 
     ``log w_n`` is the exclusive running sum of ``log(f / lam)`` along the
-    path.  The batch is taken in chunks of whole paths, starting a new one
-    at the first path start in every block of ``_CUMSUM_CHUNK`` visits, and
-    the running sum restarts at each chunk.  It then spans at most
-    ``_CUMSUM_CHUNK`` plus one path's visits, so its rounding error is
-    bounded whatever the batch size, and only the result is batch-sized.
+    path, restarted at every chunk of :func:`_path_chunks`.  It then spans
+    at most ``_CUMSUM_CHUNK`` plus one path's visits, so its rounding error
+    is bounded whatever the batch size, and only the result is batch-sized.
     """
     log_ratio = np.log(fitness / lam)
     starts = batch.offsets
-    chunk_starts = np.flatnonzero(np.diff(starts // _CUMSUM_CHUNK, prepend=-1))
-    path_bounds = np.append(chunk_starts, starts.shape[0]).tolist()
-    visit_bounds = np.append(starts, batch.states.shape[0])
     weights = np.empty(batch.states.shape[0])
-    for p0, p1 in zip(path_bounds[:-1], path_bounds[1:]):
-        v0, v1 = visit_bounds[p0], visit_bounds[p1]
+    for p0, p1, v0, v1 in _path_chunks(batch):
         per_visit = log_ratio[batch.states[v0:v1]]
         log_w = np.cumsum(per_visit)
         log_w -= per_visit
@@ -231,9 +254,20 @@ def _step_weights(batch: SampleBatch, fitness: np.ndarray,
     return weights
 
 
+def _tally(states: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Per-state sums of ``weights``, added in visit order.
+
+    ``np.add.at`` gives bitwise the sums of ``np.bincount(states, weights)``
+    without its batch-sized temporary.
+    """
+    sums = np.zeros(n)
+    np.add.at(sums, states, weights)
+    return sums
+
+
 def _eigenvector(batch: SampleBatch, weights: np.ndarray,
                  n: int) -> np.ndarray:
-    numerators = np.bincount(batch.states, weights=weights, minlength=n)
+    numerators = _tally(batch.states, weights, n)
     u = numerators / numerators.sum()
     u.flags.writeable = False
     return u
@@ -268,8 +302,7 @@ def _jackknife(batch: SampleBatch, weights: np.ndarray, n: int) -> np.ndarray:
         if p0 == p1:
             continue
         v0, v1 = visit_bounds[p0], visit_bounds[p1]
-        nums.append(np.bincount(batch.states[v0:v1],
-                                weights=weights[v0:v1], minlength=n))
+        nums.append(_tally(batch.states[v0:v1], weights[v0:v1], n))
     nums = np.asarray(nums)
     dens = nums.sum(axis=1)
     total_num = nums.sum(axis=0)

@@ -110,6 +110,14 @@ def sample_excursion(sampler: RowSampler, k: int, rng: np.random.Generator,
     return Truncation(base_state=k, cap=cap)
 
 
+def step_states_reference(sampler: RowSampler, current: np.ndarray,
+                          u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF transition by a full scan of each walker's cumulative row,
+    clamped to the row's last positive state."""
+    nxt = (sampler.cumulative[current] <= u[:, None]).sum(axis=1)
+    return np.minimum(nxt, sampler.last_positive[current])
+
+
 def excursions(batch: SampleBatch) -> list[Excursion]:
     """The per-path view of a batch's flat visit arrays."""
     parts = np.split(batch.states, np.cumsum(batch.lengths)[:-1])

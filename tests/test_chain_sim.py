@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from perronmc.chain_sim import build_sampler, mix_seed, sample_batch
+from perronmc.chain_sim import _step_states, build_sampler, mix_seed, sample_batch
 from perronmc.errors import AllTruncated
 from perronmc.matrix_core import decompose, validate
 
@@ -12,6 +14,7 @@ from _support import (
     excursions,
     random_primitive_matrix,
     sample_excursion,
+    step_states_reference,
 )
 
 
@@ -21,6 +24,21 @@ def _sampler_for(rows):
 
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
 FAIR = [[0.5, 0.5], [0.5, 0.5]]
+
+
+def _skewed_matrix():
+    """Sparse, skewed and primitive: row 3 puts its seven leading CDF points
+    into the first 1/N of [0, 1) and its last five into the final one."""
+    rng = np.random.default_rng(2024)
+    n = 12
+    a = rng.uniform(0.0, 1.0, (n, n)) ** 4
+    a[rng.random((n, n)) < 0.35] = 0.0
+    a[3] = 1e-6
+    a[3, 7] = 1.0
+    a[3, 3] = 0.0
+    a[:, 0] += 0.05
+    a[0, 1:] += 0.01
+    return a
 
 
 class TestMixSeed:
@@ -56,6 +74,54 @@ class TestBuildSampler:
         sampler = build_sampler(decompose(random_primitive_matrix(rng)))
         assert (np.diff(sampler.cumulative, axis=1) >= 0.0).all()
         assert np.abs(sampler.cumulative[:, -1] - 1.0).max() <= 1e-12
+
+
+def _edge_uniforms(sampler):
+    """Uniforms on and beside every bucket edge b / N and every cumulative
+    entry, plus the ends of [0, 1)."""
+    n = sampler.n
+    points = np.concatenate((np.arange(n) / n, sampler.cumulative.ravel()))
+    u = np.concatenate((points, np.nextafter(points, -1.0),
+                        np.nextafter(points, 2.0),
+                        [0.0, np.nextafter(1.0, 0.0)]))
+    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+class TestStepStates:
+    def _assert_matches_scan(self, sampler, u):
+        current = np.repeat(np.arange(sampler.n), u.shape[0])
+        u = np.tile(u, sampler.n)
+        got = _step_states(sampler, current, u)
+        np.testing.assert_array_equal(got, step_states_reference(sampler, current, u))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_full_scan_on_sparse_skewed_kernels(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        matrix = random_primitive_matrix(rng, n_max=40, zero_frac=0.5)
+        # Raising entries to a high power piles most CDF points into a few
+        # buckets, which is where the guide table does the most searching.
+        rows = matrix.entries ** rng.choice([1.0, 4.0, 12.0])
+        sampler = _sampler_for(rows)
+        u = np.concatenate((_edge_uniforms(sampler), rng.random(2000)))
+        self._assert_matches_scan(sampler, u)
+
+    def test_equals_full_scan_on_crowded_bucket(self):
+        sampler = _sampler_for(_skewed_matrix())
+        self._assert_matches_scan(sampler, _edge_uniforms(sampler))
+
+    @pytest.mark.parametrize("rows", [FLIP, FAIR, [[0.0, 0.0, 1.0], [1.0, 1.0, 1.0],
+                                                     [2.0, 0.0, 2.0]]])
+    def test_equals_full_scan_on_zero_entries(self, rows):
+        sampler = _sampler_for(rows)
+        self._assert_matches_scan(sampler, _edge_uniforms(sampler))
+
+    def test_guide_counts_entries_one_bucket_low(self):
+        sampler = _sampler_for(_skewed_matrix())
+        n = sampler.n
+        thresholds = (np.arange(n) - 1) / n
+        expected = (sampler.cumulative[:, None, :]
+                    <= thresholds[None, :, None]).sum(axis=2)
+        np.testing.assert_array_equal(sampler.guide, expected)
 
 
 class TestSampleExcursion:
@@ -161,9 +227,7 @@ class TestSampleBatch:
         draws = 10**6
         u = np.random.default_rng(1234).random(draws)
         for i in range(matrix.n):
-            rows = sampler.cumulative[np.full(draws, i)]
-            nxt = (rows <= u[:, None]).sum(axis=1)
-            nxt = np.minimum(nxt, sampler.last_positive[i])
+            nxt = _step_states(sampler, np.full(draws, i), u)
             freq = np.bincount(nxt, minlength=matrix.n) / draws
             np.testing.assert_allclose(freq, decomp.kernel[i], atol=0.005)
             positive = decomp.kernel[i] > 0
@@ -172,3 +236,43 @@ class TestSampleBatch:
             chi2 = float(((observed - expected) ** 2 / expected).sum())
             assert chi2 < CHI2_99[max(int(positive.sum()) - 1, 1)]
             assert freq[~positive].sum() == 0.0
+
+
+class TestFrozenStream:
+    """The sampler's output is part of every report, so it is frozen here.
+
+    Each case pins a sha256 of ``states`` then ``lengths`` (int64, little
+    endian), the truncation count and the per-shard path counts.  A change
+    to the random stream must fail these and declare itself.
+    """
+
+    CASES = {
+        "dense-uniform-100": (
+            lambda: np.random.default_rng(100).uniform(0.5, 2.0, (100, 100)),
+            dict(k=0, count=2000, seed=11, cap=10**6, shards=2),
+            "56d0e3c7b709beec64400033c98f252f84e190a6aaf03ed4b15b02997a0df397",
+            0, [1000, 1000]),
+        "sparse-skewed-12": (
+            _skewed_matrix,
+            dict(k=0, count=5000, seed=12, cap=10**6, shards=4),
+            "def78b222c7e248dba0cd53a763f995887351e6c3a3b51576e850aba9d8b89ed",
+            0, [1250, 1250, 1250, 1250]),
+        "sticky-truncating": (
+            lambda: [[0.0, 1.0], [1.0, 500.0]],
+            dict(k=0, count=2000, seed=8, cap=1000, shards=3),
+            "d1e9f4c2ba9ef40f0738c567c920d1fdbf376efc0520d90a440e1a12a1a50a50",
+            269, [577, 585, 569]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_batch_is_frozen(self, name):
+        make, kwargs, digest, truncated, per_shard = self.CASES[name]
+        batch = sample_batch(_sampler_for(make()), **kwargs)
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(batch.states, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(batch.lengths, dtype="<i8").tobytes())
+        assert h.hexdigest() == digest
+        assert batch.states.dtype == np.int64
+        assert batch.lengths.dtype == np.int64
+        assert batch.truncated_count == truncated
+        assert batch.shard_path_counts.tolist() == per_shard

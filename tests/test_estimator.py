@@ -189,6 +189,33 @@ class TestEstimateLambda:
             visits = batch.states.shape[0]
             assert peak <= 6 * 8 * (visits + batch.path_count), n
 
+    def test_peak_memory_is_one_array_per_visit(self):
+        # Long excursions (mean tau ~ N), so the per-visit term dominates:
+        # lam solve plus tally may hold the weights and per-path arrays,
+        # but no second batch-sized temporary.
+        rows = np.random.default_rng(8).uniform(0.5, 2.0, (50, 50))
+        batch, decomp = _batch_for(rows, count=20_000, seed=4)
+        visits = batch.states.shape[0]
+        assert visits > 40 * batch.path_count
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            lam = estimate_lambda(batch, decomp.fitness)
+            estimate_u(batch, decomp.fitness, lam)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * visits + 6 * 8 * batch.path_count
+
+    def test_chunked_path_sums_equal_batch_wide_sums(self):
+        rows = np.random.default_rng(9).uniform(0.5, 2.0, (30, 30))
+        batch, decomp = _batch_for(rows, count=3000, seed=5)
+        assert batch.states.shape[0] > 10 * estimator._CUMSUM_CHUNK
+        sums = estimator._PathSums.of(batch, decomp.fitness)
+        scaled = np.ldexp(decomp.fitness, -sums.exponent)
+        whole = np.add.reduceat(np.log(scaled)[batch.states], batch.offsets)
+        np.testing.assert_array_equal(sums.log_sums, whole)
+
 
 class TestEstimateU:
     def test_symmetric_chain(self):
@@ -226,6 +253,7 @@ class TestEstimateU:
         assert tally.numerators[k] == float(batch.path_count)
         assert tally.denominator == tally.numerators.sum()
         assert estimate_uk(batch, decomp.fitness, lam) == u[k]
+        np.testing.assert_array_equal(u, tally.numerators / tally.denominator)
 
     def test_stochastic_reduction_equals_plain_visit_counts(self):
         rng = np.random.default_rng(17)
