@@ -102,9 +102,6 @@ class SampleBatch:
     states: np.ndarray
     lengths: np.ndarray
     truncated_count: int
-    seed: int
-    cap: int
-    shards: int
     shard_path_counts: np.ndarray
 
     @property
@@ -265,8 +262,5 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
         states=states,
         lengths=lengths,
         truncated_count=truncated_total,
-        seed=seed,
-        cap=cap,
-        shards=shards,
         shard_path_counts=shard_path_counts,
     )

@@ -41,6 +41,7 @@ def parse_matrix(path: str | Path) -> NonNegativeMatrix:
         ParseError: missing file, unknown extension, malformed content
             (with the offending line/field where applicable).
         NegativeEntry/ZeroRow/NotSquare...: validation failures, unchanged.
+        NotPrimitive: the matrix is reducible or periodic.
     """
     path = Path(path)
     if not path.exists():

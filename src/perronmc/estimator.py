@@ -36,7 +36,7 @@ import numpy as np
 
 from .chain_sim import SampleBatch, build_sampler, sample_batch
 from .errors import BracketFailure, EmptyBatch, InvalidArgument, TruncationBiasGuard
-from .matrix_core import NonNegativeMatrix, check_primitive, decompose
+from .matrix_core import NonNegativeMatrix, decompose
 
 __all__ = [
     "EstimateReport",
@@ -297,8 +297,7 @@ def _jackknife(batch: SampleBatch, weights: np.ndarray, n: int) -> np.ndarray:
     path_bounds = np.concatenate(([0], np.cumsum(batch.shard_path_counts)))
     visit_bounds = np.concatenate(([0], np.cumsum(batch.lengths)))
     nums = []
-    for s in range(batch.shards):
-        p0, p1 = path_bounds[s], path_bounds[s + 1]
+    for p0, p1 in zip(path_bounds[:-1], path_bounds[1:]):
         if p0 == p1:
             continue
         v0, v1 = visit_bounds[p0], visit_bounds[p1]
@@ -331,17 +330,15 @@ def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,
 
 def run_estimation(matrix: NonNegativeMatrix,
                    config: EstimationConfig = EstimationConfig()) -> EstimateReport:
-    """Full pipeline: certify, decompose, sample, solve, tally, report.
+    """Full pipeline: decompose, sample, solve, tally, report.
 
     Deterministic for a fixed config.  A 1x1 matrix short-circuits: the
     excursion is the unit self-loop, so the eigenpair is (f[0], (1,)).
 
     Raises:
-        NotPrimitive: propagated from the primitivity check.
         AllTruncated, BracketFailure: propagated from sampling/solving.
         TruncationBiasGuard: more than 0.1% of attempts truncated.
     """
-    check_primitive(matrix)
     decomp = decompose(matrix)
     if matrix.n == 1:
         u = np.array([1.0])

@@ -22,12 +22,11 @@ import numpy as np
 
 from .chain_sim import mix_seed
 from .errors import InvalidArgument, NoSurvivors, PopulationOverflow, Subcritical
-from .matrix_core import NonNegativeMatrix, RowDecomposition, check_primitive, decompose
+from .matrix_core import NonNegativeMatrix, RowDecomposition, decompose
 from .oracle import power_iteration
 
 __all__ = [
     "Population",
-    "GWOutcome",
     "step_generation",
     "run_tree",
     "conditioned_proportions",
@@ -50,15 +49,6 @@ class Population:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
-class GWOutcome:
-    """End state of one simulated tree."""
-
-    survived: bool
-    final_counts: np.ndarray
-    proportions: np.ndarray | None
 
 
 def _offspring_total(count: int, mean: float, law: str,
@@ -102,12 +92,13 @@ def step_generation(pop: Population, decomp: RowDecomposition,
 
 def run_tree(decomp: RowDecomposition, initial: Population, horizon: int,
              seed: int, law: str = DEFAULT_LAW,
-             ceiling: int = DEFAULT_CEILING) -> GWOutcome:
+             ceiling: int = DEFAULT_CEILING) -> np.ndarray:
     """Simulate one tree of the process with mean matrix ``decomp`` for
-    ``horizon`` generations.
+    ``horizon`` generations and return its final per-type counts.
 
     Extinction is absorbing, so simulation stops early once every count is
-    zero.  Deterministic for fixed arguments.
+    zero; the tree survived exactly when the counts are not all zero.
+    Deterministic for fixed arguments.
     """
     if horizon < 1:
         raise InvalidArgument("horizon must be >= 1")
@@ -117,11 +108,7 @@ def run_tree(decomp: RowDecomposition, initial: Population, horizon: int,
         if pop.total == 0:
             break
         pop = step_generation(pop, decomp, rng, law=law, ceiling=ceiling)
-    total = pop.total
-    counts = np.asarray(pop.counts)
-    proportions = counts / total if total > 0 else None
-    return GWOutcome(survived=total > 0, final_counts=counts,
-                     proportions=proportions)
+    return pop.counts
 
 
 def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
@@ -144,7 +131,6 @@ def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
-    check_primitive(matrix)
     pair = power_iteration(matrix)
     if pair.eigenvalue <= 1.0:
         raise Subcritical(pair.eigenvalue)
@@ -155,11 +141,12 @@ def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
     summed = np.zeros(n)
     survivors = 0
     for t in range(trials):
-        outcome = run_tree(decomp, start, horizon, mix_seed(seed, t),
-                           law=law, ceiling=ceiling)
-        if outcome.survived:
+        counts = run_tree(decomp, start, horizon, mix_seed(seed, t),
+                          law=law, ceiling=ceiling)
+        total = counts.sum()
+        if total > 0:
             survivors += 1
-            summed += outcome.proportions
+            summed += counts / total
     if survivors == 0:
         raise NoSurvivors(trials, horizon)
     proportions = summed / survivors

@@ -1,10 +1,14 @@
 """Validation, primitivity testing, and the row decomposition of a matrix.
 
-A validated matrix is square, entrywise non-negative, and has strictly
-positive row sums.  It can then be split into a fitness vector ``f`` (the
-row sums) and a row-stochastic kernel ``M`` with ``A[i, j] = f[i] * M[i, j]``.
-All functions here are pure and all returned arrays are frozen read-only,
-so values can be shared freely across threads.
+A validated matrix is square, entrywise non-negative, has strictly
+positive row sums, and is primitive: some power of it is entrywise
+positive, which the method needs.  :func:`validate` is the only place
+that certifies primitivity, so every :class:`NonNegativeMatrix` built
+from input is primitive.  Such a matrix splits into a fitness vector
+``f`` (the row sums) and a row-stochastic kernel ``M`` with
+``A[i, j] = f[i] * M[i, j]``.  All functions here are pure and all
+returned arrays are frozen read-only, so values can be shared freely
+across threads.
 
 File formats accepted by the CLI for matrices (parsing lives in
 :mod:`perronmc.cli`):
@@ -30,7 +34,6 @@ from .errors import (
 
 __all__ = [
     "NonNegativeMatrix",
-    "PrimitivityCertificate",
     "RowDecomposition",
     "validate",
     "check_primitive",
@@ -44,6 +47,8 @@ __all__ = [
 class NonNegativeMatrix:
     """A validated square non-negative matrix with positive row sums.
 
+    Built by :func:`validate`, it is also primitive.
+
     Attributes:
         n: matrix size N.
         entries: (N, N) float array, read-only.
@@ -51,18 +56,6 @@ class NonNegativeMatrix:
 
     n: int
     entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class PrimitivityCertificate:
-    """Witness that some power of the matrix is entrywise positive.
-
-    Attributes:
-        exponent_m: the smallest m with A**m entrywise positive; always
-            within [1, (N-1)**2 + 1].
-    """
-
-    exponent_m: int
 
 
 @dataclass(frozen=True)
@@ -88,17 +81,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def validate(raw) -> NonNegativeMatrix:
-    """Check an array-like and wrap it as a NonNegativeMatrix.
+    """Check an array-like and wrap it as a primitive NonNegativeMatrix.
+
+    The checks run in the order of the errors below, so a matrix with a
+    zero row is reported as such even when it is also not primitive.
 
     Args:
         raw: square array-like of reals.
 
     Raises:
         NotSquare: ragged, rectangular, or not 2-D input.
-        NegativeEntry: some entry is < 0.
         NonFiniteEntry: some entry is NaN or infinite.
+        NegativeEntry: some entry is < 0.
         ZeroRow: some row sums to 0, which would leave the transition
             kernel undefined on that row.
+        NotPrimitive: no power of the matrix is entrywise positive.
     """
     try:
         entries = np.array(raw, dtype=float)
@@ -120,7 +117,9 @@ def validate(raw) -> NonNegativeMatrix:
     if zero.any():
         raise ZeroRow(int(np.argmax(zero)))
 
-    return NonNegativeMatrix(n=entries.shape[0], entries=_freeze(entries))
+    matrix = NonNegativeMatrix(n=entries.shape[0], entries=_freeze(entries))
+    check_primitive(matrix)
+    return matrix
 
 
 def wielandt_bound(n: int) -> int:
@@ -128,61 +127,30 @@ def wielandt_bound(n: int) -> int:
     return (n - 1) ** 2 + 1
 
 
-def _bool_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # 0/1 float matmul keeps every intermediate <= N, so the zero pattern
-    # is exact and no overflow is possible.
-    return (p.astype(float) @ q.astype(float)) > 0.0
+def check_primitive(matrix: NonNegativeMatrix) -> None:
+    """Certify that some power of the matrix is entrywise positive.
 
-
-def _pattern_power(squares: list[np.ndarray], m: int) -> np.ndarray:
-    """Zero pattern of A**m from cached patterns of A**(2**t)."""
-    acc = None
-    bit = 0
-    while m:
-        if m & 1:
-            acc = squares[bit] if acc is None else _bool_product(acc, squares[bit])
-        m >>= 1
-        bit += 1
-    return acc
-
-
-def check_primitive(matrix: NonNegativeMatrix) -> PrimitivityCertificate:
-    """Find the smallest m with A**m entrywise positive.
-
-    Works on the zero/nonzero pattern only.  Because every row has a
-    positive entry, positivity of A**m implies positivity of all higher
-    powers, so the smallest exponent can be located by repeated squaring
-    followed by a monotone binary search.
+    Works on the zero/nonzero pattern only, squaring it until it is all
+    positive.  Every row has a positive entry, so once A**m is positive
+    every higher power is too; and a primitive N x N matrix already has
+    A**((N-1)**2 + 1) positive (Wielandt).  A power at or past that bound
+    that is not positive therefore proves that no power is.
 
     Raises:
         NotPrimitive: no power up to (N-1)**2 + 1 is positive.
     """
     n = matrix.n
     bound = wielandt_bound(n)
-
-    # squares[t] holds the zero pattern of A**(2**t).
-    squares = [matrix.entries > 0.0]
+    pattern = matrix.entries > 0.0
     exponent = 1
-    while not squares[-1].all():
+    while not pattern.all():
         if exponent >= bound:
             raise NotPrimitive(n, bound)
-        squares.append(_bool_product(squares[-1], squares[-1]))
+        # A 0/1 float matmul keeps every entry <= N, so the zero pattern
+        # stays exact and nothing can overflow.
+        square = pattern.astype(float)
+        pattern = (square @ square) > 0.0
         exponent *= 2
-
-    if exponent == 1:
-        return PrimitivityCertificate(exponent_m=1)
-
-    # Smallest positive power lies in (exponent/2, exponent].
-    lo, hi = exponent // 2, exponent
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _pattern_power(squares, mid).all():
-            hi = mid
-        else:
-            lo = mid
-    if hi > bound:
-        raise NotPrimitive(n, bound)
-    return PrimitivityCertificate(exponent_m=hi)
 
 
 def decompose(matrix: NonNegativeMatrix) -> RowDecomposition:
@@ -200,10 +168,10 @@ def decompose(matrix: NonNegativeMatrix) -> RowDecomposition:
 def scale(matrix: NonNegativeMatrix, c: float) -> NonNegativeMatrix:
     """Multiply every entry by c > 0.
 
-    The zero pattern, and hence the primitivity exponent, is unchanged;
-    the kernel of the decomposition is unchanged as well (exactly so when
-    c is a power of two, since then both the entries and the row sums are
-    scaled without rounding).
+    The zero pattern, and hence primitivity, is unchanged; the kernel of
+    the decomposition is unchanged as well (exactly so when c is a power
+    of two, since then both the entries and the row sums are scaled
+    without rounding).
 
     Raises:
         NonPositiveScale: c <= 0.

@@ -10,7 +10,7 @@ import numpy as np
 from perronmc.chain_sim import RowSampler, SampleBatch
 from perronmc.errors import PerronMCError
 from perronmc.estimator import _step_weights
-from perronmc.matrix_core import NonNegativeMatrix, check_primitive, validate
+from perronmc.matrix_core import NonNegativeMatrix, validate
 
 ACCEPTANCE_2X2 = [[1.0, 2.0], [3.0, 4.0]]
 
@@ -39,11 +39,17 @@ def random_primitive_matrix(rng: np.random.Generator, n_max: int = 8,
         raw = rng.uniform(0.0, hi, (n, n))
         raw[rng.random((n, n)) < zero_frac] = 0.0
         try:
-            matrix = validate(raw)
-            check_primitive(matrix)
+            return validate(raw)
         except PerronMCError:
             continue
-        return matrix
+
+
+def unchecked(rows) -> NonNegativeMatrix:
+    """A frozen NonNegativeMatrix that skips :func:`validate`, primitivity
+    certificate included, for stage tests on periodic or reducible chains."""
+    entries = np.array(rows, dtype=float)
+    entries.flags.writeable = False
+    return NonNegativeMatrix(n=entries.shape[0], entries=entries)
 
 
 def random_stochastic_matrix(rng: np.random.Generator, n: int,

@@ -5,7 +5,7 @@ import pytest
 
 from perronmc.chain_sim import _step_states, build_sampler, mix_seed, sample_batch
 from perronmc.errors import AllTruncated
-from perronmc.matrix_core import decompose, validate
+from perronmc.matrix_core import decompose
 
 from _support import (
     CHI2_99,
@@ -15,11 +15,12 @@ from _support import (
     random_primitive_matrix,
     sample_excursion,
     step_states_reference,
+    unchecked,
 )
 
 
 def _sampler_for(rows):
-    return build_sampler(decompose(validate(rows)))
+    return build_sampler(decompose(unchecked(rows)))
 
 
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
@@ -213,7 +214,7 @@ class TestSampleBatch:
         sampler = build_sampler(decompose(matrix))
         k = int(rng.integers(0, matrix.n))
         batch = sample_batch(sampler, k, count=500, seed=seed, cap=10**5, shards=1)
-        assert (batch.lengths <= batch.cap).all()
+        assert (batch.lengths <= 10**5).all()
         for exc in excursions(batch):
             assert exc.visits[0] == k
             assert not (exc.visits[1:] == k).any()

@@ -182,12 +182,46 @@ class TestSubcommands:
         assert "config.subcommand: oracle" in out
 
 
+SUBCOMMANDS = ("estimate", "oracle", "compare", "lemma-check", "gw-sim")
+
+# No power of these is entrywise positive: a periodic chain, a Jordan block
+# whose power iteration never settles, and a reducible upper triangle.
+NOT_PRIMITIVE = {
+    "cycle2": [[0, 1], [1, 0]],
+    "jordan": [[1, 1], [0, 1]],
+    "reducible3": [[2, 1, 0], [0, 2, 1], [0, 0, 3]],
+}
+
+
 class TestExitCodes:
     def test_not_primitive_is_two(self, capsys, flip_csv):
         code = main(["estimate", flip_csv])
         err = capsys.readouterr().err
         assert code == 2
         assert "NotPrimitive" in err
+
+    @pytest.mark.parametrize("rows", NOT_PRIMITIVE.values(),
+                             ids=NOT_PRIMITIVE.keys())
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_every_subcommand_refuses_non_primitive(self, capsys, tmp_path,
+                                                    subcommand, rows):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": len(rows), "rows": rows}))
+        code = main([subcommand, str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "NotPrimitive" in err
+        assert out == ""
+
+    def test_zero_row_is_reported_before_not_primitive(self, capsys, tmp_path):
+        # Rows 1 and 2 form a 2-cycle; row 3 is zero.
+        path = tmp_path / "m.csv"
+        path.write_text("0,1,0\n1,0,0\n0,0,0\n")
+        code = main(["oracle", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "ZeroRow" in err
+        assert out == ""
 
     def test_parse_error_is_one(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

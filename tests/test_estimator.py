@@ -27,12 +27,13 @@ from _support import (
     random_stochastic_matrix,
     return_weight_log,
     step_weights_by_path,
+    unchecked,
     visit_tally,
 )
 
 
 def _batch_for(rows, k=0, count=1000, seed=0, cap=10**6, shards=1):
-    decomp = decompose(validate(rows))
+    decomp = decompose(unchecked(rows))
     batch = sample_batch(build_sampler(decomp), k, count, seed, cap, shards)
     return batch, decomp
 
@@ -121,8 +122,8 @@ class TestGHat:
         batch, decomp = _batch_for(FAIR, count=10)
         empty = batch.__class__(
             base_state=0, states=np.empty(0, np.int64),
-            lengths=np.empty(0, np.int64), truncated_count=10, seed=0,
-            cap=5, shards=1, shard_path_counts=np.array([0]),
+            lengths=np.empty(0, np.int64), truncated_count=10,
+            shard_path_counts=np.array([0]),
         )
         with pytest.raises(EmptyBatch):
             g_hat(empty, decomp.fitness, 1.0)

@@ -17,7 +17,7 @@ from perronmc.matrix_core import (
     wielandt_bound,
 )
 
-from _support import random_primitive_matrix, random_stochastic_matrix
+from _support import random_primitive_matrix, random_stochastic_matrix, unchecked
 
 
 class TestValidate:
@@ -35,6 +35,12 @@ class TestValidate:
         with pytest.raises(ZeroRow) as exc:
             validate([[0, 0], [1, 1]])
         assert exc.value.row == 0
+
+    def test_zero_row_reported_before_not_primitive(self):
+        # Rows 0 and 1 form a 2-cycle; row 2 is zero.
+        with pytest.raises(ZeroRow) as exc:
+            validate([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        assert exc.value.row == 2
 
     @pytest.mark.parametrize("raw", [
         [[1, 2], [3]],
@@ -71,33 +77,38 @@ def _smallest_positive_power_brute(entries: np.ndarray) -> int | None:
 
 class TestCheckPrimitive:
     def test_already_positive(self):
-        assert check_primitive(validate([[1, 2], [3, 4]])).exponent_m == 1
+        assert check_primitive(validate([[1, 2], [3, 4]])) is None
 
     def test_square_by_hand(self):
         # [[1,1],[1,0]]**2 = [[2,1],[1,1]] is positive.
-        assert check_primitive(validate([[1, 1], [1, 0]])).exponent_m == 2
+        validate([[1, 1], [1, 0]])
+        assert _smallest_positive_power_brute(np.array([[1, 1], [1, 0]])) == 2
 
     def test_periodic_swap(self):
         with pytest.raises(NotPrimitive):
-            check_primitive(validate([[0, 1], [1, 0]]))
+            check_primitive(unchecked([[0, 1], [1, 0]]))
+        with pytest.raises(NotPrimitive):
+            validate([[0, 1], [1, 0]])
 
     def test_cycle_reducible_cases(self):
         cycle3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
         with pytest.raises(NotPrimitive):
-            check_primitive(validate(cycle3))
+            check_primitive(unchecked(cycle3))
+        with pytest.raises(NotPrimitive):
+            validate(cycle3)
 
     def test_extremal_exponent(self):
         # Cycle 0->1->...->n-1->0 plus the chord n-1->1 attains the
-        # largest possible exponent (n-1)**2 + 1.
+        # largest possible exponent (n-1)**2 + 1, so it is accepted only
+        # if the certificate looks that far.
         n = 5
         a = np.zeros((n, n))
         for i in range(n - 1):
             a[i, i + 1] = 1.0
         a[n - 1, 0] = 1.0
         a[n - 1, 1] = 1.0
-        cert = check_primitive(validate(a))
-        assert cert.exponent_m == wielandt_bound(n) == 17
-        assert _smallest_positive_power_brute(a) == 17
+        validate(a)
+        assert _smallest_positive_power_brute(a) == wielandt_bound(n) == 17
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_stepwise_oracle(self, seed):
@@ -105,26 +116,21 @@ class TestCheckPrimitive:
         n = int(rng.integers(2, 8))
         raw = (rng.random((n, n)) < 0.35).astype(float)
         raw[np.arange(n), rng.integers(0, n, n)] = 1.0  # no zero rows
-        expected = _smallest_positive_power_brute(raw)
-        if expected is None:
+        if _smallest_positive_power_brute(raw) is None:
             with pytest.raises(NotPrimitive):
-                check_primitive(validate(raw))
+                validate(raw)
         else:
-            assert check_primitive(validate(raw)).exponent_m == expected
+            validate(raw)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_certified_power_is_positive(self, seed):
         rng = np.random.default_rng(40 + seed)
         matrix = random_primitive_matrix(rng, n_max=6)
-        m = check_primitive(matrix).exponent_m
-        pattern = matrix.entries > 0
-        power = pattern.copy()
-        for _ in range(m - 1):
-            power = (power.astype(float) @ pattern.astype(float)) > 0
-        assert power.all()
+        check_primitive(matrix)
+        assert _smallest_positive_power_brute(matrix.entries) is not None
 
     def test_one_by_one(self):
-        assert check_primitive(validate([[2.5]])).exponent_m == 1
+        assert check_primitive(validate([[2.5]])) is None
 
 
 class TestDecompose:
@@ -142,7 +148,7 @@ class TestDecompose:
         np.testing.assert_array_equal(d.kernel, matrix.entries)
 
     def test_zero_diagonal(self):
-        d = decompose(validate([[0, 2], [2, 0]]))
+        d = decompose(unchecked([[0, 2], [2, 0]]))
         np.testing.assert_array_equal(d.fitness, [2.0, 2.0])
         np.testing.assert_array_equal(d.kernel, [[0.0, 1.0], [1.0, 0.0]])
 
@@ -168,7 +174,7 @@ class TestScale:
         np.testing.assert_array_equal(scale(m, 1.0).entries, m.entries)
 
     def test_halving(self):
-        out = scale(validate([[0, 2], [2, 0]]), 0.5)
+        out = scale(unchecked([[0, 2], [2, 0]]), 0.5)
         np.testing.assert_array_equal(out.entries, [[0.0, 1.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize("c", [0.0, -1.0, -1e-9])
@@ -181,8 +187,9 @@ class TestScale:
         rng = np.random.default_rng(2000 + seed)
         matrix = random_primitive_matrix(rng, n_max=6)
         c = float(rng.uniform(0.1, 10.0))
-        assert (check_primitive(matrix).exponent_m
-                == check_primitive(scale(matrix, c)).exponent_m)
+        scaled = scale(matrix, c)
+        check_primitive(scaled)
+        np.testing.assert_array_equal(scaled.entries > 0, matrix.entries > 0)
 
     def test_dyadic_scale_keeps_kernel_bitwise(self):
         rng = np.random.default_rng(3)
