@@ -114,6 +114,8 @@ def _config_dict(cfg: argparse.Namespace) -> dict:
     if cfg.subcommand == "gw-sim":
         base.update(trials=cfg.trials, horizon=cfg.horizon,
                     offspring_law=cfg.offspring_law)
+        if cfg.offspring_law == "poisson":
+            base.update(gw_sampler=gw_app.POISSON_SAMPLER)
     return base
 
 
@@ -184,7 +186,7 @@ def run(config: argparse.Namespace) -> dict:
     elif config.subcommand == "gw-sim":
         pair = oracle.power_iteration(matrix)
         proportions, survivors = gw_app.conditioned_proportions(
-            matrix, config.trials, config.horizon, config.seed,
+            matrix, pair, config.trials, config.horizon, config.seed,
             law=config.offspring_law,
         )
         payload = {

@@ -7,11 +7,16 @@ vector p are therefore p @ A.  When the dominant eigenvalue exceeds 1 the
 process survives with positive probability, and the type proportions of
 surviving trees settle near the dominant left eigenvector.
 
-Offspring are generated per type in aggregate: the total offspring of c
-type-i parents is drawn as Poisson(c * f(i)) (the exact law of a sum of c
-independent Poisson(f(i)) draws) and split across types multinomially,
-which is the exact law of per-offspring independent type assignment.  This
-keeps a generation at O(N) draws however large the population is.
+A generation is drawn in aggregate, whatever the population size.  Under
+the Poisson law, parents ``c`` have type-j children that are independent
+Poisson((c @ A)_j) by Poisson thinning and superposition (Kingman,
+*Poisson Processes*, 1993, sections 1.2 and 5.1).  Their total is
+therefore Poisson(sum_j (c @ A)_j), and given the total the types are
+multinomial with probabilities proportional to c @ A, so a generation
+costs one Poisson draw and one multinomial draw.  Under the deterministic
+law each type-i parent has exactly f(i) children, and one multinomial call
+splits every type's children by its row of M; types without parents
+consume no draws.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .chain_sim import mix_seed
 from .errors import InvalidArgument, NoSurvivors, PopulationOverflow, Subcritical
 from .matrix_core import NonNegativeMatrix, RowDecomposition, decompose
-from .oracle import power_iteration
+from .oracle import PerronPair
 
 __all__ = [
     "Population",
@@ -37,6 +42,9 @@ DEFAULT_TRIALS = 10_000
 DEFAULT_HORIZON = 10
 DEFAULT_LAW = "poisson"
 OFFSPRING_LAWS = (DEFAULT_LAW, "deterministic")
+# Names the Poisson law's random stream in a report's config; the
+# deterministic law draws the stream it always has and carries no tag.
+POISSON_SAMPLER = "poisson-total-split"
 
 
 @dataclass(frozen=True)
@@ -51,38 +59,39 @@ class Population:
         return int(self.counts.sum())
 
 
-def _offspring_total(count: int, mean: float, law: str,
-                     rng: np.random.Generator) -> int:
+def _children(counts: np.ndarray, decomp: RowDecomposition,
+              rng: np.random.Generator, law: str) -> np.ndarray:
+    """Per-type offspring counts of the parents ``counts``, as int64."""
     if law == "poisson":
-        return int(rng.poisson(count * mean))
+        means = (counts * decomp.fitness) @ decomp.kernel
+        mass = means.sum()
+        if mass == 0.0:
+            return np.zeros(decomp.n, dtype=np.int64)
+        return rng.multinomial(rng.poisson(mass), means / mass)
     if law == "deterministic":
-        per_parent = round(mean)
-        if abs(mean - per_parent) > 1e-9:
+        per_parent = np.round(decomp.fitness)
+        off = (counts > 0) & (np.abs(decomp.fitness - per_parent) > 1e-9)
+        if off.any():
             raise InvalidArgument(
-                f"deterministic offspring law needs integer means, got {mean}"
+                "deterministic offspring law needs integer means, "
+                f"got {decomp.fitness[off.argmax()]}"
             )
-        return count * per_parent
+        totals = counts * per_parent.astype(np.int64)
+        return rng.multinomial(totals, decomp.kernel).sum(axis=0)
     raise InvalidArgument(f"unknown offspring law {law!r}; pick from {OFFSPRING_LAWS}")
 
 
 def step_generation(pop: Population, decomp: RowDecomposition,
                     rng: np.random.Generator, law: str = DEFAULT_LAW,
                     ceiling: int = DEFAULT_CEILING) -> Population:
-    """Advance the population by one generation.
+    """Advance the population by one generation, drawing exactly what
+    :func:`run_tree` draws for the same counts and stream.
 
     Raises:
         PopulationOverflow: some type count would exceed ``ceiling``
             (supercritical growth guard).
     """
-    n = decomp.n
-    child = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        parents = int(pop.counts[i])
-        if parents == 0:
-            continue
-        total = _offspring_total(parents, float(decomp.fitness[i]), law, rng)
-        if total:
-            child += rng.multinomial(total, decomp.kernel[i])
+    child = _children(pop.counts, decomp, rng, law)
     generation = pop.generation + 1
     if child.max(initial=0) > ceiling:
         raise PopulationOverflow(generation, ceiling)
@@ -90,29 +99,38 @@ def step_generation(pop: Population, decomp: RowDecomposition,
     return Population(counts=child, generation=generation)
 
 
-def run_tree(decomp: RowDecomposition, initial: Population, horizon: int,
+def run_tree(decomp: RowDecomposition, initial: np.ndarray, horizon: int,
              seed: int, law: str = DEFAULT_LAW,
              ceiling: int = DEFAULT_CEILING) -> np.ndarray:
-    """Simulate one tree of the process with mean matrix ``decomp`` for
-    ``horizon`` generations and return its final per-type counts.
+    """Simulate one tree of the process with mean matrix ``decomp`` from
+    the per-type counts ``initial`` for ``horizon`` generations and return
+    its final per-type counts.
 
     Extinction is absorbing, so simulation stops early once every count is
     zero; the tree survived exactly when the counts are not all zero.
     Deterministic for fixed arguments.
+
+    Raises:
+        PopulationOverflow: some type count exceeded ``ceiling``.
     """
     if horizon < 1:
         raise InvalidArgument("horizon must be >= 1")
     rng = np.random.default_rng(seed)
-    pop = initial
-    for _ in range(horizon):
-        if pop.total == 0:
+    counts = np.asarray(initial, dtype=np.int64)
+    for generation in range(1, horizon + 1):
+        counts = _children(counts, decomp, rng, law)
+        total = counts.sum()
+        # The largest count never exceeds the total.
+        if total > ceiling and counts.max() > ceiling:
+            raise PopulationOverflow(generation, ceiling)
+        if total == 0:
             break
-        pop = step_generation(pop, decomp, rng, law=law, ceiling=ceiling)
-    return pop.counts
+    return counts
 
 
-def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
-                            horizon: int, seed: int, law: str = DEFAULT_LAW,
+def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
+                            trials: int, horizon: int, seed: int,
+                            law: str = DEFAULT_LAW,
                             ceiling: int = DEFAULT_CEILING,
                             ) -> tuple[np.ndarray, int]:
     """Average type proportions over trees that survive to the horizon.
@@ -120,7 +138,8 @@ def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
     Each tree starts from one individual of every type and gets its own
     stream seeded by ``mix_seed(seed, tree_index)``, so trees could run in
     any order or in parallel without changing the result.  Every surviving
-    tree weighs equally.
+    tree weighs equally.  ``pair`` is the matrix's Perron pair, from
+    :func:`perronmc.oracle.power_iteration`.
 
     Returns:
         (proportions on the simplex, number of surviving trees).
@@ -131,13 +150,12 @@ def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
-    pair = power_iteration(matrix)
     if pair.eigenvalue <= 1.0:
         raise Subcritical(pair.eigenvalue)
 
     decomp = decompose(matrix)
     n = matrix.n
-    start = Population(counts=np.ones(n, dtype=np.int64), generation=0)
+    start = np.ones(n, dtype=np.int64)
     summed = np.zeros(n)
     survivors = 0
     for t in range(trials):

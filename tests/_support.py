@@ -10,7 +10,7 @@ import numpy as np
 from perronmc.chain_sim import RowSampler, SampleBatch
 from perronmc.errors import PerronMCError
 from perronmc.estimator import _step_weights
-from perronmc.matrix_core import NonNegativeMatrix, validate
+from perronmc.matrix_core import NonNegativeMatrix, RowDecomposition, validate
 
 ACCEPTANCE_2X2 = [[1.0, 2.0], [3.0, 4.0]]
 
@@ -205,3 +205,25 @@ def estimate_uk(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
     """
     tally = visit_tally(batch, fitness, lam)
     return float(batch.path_count / tally.denominator)
+
+
+def children_by_type(counts: np.ndarray, decomp: RowDecomposition,
+                     rng: np.random.Generator,
+                     law: str = "poisson") -> np.ndarray:
+    """One generation drawn type by type: the c type-i parents have
+    Poisson(c * f(i)) children under the Poisson law (exactly c * f(i)
+    under the deterministic one), split across types by one multinomial
+    draw with probabilities M(i, .)."""
+    child = np.zeros(decomp.n, dtype=np.int64)
+    for i in range(decomp.n):
+        parents = int(counts[i])
+        if parents == 0:
+            continue
+        mean = float(decomp.fitness[i])
+        if law == "poisson":
+            total = int(rng.poisson(parents * mean))
+        else:
+            total = parents * round(mean)
+        if total:
+            child += rng.multinomial(total, decomp.kernel[i])
+    return child

@@ -156,8 +156,8 @@ def test_criterion_7_branching_proportions():
         start = time.perf_counter()
         matrix = validate(ACCEPTANCE_2X2)
         _, u_true = closed_form_2x2()
-        props, survivors = conditioned_proportions(matrix, trials=10**4,
-                                                   horizon=10, seed=2718)
+        props, survivors = conditioned_proportions(
+            matrix, power_iteration(matrix), trials=10**4, horizon=10, seed=2718)
         assert survivors > 0
         assert np.abs(props - u_true).sum() < 0.05
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from perronmc import cli, gw_app
+from perronmc import cli, gw_app, oracle
 from perronmc.cli import main, parse_matrix
 from perronmc.errors import (
     GuardError,
@@ -174,6 +174,25 @@ class TestSubcommands:
                                   - np.asarray(payload["u"])).sum())
         assert payload["l1_to_oracle"] == recomputed
 
+    def test_gw_sim_runs_power_iteration_once(self, capsys, matrix_json,
+                                              monkeypatch):
+        calls = []
+        power_iteration = oracle.power_iteration
+
+        def counted(matrix, *args, **kwargs):
+            calls.append(matrix)
+            return power_iteration(matrix, *args, **kwargs)
+
+        # Every module of the package that binds the name gets the counter.
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "perronmc"
+                    and getattr(module, "power_iteration", None)
+                    is power_iteration):
+                monkeypatch.setattr(module, "power_iteration", counted)
+        assert main(["gw-sim", matrix_json, "--trials", "20",
+                     "--horizon", "3"]) == 0
+        assert len(calls) == 1
+
     def test_text_output(self, capsys, matrix_csv):
         code = main(["oracle", matrix_csv, "--output", "text"])
         out = capsys.readouterr().out
@@ -332,6 +351,15 @@ SCHEMAS = {
     },
 }
 
+_COMMON_CONFIG = {"subcommand", "matrix_path", "base_state", "seed", "output"}
+CONFIG_KEYS = {
+    "estimate": _COMMON_CONFIG | {"samples", "cap", "shards", "tol"},
+    "oracle": _COMMON_CONFIG,
+    "lemma-check": _COMMON_CONFIG,
+    "gw-sim": _COMMON_CONFIG | {"trials", "horizon", "offspring_law",
+                                "gw_sampler"},
+}
+
 
 class TestReportSchemas:
     @pytest.mark.parametrize("subcommand", sorted(SCHEMAS))
@@ -349,6 +377,18 @@ class TestReportSchemas:
         for key, expected in schema.items():
             assert isinstance(payload[key], expected), key
         assert payload["config"]["subcommand"] == subcommand
+        assert set(payload["config"]) == CONFIG_KEYS[subcommand]
+
+    def test_only_the_poisson_law_carries_a_sampler_tag(self, capsys,
+                                                       matrix_json):
+        # Deterministic-law reports carry no tag; test_gw_app pins their
+        # bytes.
+        argv = ["gw-sim", matrix_json, "--trials", "5", "--horizon", "3"]
+        _, poisson = _run_json(capsys, argv)
+        _, fixed = _run_json(capsys, argv + ["--offspring-law",
+                                             "deterministic"])
+        assert poisson["config"]["gw_sampler"] == gw_app.POISSON_SAMPLER
+        assert "gw_sampler" not in fixed["config"]
 
     def test_compare_superset_of_estimate_and_oracle(self, capsys,
                                                      matrix_json):
