@@ -45,6 +45,10 @@ OFFSPRING_LAWS = (DEFAULT_LAW, "deterministic")
 # Names the Poisson law's random stream in a report's config; the
 # deterministic law draws the stream it always has and carries no tag.
 POISSON_SAMPLER = "poisson-total-split"
+# Largest expected number of children in one generation that can be drawn:
+# numpy's Poisson sampler refuses a mean above about 9.2234e18, and
+# counts are int64.
+_DRAW_LIMIT = 9.2e18
 
 
 @dataclass(frozen=True)
@@ -61,12 +65,19 @@ class Population:
 
 def _children(counts: np.ndarray, decomp: RowDecomposition,
               rng: np.random.Generator, law: str) -> np.ndarray:
-    """Per-type offspring counts of the parents ``counts``, as int64."""
+    """Per-type offspring counts of the parents ``counts``, as int64.
+
+    Raises:
+        OverflowError: the expected number of children passes
+            ``_DRAW_LIMIT``.
+    """
     if law == "poisson":
         means = (counts * decomp.fitness) @ decomp.kernel
         mass = means.sum()
         if mass == 0.0:
             return np.zeros(decomp.n, dtype=np.int64)
+        if mass > _DRAW_LIMIT:
+            raise OverflowError(mass)
         return rng.multinomial(rng.poisson(mass), means / mass)
     if law == "deterministic":
         per_parent = np.round(decomp.fitness)
@@ -76,25 +87,42 @@ def _children(counts: np.ndarray, decomp: RowDecomposition,
                 "deterministic offspring law needs integer means, "
                 f"got {decomp.fitness[off.argmax()]}"
             )
+        mass = counts @ per_parent
+        if mass > _DRAW_LIMIT:
+            raise OverflowError(mass)
         totals = counts * per_parent.astype(np.int64)
         return rng.multinomial(totals, decomp.kernel).sum(axis=0)
     raise InvalidArgument(f"unknown offspring law {law!r}; pick from {OFFSPRING_LAWS}")
 
 
+def _generation(counts: np.ndarray, decomp: RowDecomposition,
+                rng: np.random.Generator, law: str, ceiling: int,
+                generation: int) -> tuple[np.ndarray, int]:
+    """Children of ``counts`` and their total, which are generation
+    ``generation``; raises as :func:`step_generation` documents."""
+    try:
+        child = _children(counts, decomp, rng, law)
+    except OverflowError:
+        raise PopulationOverflow(generation, ceiling) from None
+    total = child.sum()
+    # The largest count never exceeds the total.
+    if total > ceiling and child.max() > ceiling:
+        raise PopulationOverflow(generation, ceiling)
+    return child, total
+
+
 def step_generation(pop: Population, decomp: RowDecomposition,
                     rng: np.random.Generator, law: str = DEFAULT_LAW,
                     ceiling: int = DEFAULT_CEILING) -> Population:
-    """Advance the population by one generation, drawing exactly what
-    :func:`run_tree` draws for the same counts and stream.
+    """Advance the population by one generation, as :func:`run_tree` does.
 
     Raises:
         PopulationOverflow: some type count would exceed ``ceiling``
-            (supercritical growth guard).
+            (supercritical growth guard), or the expected number of
+            children passes what a 64-bit count can hold.
     """
-    child = _children(pop.counts, decomp, rng, law)
     generation = pop.generation + 1
-    if child.max(initial=0) > ceiling:
-        raise PopulationOverflow(generation, ceiling)
+    child, _ = _generation(pop.counts, decomp, rng, law, ceiling, generation)
     child.flags.writeable = False
     return Population(counts=child, generation=generation)
 
@@ -111,18 +139,15 @@ def run_tree(decomp: RowDecomposition, initial: np.ndarray, horizon: int,
     Deterministic for fixed arguments.
 
     Raises:
-        PopulationOverflow: some type count exceeded ``ceiling``.
+        PopulationOverflow: as in :func:`step_generation`.
     """
     if horizon < 1:
         raise InvalidArgument("horizon must be >= 1")
     rng = np.random.default_rng(seed)
     counts = np.asarray(initial, dtype=np.int64)
     for generation in range(1, horizon + 1):
-        counts = _children(counts, decomp, rng, law)
-        total = counts.sum()
-        # The largest count never exceeds the total.
-        if total > ceiling and counts.max() > ceiling:
-            raise PopulationOverflow(generation, ceiling)
+        counts, total = _generation(counts, decomp, rng, law, ceiling,
+                                    generation)
         if total == 0:
             break
     return counts

