@@ -129,7 +129,7 @@ def _estimate_payload(matrix: NonNegativeMatrix,
         "lambda_hat": report.lambda_hat,
         "u_hat": report.u_hat.tolist(),
         "base_state": cfg.base_state,
-        "samples": report.sample_count,
+        "samples": cfg.samples,
         "truncated": report.truncated_count,
         "g_residual": report.g_residual,
         "dispersion": None if report.dispersion is None else report.dispersion.tolist(),

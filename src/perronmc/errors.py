@@ -71,12 +71,6 @@ class ZeroRow(InputError):
         super().__init__(f"row {row} sums to zero; every row needs a positive entry")
 
 
-class NonPositiveScale(InputError):
-    def __init__(self, value: float):
-        self.value = value
-        super().__init__(f"scale factor must be > 0, got {value}")
-
-
 class NotPrimitive(StructuralError):
     def __init__(self, n: int, bound: int):
         self.n = n

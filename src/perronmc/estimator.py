@@ -60,8 +60,6 @@ class EstimateReport:
 
     lambda_hat: float
     u_hat: np.ndarray
-    base_state: int
-    sample_count: int
     truncated_count: int
     g_residual: float
     dispersion: np.ndarray | None
@@ -180,8 +178,8 @@ def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
 
 
 def _solve_lambda(sums: _PathSums, tol: float) -> float:
-    if not tol > 0:
-        raise InvalidArgument("tol must be > 0")
+    if not 0 < tol < 1:
+        raise InvalidArgument(f"tol must lie in (0, 1), got {tol}")
     lo, hi = sums.lo, sums.hi
     if lo == hi:
         return sums.unscale(lo)
@@ -332,27 +330,15 @@ def run_estimation(matrix: NonNegativeMatrix,
                    config: EstimationConfig = EstimationConfig()) -> EstimateReport:
     """Full pipeline: decompose, sample, solve, tally, report.
 
-    Deterministic for a fixed config.  A 1x1 matrix short-circuits: the
-    excursion is the unit self-loop, so the eigenpair is (f[0], (1,)).
+    Deterministic for a fixed config.  A 1x1 matrix takes the same path:
+    every excursion is the unit self-loop, so the bracket collapses to
+    ``f[0]`` and every path weighs 1.
 
     Raises:
         AllTruncated, BracketFailure: propagated from sampling/solving.
         TruncationBiasGuard: more than 0.1% of attempts truncated.
     """
     decomp = decompose(matrix)
-    if matrix.n == 1:
-        u = np.array([1.0])
-        u.flags.writeable = False
-        return EstimateReport(
-            lambda_hat=float(decomp.fitness[0]),
-            u_hat=u,
-            base_state=config.base_state,
-            sample_count=0,
-            truncated_count=0,
-            g_residual=0.0,
-            dispersion=None,
-        )
-
     sampler = build_sampler(decomp)
     batch = sample_batch(sampler, config.base_state, config.samples,
                          config.seed, config.cap, config.shards)
@@ -371,8 +357,6 @@ def run_estimation(matrix: NonNegativeMatrix,
     return EstimateReport(
         lambda_hat=lam,
         u_hat=u,
-        base_state=config.base_state,
-        sample_count=config.samples,
         truncated_count=batch.truncated_count,
         g_residual=residual,
         dispersion=dispersion,

@@ -17,6 +17,10 @@ costs one Poisson draw and one multinomial draw.  Under the deterministic
 law each type-i parent has exactly f(i) children, and one multinomial call
 splits every type's children by its row of M; types without parents
 consume no draws.
+
+A tree ends with :class:`PopulationOverflow` when some type count passes
+``POPULATION_CEILING``, or when a generation's expected number of children
+passes ``_DRAW_LIMIT``, the most that can be drawn.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ __all__ = [
     "conditioned_proportions",
 ]
 
-DEFAULT_CEILING = 10**9
+POPULATION_CEILING = 10**9
 DEFAULT_TRIALS = 10_000
 DEFAULT_HORIZON = 10
 DEFAULT_LAW = "poisson"
@@ -63,23 +67,24 @@ class Population:
         return int(self.counts.sum())
 
 
-def _children(counts: np.ndarray, decomp: RowDecomposition,
-              rng: np.random.Generator, law: str) -> np.ndarray:
-    """Per-type offspring counts of the parents ``counts``, as int64.
+def _generation(counts: np.ndarray, decomp: RowDecomposition,
+                rng: np.random.Generator, law: str,
+                generation: int) -> tuple[np.ndarray, int]:
+    """Per-type offspring counts of the parents ``counts``, as int64, and
+    their total; the children are generation ``generation``.
 
     Raises:
-        OverflowError: the expected number of children passes
-            ``_DRAW_LIMIT``.
+        PopulationOverflow: some type count passes ``POPULATION_CEILING``,
+            or the expected number of children passes ``_DRAW_LIMIT``.
     """
     if law == "poisson":
         means = (counts * decomp.fitness) @ decomp.kernel
         mass = means.sum()
-        if mass == 0.0:
-            return np.zeros(decomp.n, dtype=np.int64)
         if mass > _DRAW_LIMIT:
-            raise OverflowError(mass)
-        return rng.multinomial(rng.poisson(mass), means / mass)
-    if law == "deterministic":
+            raise PopulationOverflow(generation, POPULATION_CEILING)
+        child = (rng.multinomial(rng.poisson(mass), means / mass) if mass > 0.0
+                 else np.zeros(decomp.n, dtype=np.int64))
+    elif law == "deterministic":
         per_parent = np.round(decomp.fitness)
         off = (counts > 0) & (np.abs(decomp.fitness - per_parent) > 1e-9)
         if off.any():
@@ -87,49 +92,38 @@ def _children(counts: np.ndarray, decomp: RowDecomposition,
                 "deterministic offspring law needs integer means, "
                 f"got {decomp.fitness[off.argmax()]}"
             )
-        mass = counts @ per_parent
-        if mass > _DRAW_LIMIT:
-            raise OverflowError(mass)
+        if counts @ per_parent > _DRAW_LIMIT:
+            raise PopulationOverflow(generation, POPULATION_CEILING)
         totals = counts * per_parent.astype(np.int64)
-        return rng.multinomial(totals, decomp.kernel).sum(axis=0)
-    raise InvalidArgument(f"unknown offspring law {law!r}; pick from {OFFSPRING_LAWS}")
-
-
-def _generation(counts: np.ndarray, decomp: RowDecomposition,
-                rng: np.random.Generator, law: str, ceiling: int,
-                generation: int) -> tuple[np.ndarray, int]:
-    """Children of ``counts`` and their total, which are generation
-    ``generation``; raises as :func:`step_generation` documents."""
-    try:
-        child = _children(counts, decomp, rng, law)
-    except OverflowError:
-        raise PopulationOverflow(generation, ceiling) from None
+        child = rng.multinomial(totals, decomp.kernel).sum(axis=0)
+    else:
+        raise InvalidArgument(
+            f"unknown offspring law {law!r}; pick from {OFFSPRING_LAWS}")
     total = child.sum()
     # The largest count never exceeds the total.
-    if total > ceiling and child.max() > ceiling:
-        raise PopulationOverflow(generation, ceiling)
+    if total > POPULATION_CEILING and child.max() > POPULATION_CEILING:
+        raise PopulationOverflow(generation, POPULATION_CEILING)
     return child, total
 
 
 def step_generation(pop: Population, decomp: RowDecomposition,
-                    rng: np.random.Generator, law: str = DEFAULT_LAW,
-                    ceiling: int = DEFAULT_CEILING) -> Population:
+                    rng: np.random.Generator,
+                    law: str = DEFAULT_LAW) -> Population:
     """Advance the population by one generation, as :func:`run_tree` does.
 
     Raises:
-        PopulationOverflow: some type count would exceed ``ceiling``
-            (supercritical growth guard), or the expected number of
-            children passes what a 64-bit count can hold.
+        PopulationOverflow: some type count would exceed
+            ``POPULATION_CEILING`` (supercritical growth guard), or the
+            expected number of children passes what a 64-bit count can hold.
     """
     generation = pop.generation + 1
-    child, _ = _generation(pop.counts, decomp, rng, law, ceiling, generation)
+    child, _ = _generation(pop.counts, decomp, rng, law, generation)
     child.flags.writeable = False
     return Population(counts=child, generation=generation)
 
 
 def run_tree(decomp: RowDecomposition, initial: np.ndarray, horizon: int,
-             seed: int, law: str = DEFAULT_LAW,
-             ceiling: int = DEFAULT_CEILING) -> np.ndarray:
+             seed: int, law: str = DEFAULT_LAW) -> np.ndarray:
     """Simulate one tree of the process with mean matrix ``decomp`` from
     the per-type counts ``initial`` for ``horizon`` generations and return
     its final per-type counts.
@@ -146,8 +140,7 @@ def run_tree(decomp: RowDecomposition, initial: np.ndarray, horizon: int,
     rng = np.random.default_rng(seed)
     counts = np.asarray(initial, dtype=np.int64)
     for generation in range(1, horizon + 1):
-        counts, total = _generation(counts, decomp, rng, law, ceiling,
-                                    generation)
+        counts, total = _generation(counts, decomp, rng, law, generation)
         if total == 0:
             break
     return counts
@@ -155,9 +148,7 @@ def run_tree(decomp: RowDecomposition, initial: np.ndarray, horizon: int,
 
 def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
                             trials: int, horizon: int, seed: int,
-                            law: str = DEFAULT_LAW,
-                            ceiling: int = DEFAULT_CEILING,
-                            ) -> tuple[np.ndarray, int]:
+                            law: str = DEFAULT_LAW) -> tuple[np.ndarray, int]:
     """Average type proportions over trees that survive to the horizon.
 
     Each tree starts from one individual of every type and gets its own
@@ -184,8 +175,7 @@ def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
     summed = np.zeros(n)
     survivors = 0
     for t in range(trials):
-        counts = run_tree(decomp, start, horizon, mix_seed(seed, t),
-                          law=law, ceiling=ceiling)
+        counts = run_tree(decomp, start, horizon, mix_seed(seed, t), law=law)
         total = counts.sum()
         if total > 0:
             survivors += 1

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import (
     NegativeEntry,
     NonFiniteEntry,
-    NonPositiveScale,
     NotPrimitive,
     NotSquare,
     ZeroRow,
@@ -38,7 +37,6 @@ __all__ = [
     "validate",
     "check_primitive",
     "decompose",
-    "scale",
     "wielandt_bound",
 ]
 
@@ -163,19 +161,3 @@ def decompose(matrix: NonNegativeMatrix) -> RowDecomposition:
     fitness = matrix.entries.sum(axis=1)
     kernel = matrix.entries / fitness[:, None]
     return RowDecomposition(fitness=_freeze(fitness), kernel=_freeze(kernel))
-
-
-def scale(matrix: NonNegativeMatrix, c: float) -> NonNegativeMatrix:
-    """Multiply every entry by c > 0.
-
-    The zero pattern, and hence primitivity, is unchanged; the kernel of
-    the decomposition is unchanged as well (exactly so when c is a power
-    of two, since then both the entries and the row sums are scaled
-    without rounding).
-
-    Raises:
-        NonPositiveScale: c <= 0.
-    """
-    if not c > 0:
-        raise NonPositiveScale(float(c))
-    return NonNegativeMatrix(n=matrix.n, entries=_freeze(matrix.entries * float(c)))

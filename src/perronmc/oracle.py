@@ -3,6 +3,13 @@ and the mutation-selection equilibrium residual.
 
 These routines share no code path with the Monte Carlo estimator, so
 agreement between the two is meaningful evidence of correctness.
+
+Their settings are module constants: :func:`power_iteration` stops once
+successive iterates differ by less than ``POWER_TOL`` in L1 and the
+eigen-residual is at most ``POWER_RESIDUAL_TOL * max(1, lam)``, and gives up
+after ``POWER_MAX_ITER`` steps; :func:`lemma_partial_sums` sums at most
+``LEMMA_MAX_TERMS`` terms and stops early once N consecutive terms fall
+below ``LEMMA_STOP_INCREMENT``.
 """
 
 from __future__ import annotations
@@ -25,6 +32,11 @@ __all__ = [
 
 DIVERGENCE_SLACK = 1e-6
 SIMPLEX_TOL = 1e-9
+POWER_TOL = 1e-13
+POWER_RESIDUAL_TOL = 1e-10
+POWER_MAX_ITER = 10**6
+LEMMA_MAX_TERMS = 500_000
+LEMMA_STOP_INCREMENT = 1e-14
 
 
 @dataclass(frozen=True)
@@ -66,8 +78,7 @@ class EquilibriumResidual:
     mean_fitness: float
 
 
-def power_iteration(matrix: NonNegativeMatrix, tol: float = 1e-13,
-                    max_iter: int = 10**6) -> PerronPair:
+def power_iteration(matrix: NonNegativeMatrix) -> PerronPair:
     """Left-eigenpair by power iteration, normalized to the simplex.
 
     Each step maps v to v @ A and renormalizes by the L1 norm, which for a
@@ -75,41 +86,41 @@ def power_iteration(matrix: NonNegativeMatrix, tol: float = 1e-13,
     to the dominant eigenvalue.  Primitivity guarantees convergence.
 
     Raises:
-        NoConvergence: iterate did not settle within ``max_iter`` steps
+        NoConvergence: iterate did not settle within ``POWER_MAX_ITER`` steps
             (signals a nearly degenerate spectrum).
     """
     a = matrix.entries
     n = matrix.n
     v = np.full(n, 1.0 / n)
     lam = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, POWER_MAX_ITER + 1):
         w = v @ a
         lam = float(w.sum())
         w = w / lam
         diff = float(np.abs(w - v).sum())
         v = w
-        if diff < tol:
+        if diff < POWER_TOL:
             residual = float(np.abs(v @ a - lam * v).sum())
-            if residual <= 1e-10 * max(1.0, lam):
+            if residual <= POWER_RESIDUAL_TOL * max(1.0, lam):
                 v.flags.writeable = False
                 return PerronPair(eigenvalue=lam, vector=v,
                                   residual=residual, iterations=it)
-    raise NoConvergence(max_iter)
+    raise NoConvergence(POWER_MAX_ITER)
 
 
-def lemma_partial_sums(matrix: NonNegativeMatrix, k: int, lam: float,
-                       n_max: int = 500_000,
-                       stop_increment: float = 1e-14) -> LemmaSeries:
+def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
+                       lam: float) -> LemmaSeries:
     """Evaluate the first-return weight series at trial value ``lam``.
 
     Let B be the matrix with row and column ``k`` zeroed.  The term for
     return length n >= 2 is ``lam**-n * sum_{i,j != k} A[k,i] B**(n-2)[i,j]
     A[j,k]``, computed by iterating a row vector against B so the cost stays
-    O(n_max * N^2) and no matrix power is formed.  The spectral radius of B
-    lies strictly below the dominant eigenvalue, so at (or above) that value
-    the terms decay geometrically; summation stops once N consecutive
-    increments fall below ``stop_increment`` (zero terms can alternate with
-    positive ones up to the longest base-avoiding cycle, never longer).
+    O(LEMMA_MAX_TERMS * N^2) and no matrix power is formed.  The spectral
+    radius of B lies strictly below the dominant eigenvalue, so at (or
+    above) that value the terms decay geometrically; summation stops once N
+    consecutive increments fall below ``LEMMA_STOP_INCREMENT`` (zero terms
+    can alternate with positive ones up to the longest base-avoiding cycle,
+    never longer).
 
     Raises:
         Divergence: partial sums exceeded 1 + 1e-6, meaning ``lam`` is below
@@ -117,8 +128,6 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int, lam: float,
     """
     if not lam > 0:
         raise InvalidArgument("trial eigenvalue must be > 0")
-    if n_max < 1:
-        raise InvalidArgument("n_max must be >= 1")
     a = matrix.entries
     n = matrix.n
     if not 0 <= k < n:
@@ -138,13 +147,13 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int, lam: float,
     v = a[k, others] / lam**2
     quiet = 0
     window = max(int(n), 2)
-    for _ in range(1, n_max):
+    for _ in range(1, LEMMA_MAX_TERMS):
         term = float(v @ col)
         terms.append(term)
         partial += term
         if partial > 1.0 + DIVERGENCE_SLACK:
             raise Divergence(len(terms), partial)
-        quiet = quiet + 1 if term < stop_increment else 0
+        quiet = quiet + 1 if term < LEMMA_STOP_INCREMENT else 0
         if quiet >= window:
             break
         v = (v @ b) / lam

@@ -52,6 +52,11 @@ def unchecked(rows) -> NonNegativeMatrix:
     return NonNegativeMatrix(n=entries.shape[0], entries=entries)
 
 
+def scale(matrix: NonNegativeMatrix, c: float) -> NonNegativeMatrix:
+    """``c`` times the matrix, certified again by :func:`validate`."""
+    return validate(matrix.entries * c)
+
+
 def random_stochastic_matrix(rng: np.random.Generator, n: int,
                              bits: int = 20) -> NonNegativeMatrix:
     """Random positive stochastic matrix whose rows sum to exactly 1.0.

@@ -36,6 +36,13 @@ def matrix_csv(tmp_path):
 
 
 @pytest.fixture
+def single_json(tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "rows": [[4.25]]}))
+    return str(path)
+
+
+@pytest.fixture
 def flip_csv(tmp_path):
     path = tmp_path / "flip.csv"
     path.write_text("0,1\n1,0\n")
@@ -299,9 +306,19 @@ class TestExitCodes:
         (["estimate"], "usage:"),
         (["estimate", "M", "--samples", "0"], "InvalidArgument"),
         (["gw-sim", "M", "--trials", "0"], "InvalidArgument"),
+        (["estimate", "M", "--samples", "2000", "--tol", "1"], "InvalidArgument"),
+        (["estimate", "M", "--samples", "2000", "--tol", "inf"], "InvalidArgument"),
+        (["estimate", "M", "--samples", "2000", "--tol", "nan"], "InvalidArgument"),
+        # A 1x1 matrix runs through the same sampling checks.
+        (["estimate", "ONE", "--samples", "0"], "InvalidArgument"),
+        (["estimate", "ONE", "--cap", "0"], "InvalidArgument"),
+        (["estimate", "ONE", "--shards", "0"], "InvalidArgument"),
+        (["estimate", "ONE", "--tol", "0"], "InvalidArgument"),
     ])
-    def test_bad_input_is_one(self, capsys, matrix_csv, argv, reason):
-        argv = [matrix_csv if a == "M" else a for a in argv]
+    def test_bad_input_is_one(self, capsys, matrix_csv, single_json, argv,
+                              reason):
+        files = {"M": matrix_csv, "ONE": single_json}
+        argv = [files.get(a, a) for a in argv]
         assert _exit_code(argv) == 1
         assert reason in capsys.readouterr().err
 
@@ -320,7 +337,7 @@ class TestExitCodes:
                 pending.append(sub)
                 if sub not in families:
                     concrete.append(sub)
-        assert len(concrete) >= 18
+        assert len(concrete) == 17
         for cls in concrete:
             owners = [f for f in families if issubclass(cls, f)]
             assert len(owners) == 1, cls

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from perronmc import estimator
 from perronmc.chain_sim import build_sampler, sample_batch
+from perronmc.cli import main
 from perronmc.errors import EmptyBatch, NotPrimitive, TruncationBiasGuard
 from perronmc.estimator import (
     EstimationConfig,
@@ -14,7 +16,7 @@ from perronmc.estimator import (
     run_estimation,
     shard_dispersion,
 )
-from perronmc.matrix_core import decompose, scale, validate
+from perronmc.matrix_core import decompose, validate
 from perronmc.oracle import lemma_partial_sums, power_iteration
 
 from _support import (
@@ -26,6 +28,7 @@ from _support import (
     random_primitive_matrix,
     random_stochastic_matrix,
     return_weight_log,
+    scale,
     step_weights_by_path,
     unchecked,
     visit_tally,
@@ -295,7 +298,6 @@ class TestRunEstimation:
         b = run_estimation(matrix, config)
         assert a.lambda_hat == b.lambda_hat
         assert np.array_equal(a.u_hat, b.u_hat)
-        assert a.sample_count == 5000
         assert a.g_residual <= 1e-10
         assert a.dispersion is not None and a.dispersion.shape == (2,)
         np.testing.assert_array_equal(a.dispersion, b.dispersion)
@@ -321,11 +323,21 @@ class TestRunEstimation:
             run_estimation(matrix, EstimationConfig(samples=2000, seed=8,
                                                     cap=1000))
 
-    def test_single_state_shortcut(self):
+    def test_single_state_shortcut(self, tmp_path, capsys):
+        # A 1x1 matrix takes the sampling path: every excursion is the unit
+        # self-loop, so the bracket collapses to f and every path weighs 1.
         report = run_estimation(validate([[4.25]]))
         assert report.lambda_hat == 4.25
         np.testing.assert_array_equal(report.u_hat, [1.0])
-        assert report.sample_count == 0
+        assert report.g_residual == 0.0
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"n": 1, "rows": [[4.25]]}))
+        for shards in (2, 3):
+            assert main(["estimate", str(path), "--samples", "500",
+                         "--shards", str(shards)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["samples"] == 500
+            assert payload["dispersion"] == [0.0]
 
     def test_base_state_invariance(self):
         lam_true, u_true = closed_form_2x2()

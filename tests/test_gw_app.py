@@ -4,17 +4,18 @@ import json
 import numpy as np
 import pytest
 
+from perronmc import gw_app
 from perronmc.chain_sim import mix_seed
 from perronmc.cli import main
 from perronmc.errors import NoSurvivors, PopulationOverflow, Subcritical
 from perronmc.gw_app import (
     Population,
-    _children,
+    _generation,
     conditioned_proportions,
     run_tree,
     step_generation,
 )
-from perronmc.matrix_core import decompose, scale, validate
+from perronmc.matrix_core import decompose, validate
 from perronmc.oracle import power_iteration
 
 from _support import (
@@ -22,6 +23,7 @@ from _support import (
     children_by_type,
     closed_form_2x2,
     random_stochastic_matrix,
+    scale,
     unchecked,
 )
 
@@ -78,12 +80,12 @@ class TestStepGeneration:
             step_generation(_pop([1, 1]), decomp, np.random.default_rng(2),
                             law="geometric")
 
-    def test_population_overflow(self):
+    def test_population_overflow(self, monkeypatch):
+        monkeypatch.setattr(gw_app, "POPULATION_CEILING", 100)
         decomp = decompose(validate(ACCEPTANCE_2X2))
         rng = np.random.default_rng(3)
         with pytest.raises(PopulationOverflow) as exc:
-            step_generation(_pop([1000, 1000], generation=4), decomp, rng,
-                            ceiling=100)
+            step_generation(_pop([1000, 1000], generation=4), decomp, rng)
         assert exc.value.generation == 5
 
     def test_generation_advances(self):
@@ -119,16 +121,17 @@ class TestRunTree:
         b = run_tree(decomp, [1, 1], horizon=6, seed=99)
         np.testing.assert_array_equal(a, b)
 
-    def test_overflow_needs_one_type_over_the_ceiling(self):
+    def test_overflow_needs_one_type_over_the_ceiling(self, monkeypatch):
         # Generation 1 has 9 children in 3 types: the total passes the
         # ceiling 8 but, at this seed, no type does.  Generation 2 has 27.
+        monkeypatch.setattr(gw_app, "POPULATION_CEILING", 8)
         decomp = decompose(validate([[1, 1, 1], [1, 1, 1], [1, 1, 1]]))
         counts = run_tree(decomp, [1, 1, 1], horizon=1, seed=0,
-                          law="deterministic", ceiling=8)
+                          law="deterministic")
         assert counts.sum() == 9
         with pytest.raises(PopulationOverflow) as exc:
             run_tree(decomp, [1, 1, 1], horizon=3, seed=0,
-                     law="deterministic", ceiling=8)
+                     law="deterministic")
         assert exc.value.generation == 2
 
     def test_outcome_shape(self):
@@ -244,7 +247,7 @@ class TestOffspringLaw:
         expected = parents @ matrix.entries
         reps = 20_000
         rng = np.random.default_rng(603)
-        draws = np.array([_children(parents, decomp, rng, "poisson")
+        draws = np.array([_generation(parents, decomp, rng, "poisson", 1)[0]
                           for _ in range(reps)], dtype=float)
         mean = draws.mean(axis=0)
         cov = np.cov(draws, rowvar=False)
@@ -262,7 +265,8 @@ class TestOffspringLaw:
         rng = np.random.default_rng(604)
         state = rng.bit_generator.state
         for law in ("poisson", "deterministic"):
-            child = _children(np.zeros(2, dtype=np.int64), decomp, rng, law)
+            child, _ = _generation(np.zeros(2, dtype=np.int64), decomp, rng,
+                                   law, 1)
             np.testing.assert_array_equal(child, [0, 0])
         assert rng.bit_generator.state == state
 
@@ -274,7 +278,8 @@ class TestOffspringLaw:
             for _ in range(8):
                 expected = children_by_type(counts, decomp, a,
                                             law="deterministic")
-                counts = _children(counts, decomp, b, "deterministic")
+                counts, _ = _generation(counts, decomp, b, "deterministic",
+                                        1)
                 np.testing.assert_array_equal(counts, expected)
             assert a.bit_generator.state == b.bit_generator.state
 

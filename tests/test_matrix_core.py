@@ -4,7 +4,6 @@ import pytest
 from perronmc.errors import (
     NegativeEntry,
     NonFiniteEntry,
-    NonPositiveScale,
     NotPrimitive,
     NotSquare,
     ZeroRow,
@@ -12,12 +11,16 @@ from perronmc.errors import (
 from perronmc.matrix_core import (
     check_primitive,
     decompose,
-    scale,
     validate,
     wielandt_bound,
 )
 
-from _support import random_primitive_matrix, random_stochastic_matrix, unchecked
+from _support import (
+    random_primitive_matrix,
+    random_stochastic_matrix,
+    scale,
+    unchecked,
+)
 
 
 class TestValidate:
@@ -165,22 +168,14 @@ class TestDecompose:
 
 
 class TestScale:
-    def test_doubling(self):
-        out = scale(validate([[1, 2], [3, 4]]), 2.0)
-        np.testing.assert_array_equal(out.entries, [[2.0, 4.0], [6.0, 8.0]])
-
-    def test_identity(self):
-        m = validate([[1, 2], [3, 4]])
-        np.testing.assert_array_equal(scale(m, 1.0).entries, m.entries)
-
-    def test_halving(self):
-        out = scale(unchecked([[0, 2], [2, 0]]), 0.5)
-        np.testing.assert_array_equal(out.entries, [[0.0, 1.0], [1.0, 0.0]])
-
-    @pytest.mark.parametrize("c", [0.0, -1.0, -1e-9])
-    def test_rejects_non_positive(self, c):
-        with pytest.raises(NonPositiveScale):
-            scale(validate([[1, 2], [3, 4]]), c)
+    @pytest.mark.parametrize("rows,c,error", [
+        # The diagonal underflows to 0, which leaves a periodic 2-cycle.
+        ([[1e-300, 1e-200], [1e-200, 1e-300]], 1e-100, NotPrimitive),
+        ([[1e300, 1], [1, 1]], 1e10, NonFiniteEntry),
+    ], ids=["underflow", "overflow"])
+    def test_scaled_matrix_is_certified_again(self, rows, c, error):
+        with np.errstate(over="ignore"), pytest.raises(error):
+            scale(validate(rows), c)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_exponent_invariant_under_scaling(self, seed):

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from perronmc import oracle
 from perronmc.errors import Divergence, NoConvergence, NotOnSimplex
-from perronmc.matrix_core import scale, validate
+from perronmc.matrix_core import validate
 from perronmc.oracle import (
     lemma_partial_sums,
     power_iteration,
@@ -16,6 +17,7 @@ from _support import (
     closed_form_2x2,
     random_primitive_matrix,
     random_stochastic_matrix,
+    scale,
 )
 
 
@@ -63,9 +65,10 @@ class TestPowerIteration:
         assert (pair.vector > 0.0).all()
         assert pair.vector.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_no_convergence_when_starved(self):
+    def test_no_convergence_when_starved(self, monkeypatch):
+        monkeypatch.setattr(oracle, "POWER_MAX_ITER", 3)
         with pytest.raises(NoConvergence):
-            power_iteration(validate([[1.0, 1e-4], [3e-4, 1.0]]), max_iter=3)
+            power_iteration(validate([[1.0, 1e-4], [3e-4, 1.0]]))
 
 
 def _brute_return_terms(entries: np.ndarray, k: int, lam: float,
