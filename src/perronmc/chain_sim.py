@@ -6,15 +6,19 @@ with ``X_tau = k``.  Paths that fail to return within a hard length cap are
 counted as truncations rather than silently dropped.
 
 Each step is an inverse-CDF draw: from state ``i`` with uniform ``u`` the
-next state is ``min(#{j : C[i, j] <= u}, last_positive[i])``, where ``C``
-holds the row-wise cumulative sums of the kernel.  A guide table (Chen &
-Asau, 1974) finds that count in O(1) expected time, not by reading the
-whole row: bucket ``b = int(u * N)`` stores how many entries of ``C[i]``
-are at or below ``(b - 1) / N``, a point every ``u`` in the bucket lies
-above, so the count starts there and advances over the few entries left
-in the bucket.  Rows are non-decreasing, so the search stops at exactly
-the count a full scan gives: the table changes the cost of a step, never
-its result, and the random stream is the one a full scan draws.
+next state is ``#{j : C[i, j] <= u}``.  ``C`` holds the kernel's row-wise
+cumulative sums before the row's last positive state and the sentinel 2.0
+from there on (Knuth, TAOCP vol. 3, 6.1, Algorithm Q): no uniform in
+[0, 1) reaches it, so no count passes the row's end or lands on a
+zero-probability state, however the row's sum rounds.  A guide table
+(Chen & Asau, 1974) finds that count in O(1) expected time, not by reading
+the whole row: bucket ``b = int(u * N)`` stores how many entries of
+``C[i]`` are at or below ``(b - 1) / N``, a point every ``u`` in the
+bucket lies above, so the count starts there and advances over the few
+entries left in the bucket.  Rows are non-decreasing, so the search stops
+at exactly the count a full scan gives: the table changes the cost of a
+step, never its result, and the random stream is the one a full scan
+draws.
 
 Reproducibility contract: :func:`sample_batch` is a pure function of
 ``(kernel, k, count, seed, cap, shards)``.  Attempts are assigned to shards
@@ -65,11 +69,9 @@ class RowSampler:
     """Inverse-CDF sampling tables for one transition kernel.
 
     Attributes:
-        cumulative: (N, N) row-wise cumulative probabilities; each row is
-            non-decreasing and ends at 1 up to roundoff.
-        last_positive: per-row index of the last state with positive
-            probability, used to clamp lookups so impossible transitions
-            are never drawn.
+        cumulative: (N, N) row-wise cumulative probabilities before each
+            row's last positive state, and the sentinel 2.0 from that state
+            on; each row is non-decreasing.
         guide: (N, N) guide table; ``guide[i, b]`` is the number of entries
             of ``cumulative[i]`` at or below ``(b - 1) / N``.  A uniform
             ``u`` with ``int(u * N) == b`` is at least ``b / N`` up to
@@ -81,7 +83,6 @@ class RowSampler:
     """
 
     cumulative: np.ndarray
-    last_positive: np.ndarray
     guide: np.ndarray
 
     @property
@@ -94,11 +95,10 @@ class SampleBatch:
     """A deterministic batch of first-return excursions from one base state.
 
     The visit sequences are stored flat (``states``) with one length per
-    kept excursion (``lengths``), ordered by attempt; truncated attempts are
-    excluded from the arrays but counted.
+    kept excursion (``lengths``), ordered by attempt; each starts at the base
+    state.  Truncated attempts are excluded from the arrays but counted.
     """
 
-    base_state: int
     states: np.ndarray
     lengths: np.ndarray
     truncated_count: int
@@ -122,48 +122,47 @@ class SampleBatch:
 
 
 def build_sampler(decomp: RowDecomposition) -> RowSampler:
-    """Build the cumulative rows, their clamp and their guide table.
+    """Build the cumulative rows, each set to the sentinel 2.0 from its last
+    positive state on, and their guide table.
 
-    The table costs one binary search per row and bucket, O(N^2 log N) in
+    The guide costs one binary search per row and bucket, O(N^2 log N) in
     all, done once per kernel.
     """
     cumulative = np.cumsum(decomp.kernel, axis=1)
     n = cumulative.shape[1]
-    positive = decomp.kernel > 0.0
     # Every row has a positive entry because the fitness is a positive sum.
-    last_positive = n - 1 - np.argmax(positive[:, ::-1], axis=1)
+    last_positive = n - 1 - np.argmax(decomp.kernel[:, ::-1] > 0.0, axis=1)
+    cumulative[np.arange(n) >= last_positive[:, None]] = 2.0
     # One bucket low, so that rounding in u * N can never put a uniform
-    # below its bucket's threshold.  Each row ends near 1 > (N - 2) / N, so
-    # no guide entry passes the row's last positive state.
+    # below its bucket's threshold.  Every threshold is below 1 < 2.0, so
+    # no guide entry passes the sentinel.
     thresholds = np.arange(-1, n - 1) / n
     guide = np.stack([np.searchsorted(row, thresholds, side="right")
                       for row in cumulative])
-    for table in (cumulative, last_positive, guide):
-        table.flags.writeable = False
-    return RowSampler(cumulative=cumulative, last_positive=last_positive,
-                      guide=guide)
+    cumulative.flags.writeable = False
+    guide.flags.writeable = False
+    return RowSampler(cumulative=cumulative, guide=guide)
 
 
 def _step_states(sampler: RowSampler, current: np.ndarray,
                  u: np.ndarray) -> np.ndarray:
-    """Next state of each walker: ``min(#{j : C[i, j] <= u}, last_positive[i])``.
+    """Next state of each walker: ``#{j : C[i, j] <= u}``.
 
     Each count starts at the walker's guide entry and advances while the
     next cumulative entry is still ``<= u``; each pass touches only the
-    walkers still advancing, and stopping at ``last_positive`` applies the
-    clamp.  Cost is O(1) expected per walker.  ``u * N`` rounds below ``N``
-    for every ``u < 1``, so the bucket is always in range.
+    walkers still advancing, and the row's sentinel stops every walker
+    inside its row.  Cost is O(1) expected per walker.  ``u * N`` rounds
+    below ``N`` for every ``u < 1``, so the bucket is always in range.
     """
     n = sampler.n
     cum = sampler.cumulative.reshape(-1)
     row = current * n
     pos = row + sampler.guide.reshape(-1)[row + (u * n).astype(np.intp)]
-    end = row + sampler.last_positive[current]
-    todo = np.flatnonzero((cum[pos] <= u) & (pos < end))
+    todo = np.flatnonzero(cum[pos] <= u)
     while todo.size:
         p = pos[todo] + 1
         pos[todo] = p
-        todo = todo[(cum[p] <= u[todo]) & (p < end[todo])]
+        todo = todo[cum[p] <= u[todo]]
     return pos - row
 
 
@@ -250,15 +249,14 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
         shard_path_counts[s] = lengths.shape[0]
         truncated_total += truncated
 
-    states = np.concatenate(all_states) if all_states else np.empty(0, np.int64)
-    lengths = np.concatenate(all_lengths) if all_lengths else np.empty(0, np.int64)
+    states = np.concatenate(all_states)
+    lengths = np.concatenate(all_lengths)
     if lengths.size == 0:
         raise AllTruncated(count, cap)
     states.flags.writeable = False
     lengths.flags.writeable = False
     shard_path_counts.flags.writeable = False
     return SampleBatch(
-        base_state=k,
         states=states,
         lengths=lengths,
         truncated_count=truncated_total,

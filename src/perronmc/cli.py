@@ -101,22 +101,12 @@ def _rows_from_csv(path: Path) -> list[list[float]]:
 
 
 def _config_dict(cfg: argparse.Namespace) -> dict:
-    base = {
-        "subcommand": cfg.subcommand,
-        "matrix_path": cfg.matrix_path,
-        "base_state": cfg.base_state,
-        "seed": cfg.seed,
-        "output": cfg.output,
-    }
-    if cfg.subcommand in ("estimate", "compare"):
-        base.update(samples=cfg.samples, cap=cfg.cap, shards=cfg.shards,
-                    tol=cfg.tol)
-    if cfg.subcommand == "gw-sim":
-        base.update(trials=cfg.trials, horizon=cfg.horizon,
-                    offspring_law=cfg.offspring_law)
-        if cfg.offspring_law == "poisson":
-            base.update(gw_sampler=gw_app.POISSON_SAMPLER)
-    return base
+    """The resolved invocation as the report echoes it: every flag of the
+    subcommand, plus the offspring sampler under the Poisson law."""
+    config = vars(cfg).copy()
+    if config.get("offspring_law") == "poisson":
+        config["gw_sampler"] = gw_app.POISSON_SAMPLER
+    return config
 
 
 def _estimate_payload(matrix: NonNegativeMatrix,

@@ -174,12 +174,16 @@ def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
             lower bound and <= 1 at the upper one).
     """
     _require_paths(batch)
+    _check_tol(tol)
     return _solve_lambda(_PathSums.of(batch, fitness), tol)
 
 
-def _solve_lambda(sums: _PathSums, tol: float) -> float:
+def _check_tol(tol: float) -> None:
     if not 0 < tol < 1:
         raise InvalidArgument(f"tol must lie in (0, 1), got {tol}")
+
+
+def _solve_lambda(sums: _PathSums, tol: float) -> float:
     lo, hi = sums.lo, sums.hi
     if lo == hi:
         return sums.unscale(lo)
@@ -336,8 +340,10 @@ def run_estimation(matrix: NonNegativeMatrix,
 
     Raises:
         AllTruncated, BracketFailure: propagated from sampling/solving.
+        InvalidArgument: ``tol`` outside (0, 1), before any sampling.
         TruncationBiasGuard: more than 0.1% of attempts truncated.
     """
+    _check_tol(config.tol)
     decomp = decompose(matrix)
     sampler = build_sampler(decomp)
     batch = sample_batch(sampler, config.base_state, config.samples,

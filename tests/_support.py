@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from perronmc.chain_sim import RowSampler, SampleBatch
+from perronmc.chain_sim import SampleBatch
 from perronmc.errors import PerronMCError
 from perronmc.estimator import _step_weights
 from perronmc.matrix_core import NonNegativeMatrix, RowDecomposition, validate
@@ -96,24 +96,35 @@ class Truncation:
     cap: int
 
 
-def sample_excursion(sampler: RowSampler, k: int, rng: np.random.Generator,
+def inverse_cdf_tables(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's row-wise cumulative sums and each row's last positive
+    state, built from the kernel alone and not from a ``RowSampler``."""
+    last_positive = np.array([int(np.flatnonzero(row > 0.0)[-1])
+                              for row in kernel])
+    return np.cumsum(kernel, axis=1), last_positive
+
+
+def sample_excursion(kernel: np.ndarray, k: int, rng: np.random.Generator,
                      cap: int) -> Excursion | Truncation:
     """Sample one first-return excursion from state ``k``, one step at a time.
 
-    Returns a :class:`Truncation` if the chain does not come back to ``k``
-    within ``cap`` steps; truncation is an outcome, not an error.
+    Each step is a binary search of the kernel's cumulative row, clamped to
+    the row's last positive state.  Returns a :class:`Truncation` if the
+    chain does not come back to ``k`` within ``cap`` steps; truncation is an
+    outcome, not an error.
     """
-    if not 0 <= k < sampler.n:
-        raise ValueError(f"base state {k} outside 0..{sampler.n - 1}")
+    n = kernel.shape[0]
+    if not 0 <= k < n:
+        raise ValueError(f"base state {k} outside 0..{n - 1}")
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    cumulative, last_positive = inverse_cdf_tables(kernel)
     visits = [k]
     current = k
     for _ in range(cap):
         u = rng.random()
-        row = sampler.cumulative[current]
-        nxt = int(np.searchsorted(row, u, side="right"))
-        current = min(nxt, int(sampler.last_positive[current]))
+        nxt = int(np.searchsorted(cumulative[current], u, side="right"))
+        current = min(nxt, int(last_positive[current]))
         if current == k:
             arr = np.asarray(visits, dtype=np.int64)
             return Excursion(base_state=k, visits=arr, return_time=len(visits))
@@ -121,19 +132,20 @@ def sample_excursion(sampler: RowSampler, k: int, rng: np.random.Generator,
     return Truncation(base_state=k, cap=cap)
 
 
-def step_states_reference(sampler: RowSampler, current: np.ndarray,
+def step_states_reference(kernel: np.ndarray, current: np.ndarray,
                           u: np.ndarray) -> np.ndarray:
     """Inverse-CDF transition by a full scan of each walker's cumulative row,
     clamped to the row's last positive state."""
-    nxt = (sampler.cumulative[current] <= u[:, None]).sum(axis=1)
-    return np.minimum(nxt, sampler.last_positive[current])
+    cumulative, last_positive = inverse_cdf_tables(kernel)
+    nxt = (cumulative[current] <= u[:, None]).sum(axis=1)
+    return np.minimum(nxt, last_positive[current])
 
 
 def excursions(batch: SampleBatch) -> list[Excursion]:
     """The per-path view of a batch's flat visit arrays."""
     parts = np.split(batch.states, np.cumsum(batch.lengths)[:-1])
     return [
-        Excursion(batch.base_state, visits, int(visits.shape[0]))
+        Excursion(int(visits[0]), visits, int(visits.shape[0]))
         for visits in parts
     ]
 

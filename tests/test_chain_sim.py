@@ -12,11 +12,16 @@ from _support import (
     Excursion,
     Truncation,
     excursions,
+    inverse_cdf_tables,
     random_primitive_matrix,
     sample_excursion,
     step_states_reference,
     unchecked,
 )
+
+
+def _kernel_for(rows):
+    return decompose(unchecked(rows)).kernel
 
 
 def _sampler_for(rows):
@@ -55,33 +60,50 @@ class TestMixSeed:
         assert len(seen) == 64
 
 
+def _assert_sentinel_rows(sampler, kernel):
+    """Entries before each row's last positive state are bitwise the
+    kernel's cumulative sums; entries from it on are the sentinel 2.0."""
+    cumsum, last_positive = inverse_cdf_tables(kernel)
+    before = np.arange(kernel.shape[1]) < last_positive[:, None]
+    np.testing.assert_array_equal(sampler.cumulative[before], cumsum[before])
+    assert (sampler.cumulative[~before] == 2.0).all()
+
+
 class TestBuildSampler:
     def test_deterministic_row(self):
         s = _sampler_for(FLIP)
-        np.testing.assert_array_equal(s.cumulative, [[0.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(s.cumulative, [[0.0, 2.0], [2.0, 2.0]])
+        _assert_sentinel_rows(s, _kernel_for(FLIP))
 
     def test_fair_rows(self):
         s = _sampler_for(FAIR)
-        np.testing.assert_array_equal(s.cumulative, [[0.5, 1.0], [0.5, 1.0]])
+        np.testing.assert_array_equal(s.cumulative, [[0.5, 2.0], [0.5, 2.0]])
+        _assert_sentinel_rows(s, _kernel_for(FAIR))
 
     def test_partial_sums(self):
         s = _sampler_for([[1, 2], [3, 4]])
-        np.testing.assert_allclose(s.cumulative, [[1 / 3, 1.0], [3 / 7, 1.0]],
+        np.testing.assert_allclose(s.cumulative, [[1 / 3, 2.0], [3 / 7, 2.0]],
                                    rtol=1e-15)
+        _assert_sentinel_rows(s, _kernel_for([[1, 2], [3, 4]]))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rows_non_decreasing_and_end_at_one(self, seed):
         rng = np.random.default_rng(300 + seed)
-        sampler = build_sampler(decompose(random_primitive_matrix(rng)))
+        decomp = decompose(random_primitive_matrix(rng))
+        kernel = decomp.kernel
+        sampler = build_sampler(decomp)
+        _assert_sentinel_rows(sampler, kernel)
         assert (np.diff(sampler.cumulative, axis=1) >= 0.0).all()
-        assert np.abs(sampler.cumulative[:, -1] - 1.0).max() <= 1e-12
+        cumsum, _ = inverse_cdf_tables(kernel)
+        assert np.abs(cumsum[:, -1] - 1.0).max() <= 1e-12
 
 
-def _edge_uniforms(sampler):
+def _edge_uniforms(kernel):
     """Uniforms on and beside every bucket edge b / N and every cumulative
-    entry, plus the ends of [0, 1)."""
-    n = sampler.n
-    points = np.concatenate((np.arange(n) / n, sampler.cumulative.ravel()))
+    sum of the kernel, plus the ends of [0, 1)."""
+    n = kernel.shape[0]
+    cumsum, _ = inverse_cdf_tables(kernel)
+    points = np.concatenate((np.arange(n) / n, cumsum.ravel()))
     u = np.concatenate((points, np.nextafter(points, -1.0),
                         np.nextafter(points, 2.0),
                         [0.0, np.nextafter(1.0, 0.0)]))
@@ -89,11 +111,13 @@ def _edge_uniforms(sampler):
 
 
 class TestStepStates:
-    def _assert_matches_scan(self, sampler, u):
+    def _assert_matches_scan(self, rows, u):
+        kernel = _kernel_for(rows)
+        sampler = build_sampler(decompose(unchecked(rows)))
         current = np.repeat(np.arange(sampler.n), u.shape[0])
         u = np.tile(u, sampler.n)
         got = _step_states(sampler, current, u)
-        np.testing.assert_array_equal(got, step_states_reference(sampler, current, u))
+        np.testing.assert_array_equal(got, step_states_reference(kernel, current, u))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_equals_full_scan_on_sparse_skewed_kernels(self, seed):
@@ -102,19 +126,38 @@ class TestStepStates:
         # Raising entries to a high power piles most CDF points into a few
         # buckets, which is where the guide table does the most searching.
         rows = matrix.entries ** rng.choice([1.0, 4.0, 12.0])
-        sampler = _sampler_for(rows)
-        u = np.concatenate((_edge_uniforms(sampler), rng.random(2000)))
-        self._assert_matches_scan(sampler, u)
+        u = np.concatenate((_edge_uniforms(_kernel_for(rows)),
+                            rng.random(2000)))
+        self._assert_matches_scan(rows, u)
 
     def test_equals_full_scan_on_crowded_bucket(self):
-        sampler = _sampler_for(_skewed_matrix())
-        self._assert_matches_scan(sampler, _edge_uniforms(sampler))
+        rows = _skewed_matrix()
+        self._assert_matches_scan(rows, _edge_uniforms(_kernel_for(rows)))
 
     @pytest.mark.parametrize("rows", [FLIP, FAIR, [[0.0, 0.0, 1.0], [1.0, 1.0, 1.0],
                                                      [2.0, 0.0, 2.0]]])
     def test_equals_full_scan_on_zero_entries(self, rows):
-        sampler = _sampler_for(rows)
-        self._assert_matches_scan(sampler, _edge_uniforms(sampler))
+        self._assert_matches_scan(rows, _edge_uniforms(_kernel_for(rows)))
+
+    def test_row_end_draws_last_positive_state(self):
+        # Ten kernel entries of 0.1 sum to 0.9999999999999999, so a uniform
+        # in [C[lp], 1) lies at or above every cumulative entry of row 0,
+        # the trailing zero-probability state's included.
+        rows = np.ones((11, 11))
+        rows[0, 10] = 0.0
+        kernel = _kernel_for(rows)
+        cumsum, last_positive = inverse_cdf_tables(kernel)
+        lp = int(last_positive[0])
+        # C[lp] is the largest float below 1, the only uniform in [C[lp], 1).
+        assert lp == 9 and cumsum[0, lp] == np.nextafter(1.0, 0.0)
+        u = np.full(4, cumsum[0, lp])
+        assert ((cumsum[0] <= u[:, None]).sum(axis=1) == 11).all()
+        current = np.zeros(u.shape[0], dtype=np.int64)
+        np.testing.assert_array_equal(
+            _step_states(build_sampler(decompose(unchecked(rows))), current, u),
+            lp)
+        np.testing.assert_array_equal(
+            step_states_reference(kernel, current, u), lp)
 
     def test_guide_counts_entries_one_bucket_low(self):
         sampler = _sampler_for(_skewed_matrix())
@@ -127,34 +170,34 @@ class TestStepStates:
 
 class TestSampleExcursion:
     def test_deterministic_chain(self):
-        sampler = _sampler_for(FLIP)
+        kernel = _kernel_for(FLIP)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            exc = sample_excursion(sampler, 0, rng, cap=10)
+            exc = sample_excursion(kernel, 0, rng, cap=10)
             assert isinstance(exc, Excursion)
             np.testing.assert_array_equal(exc.visits, [0, 1])
             assert exc.return_time == 2
 
     def test_truncation_when_cap_too_small(self):
-        sampler = _sampler_for(FLIP)
+        kernel = _kernel_for(FLIP)
         rng = np.random.default_rng(0)
-        out = sample_excursion(sampler, 0, rng, cap=1)
+        out = sample_excursion(kernel, 0, rng, cap=1)
         assert isinstance(out, Truncation)
         assert out.cap == 1
 
     def test_geometric_mean_return(self):
-        sampler = _sampler_for(FAIR)
+        kernel = _kernel_for(FAIR)
         rng = np.random.default_rng(42)
-        taus = [sample_excursion(sampler, 0, rng, cap=10**4).return_time
+        taus = [sample_excursion(kernel, 0, rng, cap=10**4).return_time
                 for _ in range(20_000)]
         assert abs(np.mean(taus) - 2.0) < 0.05
 
     def test_zero_probability_states_never_drawn(self):
         # State 1 is unreachable; only 0 <-> 2 transitions occur.
-        sampler = _sampler_for([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [2.0, 0.0, 2.0]])
+        kernel = _kernel_for([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [2.0, 0.0, 2.0]])
         rng = np.random.default_rng(9)
         for _ in range(200):
-            exc = sample_excursion(sampler, 0, rng, cap=10**4)
+            exc = sample_excursion(kernel, 0, rng, cap=10**4)
             assert isinstance(exc, Excursion)
             assert not (exc.visits == 1).any()
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from perronmc import cli, gw_app, oracle
+from perronmc import cli, estimator, gw_app, oracle
 from perronmc.cli import main, parse_matrix
 from perronmc.errors import (
     GuardError,
@@ -321,6 +321,16 @@ class TestExitCodes:
         argv = [files.get(a, a) for a in argv]
         assert _exit_code(argv) == 1
         assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["1", "0", "nan"])
+    def test_bad_tol_is_refused_before_sampling(self, capsys, monkeypatch,
+                                                matrix_csv, tol):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking tol")
+
+        monkeypatch.setattr(estimator, "sample_batch", no_sampling)
+        assert main(["estimate", matrix_csv, "--tol", tol]) == 1
+        assert "InvalidArgument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["--help"], ["estimate", "--help"]])
     def test_help_is_zero(self, capsys, argv):

@@ -124,7 +124,7 @@ class TestGHat:
     def test_empty_batch(self):
         batch, decomp = _batch_for(FAIR, count=10)
         empty = batch.__class__(
-            base_state=0, states=np.empty(0, np.int64),
+            states=np.empty(0, np.int64),
             lengths=np.empty(0, np.int64), truncated_count=10,
             shard_path_counts=np.array([0]),
         )
