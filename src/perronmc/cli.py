@@ -55,15 +55,26 @@ def parse_matrix(path: str | Path) -> NonNegativeMatrix:
     return validate(rows)
 
 
+def _json_int(digits: str) -> int | float:
+    # Past Python's limit on digits for int conversion, read the integer as
+    # the float it rounds to, infinity, which validate refuses.
+    try:
+        return int(digits)
+    except ValueError:
+        return float(digits)
+
+
 def _rows_from_json(path: Path) -> list[list[float]]:
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(), parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), f"invalid JSON: {exc}")
     if not isinstance(payload, dict) or "n" not in payload or "rows" not in payload:
         raise ParseError(str(path), 'expected an object {"n": ..., "rows": ...}')
     n, rows = payload["n"], payload["rows"]
-    if not isinstance(n, int) or not isinstance(rows, list) or len(rows) != n:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParseError(str(path), f'"n" must be an integer, got {json.dumps(n)}')
+    if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(str(path), f'"rows" must hold exactly n={n} rows')
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:

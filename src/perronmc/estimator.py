@@ -21,15 +21,18 @@ O(paths); no array grows as paths x N.  The solve runs on
 matrix by a power of two changes only ``e``, so the estimates scale
 exactly.
 
-The per-visit weights are needed only at the final ``lam``, for the
-eigenvector tally and the shard jackknife: ``log w_n`` is the running sum
-of ``log(f / lam)`` along the path, restarted at path-aligned chunk
-boundaries so that its rounding error does not grow with the batch size.
-Means of weights use the running-maximum log-sum-exp trick.
+The per-visit weights are needed only at the final ``lam``.  One pass
+over the batch, in path-aligned chunks of a few thousand visits, adds them
+into the eigenvector tally and the per-shard tallies of the jackknife, and
+holds no batch-sized array.  ``log w_n`` is the running sum of
+``log(f / lam)`` along the path, restarted at every chunk so that its
+rounding error does not grow with the batch size.  Means of weights use
+the running-maximum log-sum-exp trick.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,41 +238,52 @@ def _path_chunks(batch: SampleBatch) -> list[tuple[int, int, int, int]]:
     return list(zip(paths[:-1], paths[1:], visits[:-1], visits[1:]))
 
 
-def _step_weights(batch: SampleBatch, fitness: np.ndarray,
-                  lam: float) -> np.ndarray:
-    """Per-visit weights w_n for the whole batch, flat, with w_0 = 1 exact.
-
-    ``log w_n`` is the exclusive running sum of ``log(f / lam)`` along the
-    path, restarted at every chunk of :func:`_path_chunks`.  It then spans
-    at most ``_CUMSUM_CHUNK`` plus one path's visits, so its rounding error
-    is bounded whatever the batch size, and only the result is batch-sized.
-    """
+def _chunk_weights(batch: SampleBatch, fitness: np.ndarray, lam: float
+                   ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield ``(p0, p1, states, weights)`` for each chunk of
+    :func:`_path_chunks`: the per-visit weights w_n, with w_0 = 1 exact,
+    from the running sum of ``log(f / lam)`` restarted at the chunk."""
     log_ratio = np.log(fitness / lam)
-    starts = batch.offsets
-    weights = np.empty(batch.states.shape[0])
     for p0, p1, v0, v1 in _path_chunks(batch):
-        per_visit = log_ratio[batch.states[v0:v1]]
+        states = batch.states[v0:v1]
+        per_visit = log_ratio[states]
         log_w = np.cumsum(per_visit)
         log_w -= per_visit
-        log_w -= np.repeat(log_w[starts[p0:p1] - v0], batch.lengths[p0:p1])
-        np.exp(log_w, out=weights[v0:v1])
-    return weights
+        log_w -= np.repeat(log_w[batch.offsets[p0:p1] - v0],
+                           batch.lengths[p0:p1])
+        yield p0, p1, states, np.exp(log_w, out=log_w)
 
 
-def _tally(states: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """Per-state sums of ``weights``, added in visit order.
+def _shard_ends(batch: SampleBatch) -> np.ndarray | None:
+    """One past the last path of each shard that holds paths, or None when
+    fewer than two do and the jackknife does not apply."""
+    counts = batch.shard_path_counts[batch.shard_path_counts > 0]
+    return np.cumsum(counts) if counts.shape[0] >= 2 else None
 
-    ``np.add.at`` gives bitwise the sums of ``np.bincount(states, weights)``
-    without its batch-sized temporary.
+
+def _visit_tallies(batch: SampleBatch, fitness: np.ndarray,
+                   lam: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-state sums of the weights at ``lam``, over the batch and per
+    shard that holds paths (None when fewer than two do), in one pass.
+
+    ``np.add.at`` adds in index order and chunks come in visit order, so
+    every sum is bitwise the ``np.bincount`` of its visits' weights.  The
+    per-shard table is indexed flat as ``shard * N + state``.
     """
-    sums = np.zeros(n)
-    np.add.at(sums, states, weights)
-    return sums
+    n = fitness.shape[0]
+    ends = _shard_ends(batch)
+    totals = np.zeros(n)
+    by_shard = None if ends is None else np.zeros((ends.shape[0], n))
+    for p0, p1, states, weights in _chunk_weights(batch, fitness, lam):
+        np.add.at(totals, states, weights)
+        if by_shard is not None:
+            shard = np.searchsorted(ends, np.arange(p0, p1), side="right")
+            flat = np.repeat(shard * n, batch.lengths[p0:p1]) + states
+            np.add.at(by_shard.reshape(-1), flat, weights)
+    return totals, by_shard
 
 
-def _eigenvector(batch: SampleBatch, weights: np.ndarray,
-                 n: int) -> np.ndarray:
-    numerators = _tally(batch.states, weights, n)
+def _eigenvector(numerators: np.ndarray) -> np.ndarray:
     u = numerators / numerators.sum()
     u.flags.writeable = False
     return u
@@ -287,24 +301,11 @@ def estimate_u(batch: SampleBatch, fitness: np.ndarray,
     _require_paths(batch)
     if not lam > 0:
         raise InvalidArgument("trial eigenvalue must be > 0")
-    return _eigenvector(batch, _step_weights(batch, fitness, lam),
-                        fitness.shape[0])
+    return _eigenvector(_visit_tallies(batch, fitness, lam)[0])
 
 
-def _jackknife_applies(batch: SampleBatch) -> bool:
-    return np.count_nonzero(batch.shard_path_counts) >= 2
-
-
-def _jackknife(batch: SampleBatch, weights: np.ndarray, n: int) -> np.ndarray:
-    path_bounds = np.concatenate(([0], np.cumsum(batch.shard_path_counts)))
-    visit_bounds = np.concatenate(([0], np.cumsum(batch.lengths)))
-    nums = []
-    for p0, p1 in zip(path_bounds[:-1], path_bounds[1:]):
-        if p0 == p1:
-            continue
-        v0, v1 = visit_bounds[p0], visit_bounds[p1]
-        nums.append(_tally(batch.states[v0:v1], weights[v0:v1], n))
-    nums = np.asarray(nums)
+def _jackknife(nums: np.ndarray) -> np.ndarray:
+    """Delete-one-shard standard errors from the per-shard tallies."""
     dens = nums.sum(axis=1)
     total_num = nums.sum(axis=0)
     total_den = dens.sum()
@@ -324,10 +325,9 @@ def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,
     indicative plumbing, not a calibrated confidence interval.
     """
     _require_paths(batch)
-    if not _jackknife_applies(batch):
+    if _shard_ends(batch) is None:
         return None
-    return _jackknife(batch, _step_weights(batch, fitness, lam),
-                      fitness.shape[0])
+    return _jackknife(_visit_tallies(batch, fitness, lam)[1])
 
 
 def run_estimation(matrix: NonNegativeMatrix,
@@ -355,11 +355,10 @@ def run_estimation(matrix: NonNegativeMatrix,
     sums = _PathSums.of(batch, decomp.fitness)
     lam = _solve_lambda(sums, config.tol)
     residual = abs(sums.g(lam) - 1.0)
-    # One tally at the final lam feeds the eigenvector and the jackknife.
-    weights = _step_weights(batch, decomp.fitness, lam)
-    u = _eigenvector(batch, weights, matrix.n)
-    dispersion = (_jackknife(batch, weights, matrix.n)
-                  if _jackknife_applies(batch) else None)
+    # One pass at the final lam feeds the eigenvector and the jackknife.
+    totals, by_shard = _visit_tallies(batch, decomp.fitness, lam)
+    u = _eigenvector(totals)
+    dispersion = None if by_shard is None else _jackknife(by_shard)
     return EstimateReport(
         lambda_hat=lam,
         u_hat=u,

@@ -19,6 +19,7 @@ File formats accepted by the CLI for matrices (parsing lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _saturating_float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _as_floats(raw) -> np.ndarray:
+    """``raw`` as a float array.  An integer beyond the float range becomes
+    the signed infinity that ``1e400`` parses to, so it is refused as a
+    non-finite entry, as the same number in a CSV file is."""
+    try:
+        return np.array(raw, dtype=float)
+    except OverflowError:
+        return np.vectorize(_saturating_float, otypes=[float])(
+            np.array(raw, dtype=object))
+
+
 def validate(raw) -> NonNegativeMatrix:
     """Check an array-like and wrap it as a primitive NonNegativeMatrix.
 
@@ -89,14 +108,15 @@ def validate(raw) -> NonNegativeMatrix:
 
     Raises:
         NotSquare: ragged, rectangular, or not 2-D input.
-        NonFiniteEntry: some entry is NaN or infinite.
+        NonFiniteEntry: some entry is NaN, infinite, or an integer too
+            large for a float.
         NegativeEntry: some entry is < 0.
         ZeroRow: some row sums to 0, which would leave the transition
             kernel undefined on that row.
         NotPrimitive: no power of the matrix is entrywise positive.
     """
     try:
-        entries = np.array(raw, dtype=float)
+        entries = _as_floats(raw)
     except (ValueError, TypeError) as exc:
         raise NotSquare(f"input could not be coerced to a numeric matrix: {exc}")
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:

@@ -9,7 +9,7 @@ import numpy as np
 
 from perronmc.chain_sim import SampleBatch
 from perronmc.errors import PerronMCError
-from perronmc.estimator import _step_weights
+from perronmc.estimator import _chunk_weights
 from perronmc.matrix_core import NonNegativeMatrix, RowDecomposition, validate
 
 ACCEPTANCE_2X2 = [[1.0, 2.0], [3.0, 4.0]]
@@ -190,6 +190,14 @@ def step_weights_by_path(batch: SampleBatch, fitness: np.ndarray,
     ])
 
 
+def step_weights(batch: SampleBatch, fitness: np.ndarray,
+                 lam: float) -> np.ndarray:
+    """The estimator's per-visit weights w_n for the whole batch, flat: its
+    chunks, concatenated in visit order."""
+    return np.concatenate([weights for *_, weights
+                           in _chunk_weights(batch, fitness, lam)])
+
+
 @dataclass(frozen=True)
 class VisitTally:
     """Accumulated visit weights over a batch.
@@ -209,7 +217,7 @@ def visit_tally(batch: SampleBatch, fitness: np.ndarray,
     """Per-state visit weights of the batch at ``lam``, summed in the same
     order as :func:`perronmc.estimator.estimate_u` sums them."""
     numerators = np.bincount(batch.states,
-                             weights=_step_weights(batch, fitness, lam),
+                             weights=step_weights(batch, fitness, lam),
                              minlength=fitness.shape[0])
     return VisitTally(numerators=numerators, denominator=float(numerators.sum()))
 

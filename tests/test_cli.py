@@ -77,6 +77,24 @@ class TestParseMatrix:
         with pytest.raises(ParseError):
             parse_matrix(str(path))
 
+    def test_json_boolean_n(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": true, "rows": [[2]]}')
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(str(path))
+        assert '"n" must be an integer' in str(exc.value)
+
+    # 5000 digits is also past Python's limit for int conversion.
+    @pytest.mark.parametrize("zeros", [400, 5000])
+    def test_json_integer_beyond_float_range(self, tmp_path, capsys, zeros):
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 2, "rows": [[1, 1%s], [3, 4]]}' % ("0" * zeros))
+        assert _exit_code(["oracle", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: NonFiniteEntry: entry (0, 1) is not "
+                                "finite: inf\n")
+
     def test_csv_bad_field_reports_location(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,oops\n")

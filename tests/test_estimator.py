@@ -29,6 +29,7 @@ from _support import (
     random_stochastic_matrix,
     return_weight_log,
     scale,
+    step_weights,
     step_weights_by_path,
     unchecked,
     visit_tally,
@@ -277,13 +278,68 @@ class TestEstimateU:
         for count in (200, 2000):
             batch, decomp = _batch_for(rows, count=count, seed=1)
             lam = estimate_lambda(batch, decomp.fitness)
-            got = estimator._step_weights(batch, decomp.fitness, lam)
+            got = step_weights(batch, decomp.fitness, lam)
             ref = step_weights_by_path(batch, decomp.fitness, lam)
             assert np.abs(got / ref - 1.0).max() <= 1e-11, count
 
     def test_deterministic_chain_uk_exact(self):
         batch, decomp = _batch_for(FLIP, count=100, seed=19)
         assert estimate_uk(batch, decomp.fitness, 1.0) == 0.5
+
+
+def _bits(a):
+    return None if a is None else np.asarray(a, dtype=float).tobytes()
+
+
+class TestVisitTallies:
+    @pytest.mark.parametrize("count, shards, cap", [
+        (3000, 1, 10**6),   # one shard: no per-shard table
+        (3000, 7, 10**6),   # shard boundaries fall inside chunks
+        (1, 4, 10**6),      # one shard holds the only path
+        (3, 7, 10**6),      # empty shards between the full ones
+        (3000, 4, 60),      # truncated attempts leave holes in the shards
+    ])
+    def test_tallies_equal_bincount_of_the_weights(self, count, shards, cap):
+        rows = np.random.default_rng(9).uniform(0.5, 2.0, (30, 30))
+        batch, decomp = _batch_for(rows, count=count, seed=5, cap=cap,
+                                   shards=shards)
+        if cap < 10**6:
+            assert batch.truncated_count > 0
+        lam = estimate_lambda(batch, decomp.fitness)
+        totals, by_shard = estimator._visit_tallies(batch, decomp.fitness,
+                                                    lam)
+        weights = step_weights(batch, decomp.fitness, lam)
+        assert _bits(totals) == _bits(np.bincount(batch.states, weights,
+                                                  minlength=30))
+        counts = batch.shard_path_counts[batch.shard_path_counts > 0]
+        if counts.shape[0] < 2:
+            assert by_shard is None
+            return
+        paths = np.concatenate(([0], np.cumsum(counts)))
+        visits = np.concatenate(([0], np.cumsum(batch.lengths)))[paths]
+        assert by_shard.shape == (counts.shape[0], 30)
+        for row, v0, v1 in zip(by_shard, visits[:-1], visits[1:]):
+            ref = np.bincount(batch.states[v0:v1], weights[v0:v1],
+                              minlength=30)
+            assert _bits(row) == _bits(ref)
+
+    def test_final_pass_holds_no_batch_sized_array(self):
+        # Long excursions (mean tau ~ N): over a million visits, the tally
+        # and the jackknife hold chunk-sized arrays, not one per visit.
+        rows = np.random.default_rng(8).uniform(0.5, 2.0, (50, 50))
+        batch, decomp = _batch_for(rows, count=25_000, seed=4, shards=4)
+        visits = batch.states.shape[0]
+        assert visits >= 10**6
+        lam = estimate_lambda(batch, decomp.fitness)
+        for stage in (estimate_u, shard_dispersion):
+            tracemalloc.start()
+            try:
+                live = tracemalloc.get_traced_memory()[0]
+                stage(batch, decomp.fitness, lam)
+                peak = tracemalloc.get_traced_memory()[1] - live
+            finally:
+                tracemalloc.stop()
+            assert peak < visits, stage.__name__
 
 
 class TestRunEstimation:
@@ -308,7 +364,7 @@ class TestRunEstimation:
         def no_weights(*args):
             raise AssertionError("per-visit weights computed")
 
-        monkeypatch.setattr(estimator, "_step_weights", no_weights)
+        monkeypatch.setattr(estimator, "_chunk_weights", no_weights)
         assert shard_dispersion(batch, decomp.fitness, 5.0) is None
 
     def test_single_shard_has_no_dispersion(self):
@@ -386,3 +442,35 @@ class TestRunEstimation:
                                 EstimationConfig(samples=10**5, seed=24))
         assert abs(report.lambda_hat - pair.eigenvalue) / pair.eigenvalue < 0.01
         assert np.abs(report.u_hat - pair.vector).sum() < 0.02
+
+    @pytest.mark.parametrize("rows, samples, shards, cap", [
+        (ACCEPTANCE_2X2, 3000, 1, 10**6),
+        (ACCEPTANCE_2X2, 3000, 2, 10**6),
+        ("random", 3000, 4, 10**6),
+        (ACCEPTANCE_2X2, 3000, 7, 10**6),
+        (ACCEPTANCE_2X2, 3, 7, 10**6),     # fewer paths than shards
+        (ACCEPTANCE_2X2, 20_000, 4, 15),   # a few truncations
+        ([[4.25]], 500, 4, 10**6),
+    ])
+    def test_report_equals_the_stages_on_the_same_batch(self, rows, samples,
+                                                        shards, cap):
+        if rows == "random":
+            matrix = random_primitive_matrix(np.random.default_rng(31))
+        else:
+            matrix = validate(rows)
+        config = EstimationConfig(samples=samples, seed=5, cap=cap,
+                                  shards=shards)
+        report = run_estimation(matrix, config)
+        decomp = decompose(matrix)
+        batch = sample_batch(build_sampler(decomp), config.base_state,
+                             samples, config.seed, cap, shards)
+        if cap < 10**6:
+            assert report.truncated_count == batch.truncated_count > 0
+        f = decomp.fitness
+        lam = estimate_lambda(batch, f, config.tol)
+        assert _bits(report.lambda_hat) == _bits(lam)
+        assert _bits(report.u_hat) == _bits(estimate_u(batch, f, lam))
+        assert _bits(report.g_residual) == _bits(abs(g_hat(batch, f, lam)
+                                                     - 1.0))
+        assert _bits(report.dispersion) == _bits(shard_dispersion(batch, f,
+                                                                  lam))

@@ -60,6 +60,13 @@ class TestValidate:
         with pytest.raises(NonFiniteEntry):
             validate([[1, bad], [1, 1]])
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_beyond_float_range(self, sign):
+        with pytest.raises(NonFiniteEntry) as exc:
+            validate([[1, sign * 10**400], [3, 4]])
+        assert (exc.value.row, exc.value.col) == (0, 1)
+        assert exc.value.value == sign * float("inf")
+
     def test_entries_read_only(self):
         m = validate([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
