@@ -7,7 +7,7 @@ the CLI's exit status:
 * :class:`InputError` (1): bad matrices, bad files, violated preconditions;
 * :class:`StructuralError` (2): the matrix is not primitive;
 * :class:`GuardError` (3): a statistical or numerical guard refused to
-  report a result.
+  report a result.  The lam solve needs none: its bracket holds the root.
 """
 
 from __future__ import annotations
@@ -71,6 +71,12 @@ class ZeroRow(InputError):
         super().__init__(f"row {row} sums to zero; every row needs a positive entry")
 
 
+class RowSumOverflow(InputError):
+    def __init__(self, row: int):
+        self.row = row
+        super().__init__(f"row {row} sums beyond the float range")
+
+
 class NotPrimitive(StructuralError):
     def __init__(self, n: int, bound: int):
         self.n = n
@@ -102,18 +108,6 @@ class AllTruncated(GuardError):
 class EmptyBatch(GuardError):
     def __init__(self) -> None:
         super().__init__("batch contains no non-truncated excursions")
-
-
-class BracketFailure(GuardError):
-    def __init__(self, g_lo: float, g_hi: float, lo: float, hi: float):
-        self.g_lo = g_lo
-        self.g_hi = g_hi
-        self.lo = lo
-        self.hi = hi
-        super().__init__(
-            f"mean return weight does not bracket 1 on [{lo}, {hi}]: "
-            f"g(lo)={g_lo}, g(hi)={g_hi}; more samples needed"
-        )
 
 
 class TruncationBiasGuard(GuardError):

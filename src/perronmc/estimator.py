@@ -8,8 +8,11 @@ eigenvalue ``lam``, the per-step weights
 and the return weight ``w_tau``.  The mean return weight over a batch is a
 strictly decreasing, continuous function of ``lam`` that equals 1 at the
 dominant eigenvalue, so ``lam`` is found by bisection on the row-sum bracket
-``[min f, max f]`` using the same fixed batch at every trial value.  The
-eigenvector estimate is the visit-weighted tally normalized to the simplex.
+``[min f, max f]`` using the same fixed batch at every trial value.  Every
+factor ``f / lam`` is >= 1 at ``min f`` and <= 1 at ``max f``, so the
+bracket holds the root, and bisection stops only at ``tol`` or at float
+resolution.  The eigenvector estimate is the visit-weighted tally
+normalized to the simplex.
 
 A path enters the return weight only through its log fitness sum
 ``S_p = sum_t log f(X_t)`` and its length ``tau_p``:
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_sim import SampleBatch, build_sampler, sample_batch
-from .errors import BracketFailure, EmptyBatch, InvalidArgument, TruncationBiasGuard
+from .errors import EmptyBatch, InvalidArgument, TruncationBiasGuard
 from .matrix_core import NonNegativeMatrix, decompose
 
 __all__ = [
@@ -52,7 +55,6 @@ __all__ = [
 ]
 
 TRUNCATION_BIAS_LIMIT = 1e-3
-BISECTION_MAX_ITER = 200
 # Visits per block of the running sum behind the per-visit weights.
 _CUMSUM_CHUNK = 4096
 
@@ -84,11 +86,18 @@ class EstimationConfig:
     tol: float = 1e-10
 
 
-def _require_paths(batch: SampleBatch) -> int:
-    paths = batch.path_count
-    if paths == 0:
+def _require_paths(batch: SampleBatch) -> None:
+    if batch.path_count == 0:
         raise EmptyBatch()
-    return paths
+
+
+def _require_trial(batch: SampleBatch, lam: float) -> None:
+    """The checks of every function that weighs the batch at a given
+    ``lam``: the batch holds paths, and ``lam`` is finite and > 0."""
+    _require_paths(batch)
+    if not 0 < lam < np.inf:
+        raise InvalidArgument(
+            f"trial eigenvalue must be finite and > 0, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -153,10 +162,9 @@ def g_hat(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
 
     Raises:
         EmptyBatch: no non-truncated excursion in the batch.
+        InvalidArgument: ``lam`` is not finite and > 0.
     """
-    _require_paths(batch)
-    if not lam > 0:
-        raise InvalidArgument("trial eigenvalue must be > 0")
+    _require_trial(batch, lam)
     return _PathSums.of(batch, fitness).g(lam)
 
 
@@ -166,15 +174,13 @@ def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
 
     The paths do not depend on the trial value, so the target is a
     deterministic, strictly decreasing, continuous function of ``lam`` and
-    bisection converges unconditionally.  A constant fitness vector gives a
-    degenerate bracket and is returned immediately.
+    the bracket always holds the root.  Bisection stops at the tolerance or
+    at float resolution, whichever comes first; a constant fitness vector
+    gives a degenerate bracket, whose one value is returned.
 
     Raises:
         EmptyBatch: no usable excursions.
-        BracketFailure: the batch mean misses 1 at both row-sum bounds
-            (defensive; cannot occur when the weights come from the batch's
-            own fitness vector, since every factor f/lam is >= 1 at the
-            lower bound and <= 1 at the upper one).
+        InvalidArgument: ``tol`` outside (0, 1).
     """
     _require_paths(batch)
     _check_tol(tol)
@@ -187,38 +193,27 @@ def _check_tol(tol: float) -> None:
 
 
 def _solve_lambda(sums: _PathSums, tol: float) -> float:
-    lo, hi = sums.lo, sums.hi
-    if lo == hi:
-        return sums.unscale(lo)
+    """Bisect ``[lo, hi]`` until ``|g - 1| <= tol`` at the midpoint, or
+    until the midpoint is no longer strictly inside the bracket: at most
+    1,074 evaluations of log g, on the widest bracket ``[5e-324, 2)``.
 
-    # All comparisons happen on log g, which stays finite even where the
-    # mean weight itself would overflow; |g - 1| <= tol is equivalent to
-    # log1p(-tol) <= log g <= log1p(tol).
+    Comparisons happen on log g, which stays finite even where the mean
+    weight itself would overflow: ``log1p(-tol) <= log g <= log1p(tol)``.
+    """
     band_lo = float(np.log1p(-tol))
     band_hi = float(np.log1p(tol))
-    log_g_lo = sums.log_g(lo)
-    log_g_hi = sums.log_g(hi)
-    if log_g_lo < band_lo or log_g_hi > band_hi:
-        raise BracketFailure(float(np.exp(log_g_lo)), float(np.exp(log_g_hi)),
-                             sums.unscale(lo), sums.unscale(hi))
-    if log_g_lo <= band_hi:
-        return sums.unscale(lo)
-    if log_g_hi >= band_lo:
-        return sums.unscale(hi)
-
-    mid = 0.5 * (lo + hi)
-    for _ in range(BISECTION_MAX_ITER):
+    lo, hi = sums.lo, sums.hi
+    while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            break
+            return sums.unscale(mid)
         log_g = sums.log_g(mid)
         if band_lo <= log_g <= band_hi:
-            break
+            return sums.unscale(mid)
         if log_g > 0.0:
             lo = mid
         else:
             hi = mid
-    return sums.unscale(mid)
 
 
 def _path_chunks(batch: SampleBatch) -> list[tuple[int, int, int, int]]:
@@ -298,9 +293,7 @@ def estimate_u(batch: SampleBatch, fitness: np.ndarray,
     inside an excursion.  So ``u[k]`` is bitwise the reciprocal mean total
     path weight.
     """
-    _require_paths(batch)
-    if not lam > 0:
-        raise InvalidArgument("trial eigenvalue must be > 0")
+    _require_trial(batch, lam)
     return _eigenvector(_visit_tallies(batch, fitness, lam)[0])
 
 
@@ -324,7 +317,7 @@ def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,
     Returns None when fewer than two shards contain paths; the figure is
     indicative plumbing, not a calibrated confidence interval.
     """
-    _require_paths(batch)
+    _require_trial(batch, lam)
     if _shard_ends(batch) is None:
         return None
     return _jackknife(_visit_tallies(batch, fitness, lam)[1])
@@ -339,7 +332,7 @@ def run_estimation(matrix: NonNegativeMatrix,
     ``f[0]`` and every path weighs 1.
 
     Raises:
-        AllTruncated, BracketFailure: propagated from sampling/solving.
+        AllTruncated: propagated from sampling.
         InvalidArgument: ``tol`` outside (0, 1), before any sampling.
         TruncationBiasGuard: more than 0.1% of attempts truncated.
     """

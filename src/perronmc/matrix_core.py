@@ -1,11 +1,11 @@
 """Validation, primitivity testing, and the row decomposition of a matrix.
 
 A validated matrix is square, entrywise non-negative, has strictly
-positive row sums, and is primitive: some power of it is entrywise
-positive, which the method needs.  :func:`validate` is the only place
-that certifies primitivity, so every :class:`NonNegativeMatrix` built
-from input is primitive.  Such a matrix splits into a fitness vector
-``f`` (the row sums) and a row-stochastic kernel ``M`` with
+positive and finite row sums, and is primitive: some power of it is
+entrywise positive, which the method needs.  :func:`validate` is the only
+place that certifies primitivity, so every :class:`NonNegativeMatrix`
+built from input is primitive.  Such a matrix splits into a fitness
+vector ``f`` (the row sums) and a row-stochastic kernel ``M`` with
 ``A[i, j] = f[i] * M[i, j]``.  All functions here are pure and all
 returned arrays are frozen read-only, so values can be shared freely
 across threads.
@@ -29,6 +29,7 @@ from .errors import (
     NonFiniteEntry,
     NotPrimitive,
     NotSquare,
+    RowSumOverflow,
     ZeroRow,
 )
 
@@ -44,7 +45,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NonNegativeMatrix:
-    """A validated square non-negative matrix with positive row sums.
+    """A validated square non-negative matrix with positive, finite row sums.
 
     Built by :func:`validate`, it is also primitive.
 
@@ -113,6 +114,8 @@ def validate(raw) -> NonNegativeMatrix:
         NegativeEntry: some entry is < 0.
         ZeroRow: some row sums to 0, which would leave the transition
             kernel undefined on that row.
+        RowSumOverflow: some row sums to infinity, which would leave the
+            fitness and every estimate derived from it undefined.
         NotPrimitive: no power of the matrix is entrywise positive.
     """
     try:
@@ -130,10 +133,14 @@ def validate(raw) -> NonNegativeMatrix:
     if neg.any():
         i, j = np.argwhere(neg)[0]
         raise NegativeEntry(int(i), int(j), float(entries[i, j]))
-    row_sums = entries.sum(axis=1)
+    with np.errstate(over="ignore"):  # an infinite sum is refused below
+        row_sums = entries.sum(axis=1)
     zero = row_sums <= 0
     if zero.any():
         raise ZeroRow(int(np.argmax(zero)))
+    overflow = ~np.isfinite(row_sums)
+    if overflow.any():
+        raise RowSumOverflow(int(np.argmax(overflow)))
 
     matrix = NonNegativeMatrix(n=entries.shape[0], entries=_freeze(entries))
     check_primitive(matrix)

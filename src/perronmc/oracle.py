@@ -128,10 +128,14 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
     """
     if not lam > 0:
         raise InvalidArgument("trial eigenvalue must be > 0")
-    a = matrix.entries
     n = matrix.n
     if not 0 <= k < n:
         raise InvalidArgument(f"base state {k} outside 0..{n - 1}")
+    # Dividing A and lam by the same power of two leaves every term's bits
+    # as they are; with lam in [1, 2), lam**2 cannot overflow or underflow.
+    exponent = int(np.frexp(lam)[1]) - 1
+    a = np.ldexp(matrix.entries, -exponent)
+    lam = float(np.ldexp(lam, -exponent))
 
     others = np.arange(n) != k
     b = a[np.ix_(others, others)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from perronmc.chain_sim import _step_states, build_sampler, mix_seed, sample_batch
-from perronmc.errors import AllTruncated
+from perronmc.errors import AllTruncated, InvalidArgument
 from perronmc.matrix_core import decompose
 
 from _support import (
@@ -233,6 +233,12 @@ class TestSampleBatch:
         sampler = _sampler_for(FLIP)
         with pytest.raises(AllTruncated):
             sample_batch(sampler, 0, count=50, seed=1, cap=1, shards=1)
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_base_state_out_of_range(self, k):
+        with pytest.raises(InvalidArgument):
+            sample_batch(_sampler_for(FAIR), k, count=10, seed=0, cap=10,
+                         shards=1)
 
     def test_truncations_counted_not_dropped(self):
         # Return to 0 requires escaping a sticky state; cap cuts some paths.

@@ -10,6 +10,7 @@ from perronmc.cli import main, parse_matrix
 from perronmc.errors import (
     GuardError,
     InputError,
+    InvalidArgument,
     NegativeEntry,
     ParseError,
     PerronMCError,
@@ -94,6 +95,33 @@ class TestParseMatrix:
         assert captured.out == ""
         assert captured.err == ("error: NonFiniteEntry: entry (0, 1) is not "
                                 "finite: inf\n")
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "rows": [[1, 2], [3, 4]]',
+        '[[1, 2], [3, 4]]',
+        '{"n": 2}',
+        '{"n": 2, "rows": [[1, "x"], [3, 4]]}',
+        '{"n": 2, "rows": [[1, true], [3, 4]]}',
+        '{"n": 2, "rows": [[1, null], [3, 4]]}',
+    ], ids=["invalid-json", "not-an-object", "no-rows", "string-entry",
+            "bool-entry", "null-entry"])
+    def test_json_refusals_exit_one(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            parse_matrix(str(path))
+        assert main(["oracle", str(path)]) == 1
+        assert "error: ParseError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "1,2\n3\n"],
+                             ids=["empty", "blank-lines", "ragged"])
+    def test_csv_refusals_exit_one(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            parse_matrix(str(path))
+        assert main(["oracle", str(path)]) == 1
+        assert "error: ParseError" in capsys.readouterr().err
 
     def test_csv_bad_field_reports_location(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -267,6 +295,26 @@ class TestExitCodes:
         assert "ZeroRow" in err
         assert out == ""
 
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_every_subcommand_refuses_an_infinite_row_sum(self, capsys,
+                                                          tmp_path,
+                                                          subcommand):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 2, "rows": [[1e308, 1e308],
+                                                     [1, 1]]}))
+        assert main([subcommand, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: RowSumOverflow: row 0 sums beyond the float "
+                       "range\n")
+
+    def test_unknown_subcommand_is_refused(self, matrix_csv):
+        config = cli._config_from_args(
+            cli._build_parser().parse_args(["oracle", matrix_csv]))
+        config.subcommand = "eigen"
+        with pytest.raises(InvalidArgument):
+            cli.run(config)
+
     def test_parse_error_is_one(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,x\n3,4\n")
@@ -324,6 +372,7 @@ class TestExitCodes:
         (["estimate"], "usage:"),
         (["estimate", "M", "--samples", "0"], "InvalidArgument"),
         (["gw-sim", "M", "--trials", "0"], "InvalidArgument"),
+        (["gw-sim", "M", "--horizon", "0"], "InvalidArgument"),
         (["estimate", "M", "--samples", "2000", "--tol", "1"], "InvalidArgument"),
         (["estimate", "M", "--samples", "2000", "--tol", "inf"], "InvalidArgument"),
         (["estimate", "M", "--samples", "2000", "--tol", "nan"], "InvalidArgument"),

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ import pytest
 from perronmc import estimator
 from perronmc.chain_sim import build_sampler, sample_batch
 from perronmc.cli import main
-from perronmc.errors import EmptyBatch, NotPrimitive, TruncationBiasGuard
+from perronmc.errors import (
+    EmptyBatch,
+    InvalidArgument,
+    NotPrimitive,
+    TruncationBiasGuard,
+)
 from perronmc.estimator import (
     EstimationConfig,
     estimate_lambda,
@@ -44,6 +50,10 @@ def _batch_for(rows, k=0, count=1000, seed=0, cap=10**6, shards=1):
 
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
 FAIR = [[0.5, 0.5], [0.5, 0.5]]
+# Row sums 1e-60, 3e-60 and 1, dominant eigenvalue 2e-60: bisection on
+# the row-sum bracket needs about 230 halvings to meet the tolerance.
+WIDE_BRACKET = [[5e-61, 5e-61, 1e-200], [1.5e-60, 1.5e-60, 0.0],
+                [1.0, 0.0, 0.0]]
 
 
 class TestPathWeights:
@@ -158,6 +168,23 @@ class TestEstimateLambda:
             lam = estimate_lambda(batch, decomp.fitness)
             assert decomp.fitness.min() <= lam <= decomp.fitness.max()
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_solve_stops_at_float_resolution(self, sign):
+        # A log g that never enters the tolerance band drives the widest
+        # float bracket to one of its ends; the loop must stop there.
+        calls = []
+
+        def log_g(mid):
+            calls.append(mid)
+            return sign
+
+        lo, hi = 5e-324, float(np.nextafter(2.0, 0.0))
+        sums = SimpleNamespace(lo=lo, hi=hi, log_g=log_g, unscale=float)
+        lam = estimator._solve_lambda(sums, 1e-10)
+        end = hi if sign > 0 else lo
+        assert abs(lam - end) <= np.spacing(end)
+        assert len(calls) <= 1074
+
     @pytest.mark.parametrize("c", [2.0, 0.5, 4.0, 2.0**-20, 2.0**30])
     def test_dyadic_scaling_is_exact(self, c):
         matrix = validate(ACCEPTANCE_2X2)
@@ -220,6 +247,16 @@ class TestEstimateLambda:
         scaled = np.ldexp(decomp.fitness, -sums.exponent)
         whole = np.add.reduceat(np.log(scaled)[batch.states], batch.offsets)
         np.testing.assert_array_equal(sums.log_sums, whole)
+
+
+class TestTrialEigenvalue:
+    @pytest.mark.parametrize("stage", [g_hat, estimate_u, shard_dispersion])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
+    def test_stages_refuse_a_trial_value_not_finite_and_positive(self, stage,
+                                                                 lam):
+        batch, decomp = _batch_for(ACCEPTANCE_2X2, count=500, shards=4)
+        with pytest.raises(InvalidArgument):
+            stage(batch, decomp.fitness, lam)
 
 
 class TestEstimateU:
@@ -435,6 +472,14 @@ class TestRunEstimation:
         report = run_estimation(validate(ACCEPTANCE_2X2),
                                 EstimationConfig(samples=2000, seed=23))
         assert 3.0 <= report.lambda_hat <= 7.0
+
+    def test_wide_bracket_solves_to_the_tolerance(self):
+        matrix = validate(WIDE_BRACKET)
+        config = EstimationConfig(samples=2000, seed=0)
+        report = run_estimation(matrix, config)
+        lam = power_iteration(matrix).eigenvalue
+        assert report.g_residual <= config.tol
+        assert abs(report.lambda_hat - lam) / lam < 0.1
 
     def test_oracle_agreement_near_dominant_pair(self):
         pair = power_iteration(validate(ACCEPTANCE_2X2))

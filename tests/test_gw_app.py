@@ -7,7 +7,12 @@ import pytest
 from perronmc import gw_app
 from perronmc.chain_sim import mix_seed
 from perronmc.cli import main
-from perronmc.errors import NoSurvivors, PopulationOverflow, Subcritical
+from perronmc.errors import (
+    InvalidArgument,
+    NoSurvivors,
+    PopulationOverflow,
+    Subcritical,
+)
 from perronmc.gw_app import (
     Population,
     _generation,
@@ -133,6 +138,12 @@ class TestRunTree:
             run_tree(decomp, [1, 1, 1], horizon=3, seed=0,
                      law="deterministic")
         assert exc.value.generation == 2
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_is_refused(self, horizon):
+        with pytest.raises(InvalidArgument):
+            run_tree(decompose(validate(ACCEPTANCE_2X2)), [1, 0],
+                     horizon=horizon, seed=0)
 
     def test_outcome_shape(self):
         matrix = validate(ACCEPTANCE_2X2)

@@ -6,6 +6,7 @@ from perronmc.errors import (
     NonFiniteEntry,
     NotPrimitive,
     NotSquare,
+    RowSumOverflow,
     ZeroRow,
 )
 from perronmc.matrix_core import (
@@ -44,6 +45,15 @@ class TestValidate:
         with pytest.raises(ZeroRow) as exc:
             validate([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
         assert exc.value.row == 2
+
+    @pytest.mark.parametrize("rows, row", [
+        ([[1e308, 1e308], [1, 1]], 0),
+        ([[1, 1], [1e308, 1e308]], 1),
+    ])
+    def test_row_sum_beyond_float_range(self, rows, row):
+        with pytest.raises(RowSumOverflow) as exc:
+            validate(rows)
+        assert exc.value.row == row
 
     @pytest.mark.parametrize("raw", [
         [[1, 2], [3]],

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from perronmc import oracle
-from perronmc.errors import Divergence, NoConvergence, NotOnSimplex
+from perronmc.errors import (
+    Divergence,
+    InvalidArgument,
+    NoConvergence,
+    NotOnSimplex,
+)
 from perronmc.matrix_core import validate
 from perronmc.oracle import (
     lemma_partial_sums,
@@ -156,6 +161,34 @@ class TestLemmaPartialSums:
         lam, _ = closed_form_2x2()
         with pytest.raises(Divergence):
             lemma_partial_sums(validate(ACCEPTANCE_2X2), 0, 0.3 * lam)
+
+    def test_divergence_at_the_first_term(self):
+        with pytest.raises(Divergence) as exc:
+            lemma_partial_sums(validate([[4, 1], [1, 1]]), 0, 2.0)
+        assert exc.value.term_index == 1
+
+    @pytest.mark.parametrize("k, lam", [(0, 0.0), (0, -1.0), (-1, 5.0),
+                                        (2, 5.0)])
+    def test_refuses_bad_arguments(self, k, lam):
+        with pytest.raises(InvalidArgument):
+            lemma_partial_sums(validate(ACCEPTANCE_2X2), k, lam)
+
+    # lam**2 alone would overflow at the first end and underflow to 0 at
+    # the second.
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_far_from_unit_scale(self, c):
+        matrix = scale(validate(ACCEPTANCE_2X2), c)
+        series = lemma_partial_sums(matrix, 0,
+                                    power_iteration(matrix).eigenvalue)
+        assert abs(series.partial_sums[-1] - 1.0) < 1e-8
+
+    def test_terms_are_exact_under_dyadic_scaling(self):
+        matrix = validate(ACCEPTANCE_2X2)
+        lam = power_iteration(matrix).eigenvalue
+        base = lemma_partial_sums(matrix, 0, lam)
+        for c in (2.0**600, 2.0**-600):
+            scaled = lemma_partial_sums(scale(matrix, c), 0, c * lam)
+            assert np.array_equal(scaled.terms, base.terms)
 
     def test_single_state(self):
         series = lemma_partial_sums(validate([[2.0]]), 0, 2.0)
