@@ -7,8 +7,8 @@ Subcommands:
     lemma-check  partial sums of the return-weight series at the oracle value.
     gw-sim       branching-tree type proportions against the oracle vector.
 
-States are 1-based on this surface (and in reports); the library is
-0-based and the conversion happens only here.  Reports carry the full
+States are 1-based on this surface, in reports and in error messages;
+the library and the errors' attributes are 0-based.  Reports carry the full
 resolved configuration, contain no timestamps, and are byte-identical for
 identical invocations.
 

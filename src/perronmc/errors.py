@@ -1,8 +1,10 @@
 """Exception hierarchy shared by all perronmc modules.
 
-Every error raised by the library derives from exactly one of three
-families under :class:`PerronMCError`, and the family's ``exit_code`` is
-the CLI's exit status:
+A message names a position in the input matrix from 1, as matrix files
+count; the ``row`` and ``col`` attributes count from 0, as the library
+does.  Every error raised by the library derives from exactly one of
+three families under :class:`PerronMCError`, and the family's
+``exit_code`` is the CLI's exit status:
 
 * :class:`InputError` (1): bad matrices, bad files, violated preconditions;
 * :class:`StructuralError` (2): the matrix is not primitive;
@@ -54,7 +56,7 @@ class NegativeEntry(InputError):
         self.row = row
         self.col = col
         self.value = value
-        super().__init__(f"entry ({row}, {col}) is negative: {value}")
+        super().__init__(f"entry ({row + 1}, {col + 1}) is negative: {value}")
 
 
 class NonFiniteEntry(InputError):
@@ -62,29 +64,23 @@ class NonFiniteEntry(InputError):
         self.row = row
         self.col = col
         self.value = value
-        super().__init__(f"entry ({row}, {col}) is not finite: {value}")
+        super().__init__(f"entry ({row + 1}, {col + 1}) is not finite: {value}")
 
 
 class ZeroRow(InputError):
     def __init__(self, row: int):
         self.row = row
-        super().__init__(f"row {row} sums to zero; every row needs a positive entry")
+        super().__init__(f"row {row + 1} sums to zero; every row needs a positive entry")
 
 
 class RowSumOverflow(InputError):
     def __init__(self, row: int):
         self.row = row
-        super().__init__(f"row {row} sums beyond the float range")
+        super().__init__(f"row {row + 1} sums beyond the float range")
 
 
 class NotPrimitive(StructuralError):
-    def __init__(self, n: int, bound: int):
-        self.n = n
-        self.bound = bound
-        super().__init__(
-            f"no power up to the bound (N-1)^2+1 = {bound} is entrywise positive; "
-            f"the {n}x{n} matrix is reducible or periodic"
-        )
+    """The matrix is reducible or periodic; the message names a cause."""
 
 
 # ---------------------------------------------------------------------------

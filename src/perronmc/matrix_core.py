@@ -39,7 +39,6 @@ __all__ = [
     "validate",
     "check_primitive",
     "decompose",
-    "wielandt_bound",
 ]
 
 
@@ -147,35 +146,40 @@ def validate(raw) -> NonNegativeMatrix:
     return matrix
 
 
-def wielandt_bound(n: int) -> int:
-    """Largest exponent that must be checked to certify primitivity."""
-    return (n - 1) ** 2 + 1
+def _levels(pattern: np.ndarray) -> tuple[np.ndarray, int]:
+    """Breadth-first distance from state 0 on ``pattern`` (-1 where not
+    reached) and the gcd of ``level[i] + 1 - level[j]`` over the edges
+    ``i -> j`` out of reached states.  Each row is read once."""
+    level = np.full(pattern.shape[0], -1)
+    level[0] = depth = period = 0
+    while (frontier := level == depth).any():
+        hit = pattern[frontier].any(axis=0)
+        depth += 1
+        level[hit & (level < 0)] = depth
+        period = np.gcd.reduce(depth - level[hit], initial=period)
+    return level, int(period)
 
 
 def check_primitive(matrix: NonNegativeMatrix) -> None:
     """Certify that some power of the matrix is entrywise positive.
 
-    Works on the zero/nonzero pattern only, squaring it until it is all
-    positive.  Every row has a positive entry, so once A**m is positive
-    every higher power is too; and a primitive N x N matrix already has
-    A**((N-1)**2 + 1) positive (Wielandt).  A power at or past that bound
-    that is not positive therefore proves that no power is.
+    That holds exactly when the graph with an edge ``i -> j`` wherever
+    ``A[i, j] > 0`` is strongly connected with period 1 (Denardo, Math.
+    Oper. Res. 1977): breadth-first search from state 0 reaches every
+    state on the graph and on its transpose, and the gcd of ``level[i] +
+    1 - level[j]`` over the edges is 1.  Integers only, O(N^2).
 
     Raises:
-        NotPrimitive: no power up to (N-1)**2 + 1 is positive.
+        NotPrimitive: naming a state either search misses, or the period.
     """
-    n = matrix.n
-    bound = wielandt_bound(n)
     pattern = matrix.entries > 0.0
-    exponent = 1
-    while not pattern.all():
-        if exponent >= bound:
-            raise NotPrimitive(n, bound)
-        # A 0/1 float matmul keeps every entry <= N, so the zero pattern
-        # stays exact and nothing can overflow.
-        square = pattern.astype(float)
-        pattern = (square @ square) > 0.0
-        exponent *= 2
+    level, period = _levels(pattern)
+    back, _ = _levels(pattern.T)
+    for far, defect in ((level, "cannot be reached from"), (back, "cannot reach")):
+        if (far < 0).any():
+            raise NotPrimitive(f"state {int(np.argmax(far < 0)) + 1} {defect} state 1")
+    if period != 1:
+        raise NotPrimitive(f"the graph of the matrix has period {period}")
 
 
 def decompose(matrix: NonNegativeMatrix) -> RowDecomposition:

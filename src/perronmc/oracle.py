@@ -126,8 +126,9 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
         Divergence: partial sums exceeded 1 + 1e-6, meaning ``lam`` is below
             the true eigenvalue.
     """
-    if not lam > 0:
-        raise InvalidArgument("trial eigenvalue must be > 0")
+    if not 0 < lam < np.inf:
+        raise InvalidArgument(
+            f"trial eigenvalue must be finite and > 0, got {lam}")
     n = matrix.n
     if not 0 <= k < n:
         raise InvalidArgument(f"base state {k} outside 0..{n - 1}")
@@ -184,13 +185,15 @@ def quasispecies_residual(matrix: NonNegativeMatrix,
     mean fitness equals the dominant eigenvalue.
 
     Raises:
-        NotOnSimplex: ``x`` has a negative entry or does not sum to 1.
+        NotOnSimplex: ``x`` has a negative or non-finite entry, or does not
+            sum to 1.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (matrix.n,):
         raise NotOnSimplex(f"expected shape ({matrix.n},), got {x.shape}")
-    if (x < 0).any():
-        raise NotOnSimplex(f"negative entry at {int(np.argmax(x < 0))}")
+    bad = ~np.isfinite(x) | (x < 0)
+    if bad.any():
+        raise NotOnSimplex(f"negative or non-finite entry at {int(np.argmax(bad))}")
     total = float(x.sum())
     if abs(total - 1.0) > SIMPLEX_TOL:
         raise NotOnSimplex(f"entries sum to {total}")

@@ -93,7 +93,7 @@ class TestParseMatrix:
         assert _exit_code(["oracle", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: NonFiniteEntry: entry (0, 1) is not "
+        assert captured.err == ("error: NonFiniteEntry: entry (1, 2) is not "
                                 "finite: inf\n")
 
     @pytest.mark.parametrize("text", [
@@ -295,6 +295,22 @@ class TestExitCodes:
         assert "ZeroRow" in err
         assert out == ""
 
+    # Each message names the position as the file counts it, from 1.
+    @pytest.mark.parametrize("text, code, message", [
+        ("1,-1\n1,1\n", 1, "NegativeEntry: entry (1, 2) is negative: -1.0"),
+        ("1,1\n1,nan\n", 1, "NonFiniteEntry: entry (2, 2) is not finite: nan"),
+        ("0,1,0\n1,0,0\n0,0,0\n", 1, "ZeroRow: row 3 sums to zero"),
+        ("1,1\n1e308,1e308\n", 1, "RowSumOverflow: row 2 sums beyond"),
+        ("2,1,0\n0,2,1\n0,0,3\n", 2,
+         "NotPrimitive: state 2 cannot reach state 1"),
+    ], ids=["negative", "non-finite", "zero-row", "overflow", "not-primitive"])
+    def test_messages_count_positions_from_one(self, capsys, tmp_path, text,
+                                               code, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        assert main(["oracle", str(path)]) == code
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
     def test_every_subcommand_refuses_an_infinite_row_sum(self, capsys,
                                                           tmp_path,
@@ -305,7 +321,7 @@ class TestExitCodes:
         assert main([subcommand, str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("error: RowSumOverflow: row 0 sums beyond the float "
+        assert err == ("error: RowSumOverflow: row 1 sums beyond the float "
                        "range\n")
 
     def test_unknown_subcommand_is_refused(self, matrix_csv):

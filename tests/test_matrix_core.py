@@ -13,7 +13,6 @@ from perronmc.matrix_core import (
     check_primitive,
     decompose,
     validate,
-    wielandt_bound,
 )
 
 from _support import (
@@ -83,6 +82,11 @@ class TestValidate:
             m.entries[0, 0] = 9.0
 
 
+def wielandt_bound(n: int) -> int:
+    """Largest exponent a primitive N x N matrix needs (Wielandt)."""
+    return (n - 1) ** 2 + 1
+
+
 def _smallest_positive_power_brute(entries: np.ndarray) -> int | None:
     """Independent stepwise oracle for the primitivity exponent."""
     pattern = entries > 0
@@ -93,6 +97,11 @@ def _smallest_positive_power_brute(entries: np.ndarray) -> int | None:
         if power.all():
             return m
     return None
+
+
+def _ring(n: int) -> np.ndarray:
+    """The cycle 0 -> 1 -> ... -> n-1 -> 0 as a 0/1 matrix."""
+    return np.roll(np.eye(n), 1, axis=1)
 
 
 class TestCheckPrimitive:
@@ -129,6 +138,36 @@ class TestCheckPrimitive:
         a[n - 1, 1] = 1.0
         validate(a)
         assert _smallest_positive_power_brute(a) == wielandt_bound(n) == 17
+
+    def test_extremal_exponent_at_sixty(self):
+        a = _ring(60)
+        a[59, 1] = 1.0
+        validate(a)
+        assert _smallest_positive_power_brute(a) == wielandt_bound(60) == 3482
+        # The chord 59->2 closes a cycle of length 58 instead of 59, so
+        # every cycle length is even.
+        a[59, 1], a[59, 2] = 0.0, 1.0
+        with pytest.raises(NotPrimitive, match="has period 2$"):
+            validate(a)
+
+    def test_block_cyclic_period_three(self):
+        # States {0,1} -> {2,3} -> {4,5} -> {0,1}, every edge between blocks.
+        a = np.kron(_ring(3), np.ones((2, 2)))
+        with pytest.raises(NotPrimitive, match="has period 3$"):
+            validate(a)
+
+    @pytest.mark.parametrize("transpose, message", [
+        (False, "state 2 cannot reach state 1"),
+        (True, "state 2 cannot be reached from state 1"),
+    ])
+    def test_names_the_state_outside_the_strong_component(self, transpose,
+                                                          message):
+        a = np.array([[2, 1, 0], [0, 2, 1], [0, 0, 3]])
+        with pytest.raises(NotPrimitive, match=f"^{message}$"):
+            validate(a.T if transpose else a)
+
+    def test_long_ring_with_diagonal(self):
+        validate(_ring(2000) + np.eye(2000))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_stepwise_oracle(self, seed):

@@ -167,8 +167,8 @@ class TestLemmaPartialSums:
             lemma_partial_sums(validate([[4, 1], [1, 1]]), 0, 2.0)
         assert exc.value.term_index == 1
 
-    @pytest.mark.parametrize("k, lam", [(0, 0.0), (0, -1.0), (-1, 5.0),
-                                        (2, 5.0)])
+    @pytest.mark.parametrize("k, lam", [(0, 0.0), (0, -1.0), (0, np.inf),
+                                        (-1, 5.0), (2, 5.0)])
     def test_refuses_bad_arguments(self, k, lam):
         with pytest.raises(InvalidArgument):
             lemma_partial_sums(validate(ACCEPTANCE_2X2), k, lam)
@@ -219,6 +219,8 @@ class TestQuasispeciesResidual:
         np.array([0.5, 0.6]),
         np.array([-0.1, 1.1]),
         np.array([0.2, 0.3, 0.5]),
+        np.array([np.nan, np.nan]),
+        np.array([np.nan, 1.0]),
     ])
     def test_rejects_off_simplex(self, x):
         with pytest.raises(NotOnSimplex):
