@@ -222,6 +222,8 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
             for fixed ``(seed, shards, count, cap)`` however it is executed.
 
     Raises:
+        InvalidArgument: ``count``, ``shards`` or ``cap`` below 1, or ``k``
+            not a state; the message counts states from 1.
         AllTruncated: every attempt hit the cap.
     """
     if count < 1:
@@ -231,7 +233,7 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
     if cap < 1:
         raise InvalidArgument("cap must be >= 1")
     if not 0 <= k < sampler.n:
-        raise InvalidArgument(f"base state {k} outside 0..{sampler.n - 1}")
+        raise InvalidArgument(f"base state {k + 1} outside 1..{sampler.n}")
 
     block = -(-count // shards)
     all_states = []

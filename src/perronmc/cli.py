@@ -7,10 +7,11 @@ Subcommands:
     lemma-check  partial sums of the return-weight series at the oracle value.
     gw-sim       branching-tree type proportions against the oracle vector.
 
-States are 1-based on this surface, in reports and in error messages;
-the library and the errors' attributes are 0-based.  Reports carry the full
-resolved configuration, contain no timestamps, and are byte-identical for
-identical invocations.
+Each subcommand takes only the flags it reads.  States are 1-based on
+this surface, in reports and in every error message, the library's
+included; the library's arguments and the errors' attributes are 0-based.
+Reports carry the full resolved configuration, contain no timestamps, and
+are byte-identical for identical invocations.
 
 Exit codes: 0 success, otherwise the ``exit_code`` of the error's family
 in :mod:`perronmc.errors`: 1 bad input (parse/validation/precondition,
@@ -38,21 +39,23 @@ def parse_matrix(path: str | Path) -> NonNegativeMatrix:
     """Load and validate a matrix from a .json or .csv file.
 
     Raises:
-        ParseError: missing file, unknown extension, malformed content
-            (with the offending line/field where applicable).
+        ParseError: unknown extension, a missing or unreadable file, bytes
+            that are not UTF-8 text, malformed content (with the offending
+            line/field where applicable).
         NegativeEntry/ZeroRow/NotSquare...: validation failures, unchanged.
         NotPrimitive: the matrix is reducible or periodic.
     """
     path = Path(path)
-    if not path.exists():
-        raise ParseError(str(path), "file does not exist")
-    if path.suffix == ".json":
-        rows = _rows_from_json(path)
-    elif path.suffix == ".csv":
-        rows = _rows_from_csv(path)
-    else:
+    readers = {".json": _rows_from_json, ".csv": _rows_from_csv}
+    if path.suffix not in readers:
         raise ParseError(str(path), f"unsupported extension {path.suffix!r}")
-    return validate(rows)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(str(path), exc.strerror or str(exc))
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), f"byte {exc.start + 1} is not UTF-8 text")
+    return validate(readers[path.suffix](str(path), text))
 
 
 def _json_int(digits: str) -> int | float:
@@ -64,50 +67,49 @@ def _json_int(digits: str) -> int | float:
         return float(digits)
 
 
-def _rows_from_json(path: Path) -> list[list[float]]:
+def _rows_from_json(path: str, text: str) -> list[list[float]]:
     try:
-        payload = json.loads(path.read_text(), parse_int=_json_int)
+        payload = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
-        raise ParseError(str(path), f"invalid JSON: {exc}")
+        raise ParseError(path, f"invalid JSON: {exc}")
     if not isinstance(payload, dict) or "n" not in payload or "rows" not in payload:
-        raise ParseError(str(path), 'expected an object {"n": ..., "rows": ...}')
+        raise ParseError(path, 'expected an object {"n": ..., "rows": ...}')
     n, rows = payload["n"], payload["rows"]
     if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError(str(path), f'"n" must be an integer, got {json.dumps(n)}')
+        raise ParseError(path, f'"n" must be an integer, got {json.dumps(n)}')
     if not isinstance(rows, list) or len(rows) != n:
-        raise ParseError(str(path), f'"rows" must hold exactly n={n} rows')
+        raise ParseError(path, f'"rows" must hold exactly n={n} rows')
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
-            raise ParseError(str(path), f"row {i + 1} does not have {n} fields")
+            raise ParseError(path, f"row {i + 1} does not have {n} fields")
         for j, value in enumerate(row):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ParseError(str(path),
+                raise ParseError(path,
                                  f"row {i + 1}, field {j + 1}: not a number")
     return rows
 
 
-def _rows_from_csv(path: Path) -> list[list[float]]:
+def _rows_from_csv(path: str, text: str) -> list[list[float]]:
+    # Blank lines are skipped but still counted, so messages name file lines.
     rows: list[list[float]] = []
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(str(path), "file is empty")
-    for i, line in enumerate(lines):
-        fields = line.split(",")
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
         row = []
-        for j, field in enumerate(fields):
+        for j, field in enumerate(line.split(",")):
             try:
                 row.append(float(field))
             except ValueError:
                 raise ParseError(
-                    str(path),
-                    f"line {i + 1}, field {j + 1}: {field.strip()!r} is not a number",
+                    path,
+                    f"line {number}, field {j + 1}: {field.strip()!r} is not a number",
                 )
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(path, f"line {number} has {len(row)} fields, "
+                                   f"expected {len(rows[0])}")
         rows.append(row)
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(str(path),
-                             f"line {i + 1} has {len(row)} fields, expected {width}")
+    if not rows:
+        raise ParseError(path, "file is empty")
     return rows
 
 
@@ -156,10 +158,6 @@ def run(config: argparse.Namespace) -> dict:
     every field is echoed into the report.
     """
     matrix = parse_matrix(config.matrix_path)
-    if not 1 <= config.base_state <= matrix.n:
-        raise ParseError(config.matrix_path,
-                         f"base state {config.base_state} outside 1..{matrix.n}")
-
     if config.subcommand == "estimate":
         payload = _estimate_payload(matrix, config)
     elif config.subcommand == "oracle":
@@ -237,15 +235,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, sampling: bool):
+    subcommands = {
+        "estimate": "Monte Carlo eigenpair",
+        "oracle": "deterministic eigenpair",
+        "compare": "estimate vs oracle",
+        "lemma-check": "return-weight series at the oracle value",
+        "gw-sim": "branching-tree type proportions",
+    }
+    # Each subcommand takes only the flags it reads.
+    for name, summary in subcommands.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("matrix_path", metavar="matrix",
                        help="path to a .json or .csv matrix file")
-        p.add_argument("--base-state", type=int,
-                       default=defaults.base_state + 1,
-                       help="1-based excursion base state (default %(default)s)")
-        p.add_argument("--seed", type=int, default=defaults.seed,
-                       help="64-bit RNG seed")
         p.add_argument("--output", choices=("json", "text"), default="json")
+        sampling = name in ("estimate", "compare")
+        if sampling or name == "lemma-check":
+            p.add_argument("--base-state", type=int,
+                           default=defaults.base_state + 1,
+                           help="1-based excursion base state "
+                                "(default %(default)s)")
+        if sampling or name == "gw-sim":
+            p.add_argument("--seed", type=int, default=defaults.seed,
+                           help="64-bit RNG seed")
         if sampling:
             p.add_argument("--samples", type=int, default=defaults.samples)
             p.add_argument("--cap", type=int, default=defaults.cap,
@@ -254,24 +265,21 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="independent RNG streams")
             p.add_argument("--tol", type=float, default=defaults.tol,
                            help="tolerance on the mean return weight")
-
-    common(sub.add_parser("estimate", help="Monte Carlo eigenpair"), True)
-    common(sub.add_parser("oracle", help="deterministic eigenpair"), False)
-    common(sub.add_parser("compare", help="estimate vs oracle"), True)
-    common(sub.add_parser("lemma-check",
-                          help="return-weight series at the oracle value"), False)
-    gw = sub.add_parser("gw-sim", help="branching-tree type proportions")
-    common(gw, False)
-    gw.add_argument("--trials", type=int, default=gw_app.DEFAULT_TRIALS)
-    gw.add_argument("--horizon", type=int, default=gw_app.DEFAULT_HORIZON)
-    gw.add_argument("--offspring-law", choices=gw_app.OFFSPRING_LAWS,
-                    default=gw_app.DEFAULT_LAW)
+        if name == "gw-sim":
+            p.add_argument("--trials", type=int, default=gw_app.DEFAULT_TRIALS)
+            p.add_argument("--horizon", type=int,
+                           default=gw_app.DEFAULT_HORIZON)
+            p.add_argument("--offspring-law", choices=gw_app.OFFSPRING_LAWS,
+                           default=gw_app.DEFAULT_LAW)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """The resolved invocation: the parsed flags, seed reduced mod 2**64."""
-    return argparse.Namespace(**{**vars(args), "seed": args.seed % (1 << 64)})
+    """The resolved invocation: the parsed flags, a seed reduced mod 2**64."""
+    config = vars(args).copy()
+    if "seed" in config:
+        config["seed"] %= 1 << 64
+    return argparse.Namespace(**config)
 
 
 def main(argv: list[str] | None = None) -> int:

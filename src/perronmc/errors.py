@@ -1,10 +1,11 @@
 """Exception hierarchy shared by all perronmc modules.
 
-A message names a position in the input matrix from 1, as matrix files
-count; the ``row`` and ``col`` attributes count from 0, as the library
-does.  Every error raised by the library derives from exactly one of
-three families under :class:`PerronMCError`, and the family's
-``exit_code`` is the CLI's exit status:
+A message names a position from 1, as matrix files count: a row, column
+or state of the matrix, or an entry of a vector over its states.  The
+``row`` and ``col`` attributes count from 0, as the library does.  Every
+error raised by the library derives from exactly one of three families
+under :class:`PerronMCError`, and the family's ``exit_code`` is the CLI's
+exit status:
 
 * :class:`InputError` (1): bad matrices, bad files, violated preconditions;
 * :class:`StructuralError` (2): the matrix is not primitive;

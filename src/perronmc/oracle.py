@@ -123,6 +123,8 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
     never longer).
 
     Raises:
+        InvalidArgument: ``lam`` not finite and > 0, or ``k`` not a state;
+            the message counts states from 1.
         Divergence: partial sums exceeded 1 + 1e-6, meaning ``lam`` is below
             the true eigenvalue.
     """
@@ -131,7 +133,7 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
             f"trial eigenvalue must be finite and > 0, got {lam}")
     n = matrix.n
     if not 0 <= k < n:
-        raise InvalidArgument(f"base state {k} outside 0..{n - 1}")
+        raise InvalidArgument(f"base state {k + 1} outside 1..{n}")
     # Dividing A and lam by the same power of two leaves every term's bits
     # as they are; with lam in [1, 2), lam**2 cannot overflow or underflow.
     exponent = int(np.frexp(lam)[1]) - 1
@@ -193,7 +195,8 @@ def quasispecies_residual(matrix: NonNegativeMatrix,
         raise NotOnSimplex(f"expected shape ({matrix.n},), got {x.shape}")
     bad = ~np.isfinite(x) | (x < 0)
     if bad.any():
-        raise NotOnSimplex(f"negative or non-finite entry at {int(np.argmax(bad))}")
+        raise NotOnSimplex(
+            f"negative or non-finite entry at {int(np.argmax(bad)) + 1}")
     total = float(x.sum())
     if abs(total - 1.0) > SIMPLEX_TOL:
         raise NotOnSimplex(f"entries sum to {total}")

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -20,6 +21,16 @@ from perronmc.estimator import EstimationConfig, run_estimation
 from perronmc.matrix_core import validate
 
 from _support import ACCEPTANCE_2X2
+
+
+def _write(path, content):
+    """Write text or bytes to ``path``; ``None`` makes it a directory."""
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
 
 
 @pytest.fixture
@@ -103,21 +114,24 @@ class TestParseMatrix:
         '{"n": 2, "rows": [[1, "x"], [3, 4]]}',
         '{"n": 2, "rows": [[1, true], [3, 4]]}',
         '{"n": 2, "rows": [[1, null], [3, 4]]}',
+        None,
     ], ids=["invalid-json", "not-an-object", "no-rows", "string-entry",
-            "bool-entry", "null-entry"])
+            "bool-entry", "null-entry", "directory"])
     def test_json_refusals_exit_one(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
-        path.write_text(text)
+        _write(path, text)
         with pytest.raises(ParseError):
             parse_matrix(str(path))
         assert main(["oracle", str(path)]) == 1
         assert "error: ParseError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["", "\n  \n", "1,2\n3\n"],
-                             ids=["empty", "blank-lines", "ragged"])
+    @pytest.mark.parametrize("text", ["", "\n  \n", "1,2\n3\n",
+                                      b"\xff\xfe1,2\n3,4\n"],
+                             ids=["empty", "blank-lines", "ragged",
+                                  "not-utf8"])
     def test_csv_refusals_exit_one(self, tmp_path, capsys, text):
         path = tmp_path / "bad.csv"
-        path.write_text(text)
+        _write(path, text)
         with pytest.raises(ParseError):
             parse_matrix(str(path))
         assert main(["oracle", str(path)]) == 1
@@ -256,6 +270,17 @@ class TestSubcommands:
 
 SUBCOMMANDS = ("estimate", "oracle", "compare", "lemma-check", "gw-sim")
 
+_ESTIMATE_FLAGS = {"--base-state", "--seed", "--samples", "--cap", "--shards",
+                   "--tol"}
+FLAGS = {
+    "estimate": {"--output"} | _ESTIMATE_FLAGS,
+    "oracle": {"--output"},
+    "compare": {"--output"} | _ESTIMATE_FLAGS,
+    "lemma-check": {"--output", "--base-state"},
+    "gw-sim": {"--output", "--seed", "--trials", "--horizon",
+               "--offspring-law"},
+}
+
 # No power of these is entrywise positive: a periodic chain, a Jordan block
 # whose power iteration never settles, and a reducible upper triangle.
 NOT_PRIMITIVE = {
@@ -295,7 +320,8 @@ class TestExitCodes:
         assert "ZeroRow" in err
         assert out == ""
 
-    # Each message names the position as the file counts it, from 1.
+    # Each message names the position as the file counts it, from 1; blank
+    # lines count too.
     @pytest.mark.parametrize("text, code, message", [
         ("1,-1\n1,1\n", 1, "NegativeEntry: entry (1, 2) is negative: -1.0"),
         ("1,1\n1,nan\n", 1, "NonFiniteEntry: entry (2, 2) is not finite: nan"),
@@ -303,12 +329,18 @@ class TestExitCodes:
         ("1,1\n1e308,1e308\n", 1, "RowSumOverflow: row 2 sums beyond"),
         ("2,1,0\n0,2,1\n0,0,3\n", 2,
          "NotPrimitive: state 2 cannot reach state 1"),
-    ], ids=["negative", "non-finite", "zero-row", "overflow", "not-primitive"])
-    def test_messages_count_positions_from_one(self, capsys, tmp_path, text,
-                                               code, message):
-        path = tmp_path / "m.csv"
-        path.write_text(text)
-        assert main(["oracle", str(path)]) == code
+        ("1,2\n\n3,oops\n", 1,
+         "ParseError: m.csv: line 3, field 2: 'oops' is not a number"),
+        ("\n1,2\n3,4,5\n", 1,
+         "ParseError: m.csv: line 3 has 3 fields, expected 2"),
+    ], ids=["negative", "non-finite", "zero-row", "overflow", "not-primitive",
+            "field-after-blank-line", "width-after-blank-line"])
+    def test_messages_count_positions_from_one(self, capsys, tmp_path,
+                                               monkeypatch, text, code,
+                                               message):
+        (tmp_path / "m.csv").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert main(["oracle", "m.csv"]) == code
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
@@ -342,7 +374,15 @@ class TestExitCodes:
         assert main(["estimate", str(path)]) == 1
 
     def test_base_state_out_of_range_is_one(self, capsys, matrix_csv):
-        assert main(["estimate", matrix_csv, "--base-state", "3"]) == 1
+        # The library refuses the state, with the CLI's 1-based numbering.
+        for subcommand in ("estimate", "compare", "lemma-check"):
+            for base_state in ("0", "3"):
+                assert main([subcommand, matrix_csv,
+                             "--base-state", base_state]) == 1
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err == (f"error: InvalidArgument: base state "
+                               f"{base_state} outside 1..2\n")
 
     def test_subcritical_is_one(self, capsys, stochastic_csv):
         assert main(["gw-sim", stochastic_csv, "--trials", "10"]) == 1
@@ -397,6 +437,11 @@ class TestExitCodes:
         (["estimate", "ONE", "--cap", "0"], "InvalidArgument"),
         (["estimate", "ONE", "--shards", "0"], "InvalidArgument"),
         (["estimate", "ONE", "--tol", "0"], "InvalidArgument"),
+        # A subcommand refuses a flag it would not read.
+        (["oracle", "M", "--seed", "1"], "usage:"),
+        (["oracle", "M", "--base-state", "1"], "usage:"),
+        (["lemma-check", "M", "--seed", "1"], "usage:"),
+        (["gw-sim", "M", "--base-state", "1"], "usage:"),
     ])
     def test_bad_input_is_one(self, capsys, matrix_csv, single_json, argv,
                               reason):
@@ -419,6 +464,13 @@ class TestExitCodes:
     def test_help_is_zero(self, capsys, argv):
         assert _exit_code(argv) == 0
         assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_help_lists_only_the_flags_the_subcommand_reads(self, capsys,
+                                                            subcommand):
+        assert _exit_code([subcommand, "--help"]) == 0
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags - {"--help"} == FLAGS[subcommand]
 
     def test_every_error_exits_with_its_family_code(self, capsys, monkeypatch,
                                                     matrix_csv):
@@ -453,12 +505,19 @@ class TestDefaults:
         lib = EstimationConfig()
         assert (
             (est.base_state - 1, est.samples, est.seed, est.cap, est.shards,
-             est.tol, gw.base_state, gw.seed, gw.trials, gw.horizon,
-             gw.offspring_law)
+             est.tol, gw.seed, gw.trials, gw.horizon, gw.offspring_law)
             == (lib.base_state, lib.samples, lib.seed, lib.cap, lib.shards,
-                lib.tol, lib.base_state + 1, lib.seed, gw_app.DEFAULT_TRIALS,
+                lib.tol, lib.seed, gw_app.DEFAULT_TRIALS,
                 gw_app.DEFAULT_HORIZON, gw_app.DEFAULT_LAW)
         )
+
+    @pytest.mark.parametrize("subcommand", ["estimate", "compare", "gw-sim"])
+    def test_seed_is_reduced_mod_2_64(self, subcommand):
+        parse = cli._build_parser().parse_args
+        for seed, reduced in (("-1", 2**64 - 1), (str(2**64 + 5), 5)):
+            config = cli._config_from_args(
+                parse([subcommand, "m.csv", "--seed", seed]))
+            assert config.seed == reduced
 
 
 SCHEMAS = {
@@ -481,12 +540,13 @@ SCHEMAS = {
     },
 }
 
-_COMMON_CONFIG = {"subcommand", "matrix_path", "base_state", "seed", "output"}
+_COMMON_CONFIG = {"subcommand", "matrix_path", "output"}
 CONFIG_KEYS = {
-    "estimate": _COMMON_CONFIG | {"samples", "cap", "shards", "tol"},
+    "estimate": _COMMON_CONFIG | {"base_state", "seed", "samples", "cap",
+                                  "shards", "tol"},
     "oracle": _COMMON_CONFIG,
-    "lemma-check": _COMMON_CONFIG,
-    "gw-sim": _COMMON_CONFIG | {"trials", "horizon", "offspring_law",
+    "lemma-check": _COMMON_CONFIG | {"base_state"},
+    "gw-sim": _COMMON_CONFIG | {"seed", "trials", "horizon", "offspring_law",
                                 "gw_sampler"},
 }
 
@@ -495,11 +555,11 @@ class TestReportSchemas:
     @pytest.mark.parametrize("subcommand", sorted(SCHEMAS))
     def test_report_reparses_under_schema(self, capsys, matrix_json,
                                           subcommand):
-        argv = [subcommand, matrix_json, "--seed", "3"]
+        argv = [subcommand, matrix_json]
         if subcommand == "estimate":
-            argv += ["--samples", "2000", "--shards", "2"]
+            argv += ["--seed", "3", "--samples", "2000", "--shards", "2"]
         if subcommand == "gw-sim":
-            argv += ["--trials", "100", "--horizon", "5"]
+            argv += ["--seed", "3", "--trials", "100", "--horizon", "5"]
         code, payload = _run_json(capsys, argv)
         assert code == 0
         schema = SCHEMAS[subcommand]

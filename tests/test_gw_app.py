@@ -309,11 +309,11 @@ class TestFrozenDeterministicStream:
         "integer-3x3": (
             "m.json", [[1, 1, 0], [0, 2, 1], [1, 1, 1]],
             ["--trials", "200", "--horizon", "6", "--seed", "5"],
-            "3f6e31ef142fb6faaa173c11252c11ab50c0b487886fc6de72cea0d69eded344"),
+            "b57cb93c7f4d549a61ed24227e7017e39111c3356a3388738c1824c8fc33884c"),
         "fibonacci-2x2": (
             "fib.json", [[0, 1], [1, 1]],
             ["--trials", "300", "--horizon", "8", "--seed", "9"],
-            "c0a18f87589b0108b029431631424ceb72351f63563246fea8ce23639b46dfbb"),
+            "f6a16278e4e4ac6704032da5c2f998042f1beebcb03c1d2f46f4426b0669a9b2"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -225,3 +225,7 @@ class TestQuasispeciesResidual:
     def test_rejects_off_simplex(self, x):
         with pytest.raises(NotOnSimplex):
             quasispecies_residual(validate(ACCEPTANCE_2X2), x)
+
+    def test_message_names_the_entry_from_one(self):
+        with pytest.raises(NotOnSimplex, match="entry at 2$"):
+            quasispecies_residual(validate(ACCEPTANCE_2X2), [1.5, -0.5])
