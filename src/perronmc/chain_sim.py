@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AllTruncated, InvalidArgument
+from .errors import AllTruncated, check_base_state, check_counts
 from .matrix_core import RowDecomposition
 
 __all__ = [
@@ -226,14 +226,8 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
             not a state; the message counts states from 1.
         AllTruncated: every attempt hit the cap.
     """
-    if count < 1:
-        raise InvalidArgument("count must be >= 1")
-    if shards < 1:
-        raise InvalidArgument("shards must be >= 1")
-    if cap < 1:
-        raise InvalidArgument("cap must be >= 1")
-    if not 0 <= k < sampler.n:
-        raise InvalidArgument(f"base state {k + 1} outside 1..{sampler.n}")
+    check_counts(count=count, shards=shards, cap=cap)
+    check_base_state(k, sampler.n)
 
     block = -(-count // shards)
     all_states = []

@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator, gw_app, oracle
-from .errors import InputError, InvalidArgument, ParseError, PerronMCError
+from .errors import (InputError, InvalidArgument, ParseError, PerronMCError,
+                     check_base_state)
 from .matrix_core import NonNegativeMatrix, validate
 
 __all__ = ["parse_matrix", "run", "main"]
@@ -82,10 +83,10 @@ def _rows_from_json(path: str, text: str) -> list[list[float]]:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(path, f"row {i + 1} does not have {n} fields")
-        for j, value in enumerate(row):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ParseError(path,
-                                 f"row {i + 1}, field {j + 1}: not a number")
+        # Exact types: a JSON true or false is read as a bool, not a number.
+        if not {int, float}.issuperset(map(type, row)):
+            j = [type(value) in (int, float) for value in row].index(False)
+            raise ParseError(path, f"row {i + 1}, field {j + 1}: not a number")
     return rows
 
 
@@ -172,6 +173,7 @@ def run(config: argparse.Namespace) -> dict:
             abs(payload["lambda_hat"] - payload["lambda"]) / payload["lambda"]
         )
     elif config.subcommand == "lemma-check":
+        check_base_state(config.base_state - 1, matrix.n)
         pair = oracle.power_iteration(matrix)
         series = oracle.lemma_partial_sums(matrix, config.base_state - 1,
                                            pair.eigenvalue)
@@ -183,6 +185,8 @@ def run(config: argparse.Namespace) -> dict:
             "tail_ratio": series.tail_ratio,
         }
     elif config.subcommand == "gw-sim":
+        gw_app.check_arguments(matrix, config.trials, config.horizon,
+                               config.offspring_law)
         pair = oracle.power_iteration(matrix)
         proportions, survivors = gw_app.conditioned_proportions(
             matrix, pair, config.trials, config.horizon, config.seed,

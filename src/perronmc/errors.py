@@ -11,6 +11,9 @@ exit status:
 * :class:`StructuralError` (2): the matrix is not primitive;
 * :class:`GuardError` (3): a statistical or numerical guard refused to
   report a result.  The lam solve needs none: its bracket holds the root.
+
+The argument checks that several modules make live here too, so that each
+refusal is worded once.
 """
 
 from __future__ import annotations
@@ -42,6 +45,20 @@ class GuardError(PerronMCError):
 
 class InvalidArgument(InputError, ValueError):
     """An argument lies outside its documented range."""
+
+
+def check_counts(**counts: int) -> None:
+    """Raise :class:`InvalidArgument` naming the first count below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise InvalidArgument(f"{name} must be >= 1")
+
+
+def check_base_state(k: int, n: int) -> None:
+    """Raise :class:`InvalidArgument` unless ``k`` is one of ``n`` states;
+    the message counts states from 1, as the CLI does."""
+    if not 0 <= k < n:
+        raise InvalidArgument(f"base state {k + 1} outside 1..{n}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_sim import mix_seed
-from .errors import InvalidArgument, NoSurvivors, PopulationOverflow, Subcritical
+from .errors import (InvalidArgument, NoSurvivors, PopulationOverflow,
+                     Subcritical, check_counts)
 from .matrix_core import NonNegativeMatrix, RowDecomposition, decompose
 from .oracle import PerronPair
 
@@ -38,6 +39,7 @@ __all__ = [
     "Population",
     "step_generation",
     "run_tree",
+    "check_arguments",
     "conditioned_proportions",
 ]
 
@@ -67,6 +69,17 @@ class Population:
         return int(self.counts.sum())
 
 
+def _whole_means(fitness: np.ndarray, present) -> np.ndarray:
+    """Children per parent under the deterministic law; refuses a type in
+    ``present`` whose mean is not an integer."""
+    per_parent = np.round(fitness)
+    off = present & (np.abs(fitness - per_parent) > 1e-9)
+    if off.any():
+        raise InvalidArgument("deterministic offspring law needs integer "
+                              f"means, got {fitness[off.argmax()]}")
+    return per_parent
+
+
 def _generation(counts: np.ndarray, decomp: RowDecomposition,
                 rng: np.random.Generator, law: str,
                 generation: int) -> tuple[np.ndarray, int]:
@@ -85,13 +98,7 @@ def _generation(counts: np.ndarray, decomp: RowDecomposition,
         child = (rng.multinomial(rng.poisson(mass), means / mass) if mass > 0.0
                  else np.zeros(decomp.n, dtype=np.int64))
     elif law == "deterministic":
-        per_parent = np.round(decomp.fitness)
-        off = (counts > 0) & (np.abs(decomp.fitness - per_parent) > 1e-9)
-        if off.any():
-            raise InvalidArgument(
-                "deterministic offspring law needs integer means, "
-                f"got {decomp.fitness[off.argmax()]}"
-            )
+        per_parent = _whole_means(decomp.fitness, counts > 0)
         if counts @ per_parent > _DRAW_LIMIT:
             raise PopulationOverflow(generation, POPULATION_CEILING)
         totals = counts * per_parent.astype(np.int64)
@@ -135,8 +142,7 @@ def run_tree(decomp: RowDecomposition, initial: np.ndarray, horizon: int,
     Raises:
         PopulationOverflow: as in :func:`step_generation`.
     """
-    if horizon < 1:
-        raise InvalidArgument("horizon must be >= 1")
+    check_counts(horizon=horizon)
     rng = np.random.default_rng(seed)
     counts = np.asarray(initial, dtype=np.int64)
     for generation in range(1, horizon + 1):
@@ -144,6 +150,15 @@ def run_tree(decomp: RowDecomposition, initial: np.ndarray, horizon: int,
         if total == 0:
             break
     return counts
+
+
+def check_arguments(matrix: NonNegativeMatrix, trials: int, horizon: int,
+                    law: str) -> None:
+    """Refuse what :func:`conditioned_proportions` refuses without reading
+    its pair, so that a caller can refuse it before power iteration."""
+    check_counts(trials=trials, horizon=horizon)
+    if law == "deterministic":  # every tree starts with each type
+        _whole_means(decompose(matrix).fitness, True)
 
 
 def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
@@ -161,11 +176,11 @@ def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
         (proportions on the simplex, number of surviving trees).
 
     Raises:
+        InvalidArgument: as in :func:`check_arguments`.
         Subcritical: the dominant eigenvalue is <= 1.
         NoSurvivors: no tree survived to the horizon.
     """
-    if trials < 1:
-        raise InvalidArgument("trials must be >= 1")
+    check_arguments(matrix, trials, horizon, law)
     if pair.eigenvalue <= 1.0:
         raise Subcritical(pair.eigenvalue)
 

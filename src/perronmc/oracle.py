@@ -1,5 +1,7 @@
-"""Deterministic cross-checks: power iteration, the return-weight series,
-and the mutation-selection equilibrium residual.
+"""Deterministic cross-checks: power iteration, the return-weight series
+(the estimator's excursion from the base state, run as a weight vector
+that is killed where it returns), and the mutation-selection equilibrium
+residual.
 
 These routines share no code path with the Monte Carlo estimator, so
 agreement between the two is meaningful evidence of correctness.
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergence, InvalidArgument, NoConvergence, NotOnSimplex
+from .errors import (Divergence, InvalidArgument, NoConvergence,
+                     NotOnSimplex, check_base_state)
 from .matrix_core import NonNegativeMatrix, decompose
 
 __all__ = [
@@ -56,11 +59,12 @@ class PerronPair:
 class LemmaSeries:
     """Terms of the first-return weight series at a trial eigenvalue.
 
-    ``terms[0]`` is the direct-return term A[k, k] / lam; ``terms[n]`` for
-    n >= 1 sums the weights of return paths of length n + 1 that avoid the
-    base state in between.  At the true eigenvalue the partial sums increase
-    to 1.  ``tail_ratio`` is the ratio of the last two positive terms, or
-    None when fewer than two terms are positive.
+    ``terms[n]`` is the weight that first returns to the base state k at
+    step n + 1: the weights of the paths k -> ... -> k of that length that
+    avoid k in between, over lam**(n + 1); ``terms[0]`` is A[k, k] / lam.
+    At the true eigenvalue the partial sums increase to 1.  ``tail_ratio``
+    is the ratio of the last two positive terms, or None when fewer than
+    two terms are positive.
     """
 
     terms: np.ndarray
@@ -112,13 +116,13 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
                        lam: float) -> LemmaSeries:
     """Evaluate the first-return weight series at trial value ``lam``.
 
-    Let B be the matrix with row and column ``k`` zeroed.  The term for
-    return length n >= 2 is ``lam**-n * sum_{i,j != k} A[k,i] B**(n-2)[i,j]
-    A[j,k]``, computed by iterating a row vector against B so the cost stays
-    O(LEMMA_MAX_TERMS * N^2) and no matrix power is formed.  The spectral
-    radius of B lies strictly below the dominant eigenvalue, so at (or
-    above) that value the terms decay geometrically; summation stops once N
-    consecutive increments fall below ``LEMMA_STOP_INCREMENT`` (zero terms
+    One excursion from ``k``, run as a row vector: it starts at row ``k``
+    of A / lam, and each step reads its entry at ``k`` as the next term,
+    kills that entry, and moves the rest by A / lam, so the cost stays
+    O(LEMMA_MAX_TERMS * N^2) and no matrix power is formed.  The killed
+    chain's spectral radius lies strictly below the dominant eigenvalue, so
+    at (or above) that value the terms decay geometrically; summation stops
+    once N consecutive terms fall below ``LEMMA_STOP_INCREMENT`` (zero terms
     can alternate with positive ones up to the longest base-avoiding cycle,
     never longer).
 
@@ -131,31 +135,20 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
     if not 0 < lam < np.inf:
         raise InvalidArgument(
             f"trial eigenvalue must be finite and > 0, got {lam}")
-    n = matrix.n
-    if not 0 <= k < n:
-        raise InvalidArgument(f"base state {k + 1} outside 1..{n}")
+    check_base_state(k, matrix.n)
     # Dividing A and lam by the same power of two leaves every term's bits
-    # as they are; with lam in [1, 2), lam**2 cannot overflow or underflow.
+    # as they are and brings lam into [1, 2) whatever the matrix's scale.
     exponent = int(np.frexp(lam)[1]) - 1
     a = np.ldexp(matrix.entries, -exponent)
     lam = float(np.ldexp(lam, -exponent))
 
-    others = np.arange(n) != k
-    b = a[np.ix_(others, others)]
-    col = a[others, k]
-
-    terms = [float(a[k, k]) / lam]
-    partial = terms[0]
-    if partial > 1.0 + DIVERGENCE_SLACK:
-        raise Divergence(1, partial)
-
-    # v carries row k of A restricted off-k, pre-divided by lam each step,
-    # so term n+2 is simply v @ col after n multiplications by B / lam.
-    v = a[k, others] / lam**2
+    terms = []
+    partial = 0.0
     quiet = 0
-    window = max(int(n), 2)
-    for _ in range(1, LEMMA_MAX_TERMS):
-        term = float(v @ col)
+    window = max(matrix.n, 2)
+    v = a[k] / lam
+    for _ in range(LEMMA_MAX_TERMS):
+        term = float(v[k])
         terms.append(term)
         partial += term
         if partial > 1.0 + DIVERGENCE_SLACK:
@@ -163,13 +156,13 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
         quiet = quiet + 1 if term < LEMMA_STOP_INCREMENT else 0
         if quiet >= window:
             break
-        v = (v @ b) / lam
+        v[k] = 0.0
+        v = (v @ a) / lam
 
     terms_arr = np.asarray(terms)
-    positive = np.nonzero(terms_arr > 0.0)[0]
-    tail_ratio = None
-    if positive.size >= 2:
-        tail_ratio = float(terms_arr[positive[-1]] / terms_arr[positive[-2]])
+    positive = terms_arr[terms_arr > 0.0]
+    tail_ratio = (float(positive[-1] / positive[-2]) if positive.size >= 2
+                  else None)
     partial_sums = np.cumsum(terms_arr)
     terms_arr.flags.writeable = False
     partial_sums.flags.writeable = False

@@ -232,6 +232,26 @@ def estimate_uk(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
     return float(batch.path_count / tally.denominator)
 
 
+def lemma_terms_reference(entries: np.ndarray, k: int, lam: float,
+                          count: int) -> np.ndarray:
+    """The first ``count`` terms of the return-weight series by the
+    recursion on B, the matrix without row and column ``k``.
+
+    Term 0 is ``A[k, k] / lam``; term n >= 1 is ``lam**-(n + 1) *
+    A[k, others] @ B**(n - 1) @ A[others, k]``, found by pushing a row
+    vector through B / lam one step per term.
+    """
+    others = np.arange(entries.shape[0]) != k
+    b = entries[np.ix_(others, others)]
+    col = entries[others, k]
+    terms = [entries[k, k] / lam]
+    v = entries[k, others] / lam**2
+    for _ in range(1, count):
+        terms.append(float(v @ col))
+        v = (v @ b) / lam
+    return np.asarray(terms)
+
+
 def children_by_type(counts: np.ndarray, decomp: RowDecomposition,
                      rng: np.random.Generator,
                      law: str = "poisson") -> np.ndarray:

@@ -13,6 +13,7 @@ from perronmc.errors import (
     InputError,
     InvalidArgument,
     NegativeEntry,
+    NoConvergence,
     ParseError,
     PerronMCError,
     StructuralError,
@@ -68,6 +69,27 @@ def stochastic_csv(tmp_path):
     return str(path)
 
 
+def _count_power_iterations(monkeypatch, fail: bool = False) -> list:
+    """Wrap ``oracle.power_iteration`` in every module of the package that
+    binds the name; the returned list grows by one matrix per call.  With
+    ``fail`` each call raises :class:`NoConvergence` instead of running."""
+    calls = []
+    power_iteration = oracle.power_iteration
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix)
+        if fail:
+            raise NoConvergence(oracle.POWER_MAX_ITER)
+        return power_iteration(matrix, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "perronmc"
+                and getattr(module, "power_iteration", None)
+                is power_iteration):
+            monkeypatch.setattr(module, "power_iteration", counted)
+    return calls
+
+
 class TestParseMatrix:
     def test_json_round_trip(self, matrix_json):
         matrix = parse_matrix(matrix_json)
@@ -106,6 +128,18 @@ class TestParseMatrix:
         assert captured.out == ""
         assert captured.err == ("error: NonFiniteEntry: entry (1, 2) is not "
                                 "finite: inf\n")
+
+    @pytest.mark.parametrize("rows,where", [
+        ("[[true, 2, 3], [4, 5, 6], [7, 8, 9]]", "row 1, field 1"),
+        ("[[1, 2, 3], [4, 5, [6]], [7, 8, 9]]", "row 2, field 3"),
+        ("[[1, 2, 3], [4, 5, 6], [7, 8, true]]", "row 3, field 3"),
+    ])
+    def test_json_non_number_is_named(self, tmp_path, rows, where):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 3, "rows": %s}' % rows)
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(str(path))
+        assert str(exc.value) == f"{path}: {where}: not a number"
 
     @pytest.mark.parametrize("text", [
         '{"n": 2, "rows": [[1, 2], [3, 4]]',
@@ -243,19 +277,7 @@ class TestSubcommands:
 
     def test_gw_sim_runs_power_iteration_once(self, capsys, matrix_json,
                                               monkeypatch):
-        calls = []
-        power_iteration = oracle.power_iteration
-
-        def counted(matrix, *args, **kwargs):
-            calls.append(matrix)
-            return power_iteration(matrix, *args, **kwargs)
-
-        # Every module of the package that binds the name gets the counter.
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "perronmc"
-                    and getattr(module, "power_iteration", None)
-                    is power_iteration):
-                monkeypatch.setattr(module, "power_iteration", counted)
+        calls = _count_power_iterations(monkeypatch)
         assert main(["gw-sim", matrix_json, "--trials", "20",
                      "--horizon", "3"]) == 0
         assert len(calls) == 1
@@ -449,6 +471,24 @@ class TestExitCodes:
         argv = [files.get(a, a) for a in argv]
         assert _exit_code(argv) == 1
         assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["lemma-check", "M", "--base-state", "3"],
+        ["gw-sim", "M", "--trials", "0"],
+        ["gw-sim", "M", "--horizon", "0"],
+        ["gw-sim", "HALF", "--offspring-law", "deterministic"],
+    ])
+    def test_bad_argument_is_refused_before_power_iteration(
+            self, capsys, monkeypatch, tmp_path, matrix_csv, argv):
+        # Power iteration would fail here, so refusing after it would
+        # report exit 3, not the argument's exit 1.
+        half = tmp_path / "half.csv"
+        half.write_text("1.5,1\n1,2\n")
+        files = {"M": matrix_csv, "HALF": str(half)}
+        calls = _count_power_iterations(monkeypatch, fail=True)
+        assert main([files.get(a, a) for a in argv]) == 1
+        assert "error: InvalidArgument: " in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("tol", ["1", "0", "nan"])
     def test_bad_tol_is_refused_before_sampling(self, capsys, monkeypatch,

@@ -16,6 +16,7 @@ from perronmc.errors import (
 from perronmc.gw_app import (
     Population,
     _generation,
+    check_arguments,
     conditioned_proportions,
     run_tree,
     step_generation,
@@ -191,6 +192,24 @@ class TestConditionedProportions:
         with pytest.raises(Subcritical):
             conditioned_proportions(matrix, power_iteration(matrix),
                                     trials=10, horizon=5, seed=0)
+
+    @pytest.mark.parametrize("rows,trials,horizon,law", [
+        (ACCEPTANCE_2X2, 0, 5, "poisson"),
+        (ACCEPTANCE_2X2, 10, 0, "poisson"),
+        # Subcritical as well: the mean is refused first.
+        ([[0.5, 0.25], [0.25, 0.5]], 10, 5, "deterministic"),
+    ])
+    def test_arguments_are_refused_before_the_pair_is_read(self, rows, trials,
+                                                           horizon, law):
+        matrix = validate(rows)
+        with pytest.raises(InvalidArgument):
+            check_arguments(matrix, trials, horizon, law)
+        with pytest.raises(InvalidArgument):
+            conditioned_proportions(matrix, None, trials, horizon, seed=0,
+                                    law=law)
+
+    def test_integer_means_pass_the_check(self):
+        check_arguments(validate(ACCEPTANCE_2X2), 1, 1, "deterministic")
 
     def test_no_survivors(self):
         # Barely supercritical: most trees die fast, three trials suffice.

@@ -20,6 +20,7 @@ from perronmc.oracle import (
 from _support import (
     ACCEPTANCE_2X2,
     closed_form_2x2,
+    lemma_terms_reference,
     random_primitive_matrix,
     random_stochastic_matrix,
     scale,
@@ -139,6 +140,18 @@ class TestLemmaPartialSums:
         np.testing.assert_allclose(series.terms[:m], brute[:m], rtol=1e-12,
                                    atol=1e-15)
         assert all(term < 1e-14 for term in brute[m:])
+
+    @pytest.mark.parametrize("factor", [1.0, 1.3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_terms_match_the_submatrix_recursion(self, seed, factor):
+        rng = np.random.default_rng(1350 + seed)
+        matrix = random_primitive_matrix(rng, n_max=30)
+        lam = factor * power_iteration(matrix).eigenvalue
+        k = int(rng.integers(0, matrix.n))
+        series = lemma_partial_sums(matrix, k, lam)
+        reference = lemma_terms_reference(matrix.entries, k, lam,
+                                          series.terms.shape[0])
+        np.testing.assert_allclose(series.terms, reference, rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_limit_sign_matches_trial_side(self, seed):
