@@ -94,9 +94,9 @@ class RowSampler:
 class SampleBatch:
     """A deterministic batch of first-return excursions from one base state.
 
-    The visit sequences are stored flat (``states``) with one length per
-    kept excursion (``lengths``), ordered by attempt; each starts at the base
-    state.  Truncated attempts are excluded from the arrays but counted.
+    The visit sequences are stored flat (``states``, int32) with one length
+    per kept excursion (``lengths``, int64), ordered by attempt; each starts
+    at the base state.  Truncated attempts are excluded but counted.
     """
 
     states: np.ndarray
@@ -172,40 +172,42 @@ def _walk_block(sampler: RowSampler, k: int, block: int,
 
     All still-active walkers advance together each step, consuming one
     uniform per walker in walker order; this is deterministic for a fixed
-    generator state.  Returns (flat visit states, per-path lengths,
-    truncated count) with truncated attempts removed from the flat arrays.
+    generator state.  Returns (flat int32 visit states, int64 per-path
+    lengths, truncated count) with truncated attempts removed from the flat
+    arrays.  Each step records only its ``keep`` mask and the kept walkers'
+    new states as int32, 5 bytes per visit, and the scatter rebuilds the
+    walker ids by applying the masks in order; the walk itself indexes
+    with intp, so only the stored copy is narrowed.
     """
-    active = np.arange(block, dtype=np.int64)
-    current = np.full(block, k, dtype=np.int64)
+    active = np.arange(block)
+    current = np.full(block, k, dtype=np.intp)
     return_time = np.zeros(block, dtype=np.int64)
-    record = [(active, current)]
+    record = []
 
     step = 0
     while active.size and step < cap:
         step += 1
         u = rng.random(active.size)
         nxt = _step_states(sampler, current, u)
-        returned = nxt == k
-        return_time[active[returned]] = step
-        keep = ~returned
+        keep = nxt != k
+        return_time[active[~keep]] = step
         active = active[keep]
         current = nxt[keep]
-        if active.size:
-            record.append((active, current))
+        record.append((keep, current.astype(np.int32)))
 
-    truncated = active
     kept = return_time > 0
     lengths = return_time[kept]
     # Walker w's path starts after the paths of the kept walkers before it;
     # truncated walkers have return time 0, so they take no room.
     start = np.cumsum(return_time) - return_time
-    states = np.empty(int(lengths.sum()), dtype=np.int64)
-    for t, (walkers, visited) in enumerate(record):
-        if truncated.size:
-            alive = kept[walkers]
-            walkers, visited = walkers[alive], visited[alive]
-        states[start[walkers] + t] = visited
-    return states, lengths, int(truncated.size)
+    states = np.empty(int(lengths.sum()), dtype=np.int32)
+    states[start[kept]] = k
+    walkers = np.arange(block)
+    for t, (keep, visited) in enumerate(record, start=1):
+        walkers = walkers[keep]
+        alive = kept[walkers] if active.size else slice(None)
+        states[start[walkers[alive]] + t] = visited[alive]
+    return states, lengths, int(active.size)
 
 
 def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,

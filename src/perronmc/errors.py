@@ -140,12 +140,12 @@ class TruncationBiasGuard(GuardError):
 
 
 class NoConvergence(GuardError):
-    def __init__(self, iterations: int):
+    def __init__(self, iterations: int, detail: str = ""):
         self.iterations = iterations
-        super().__init__(
+        super().__init__(detail or (
             f"power iteration did not converge within {iterations} iterations; "
             "the spectrum is nearly degenerate"
-        )
+        ))
 
 
 class Divergence(GuardError):

@@ -30,7 +30,9 @@ into the eigenvector tally and the per-shard tallies of the jackknife, and
 holds no batch-sized array.  ``log w_n`` is the running sum of
 ``log(f / lam)`` along the path, restarted at every chunk so that its
 rounding error does not grow with the batch size.  Means of weights use
-the running-maximum log-sum-exp trick.
+the running-maximum log-sum-exp trick.  Both per-visit passes cast each
+chunk's int32 states to intp once, because numpy gathers and ``np.add.at``
+run slower on int32 indices; the copy is chunk-sized.
 """
 
 from __future__ import annotations
@@ -129,7 +131,8 @@ class _PathSums:
         starts = batch.offsets
         log_sums = np.empty(starts.shape[0])
         for p0, p1, v0, v1 in _path_chunks(batch):
-            log_sums[p0:p1] = np.add.reduceat(log_scaled[batch.states[v0:v1]],
+            states = batch.states[v0:v1].astype(np.intp)
+            log_sums[p0:p1] = np.add.reduceat(log_scaled[states],
                                               starts[p0:p1] - v0)
         return cls(exponent, float(scaled.min()), float(scaled.max()),
                    log_sums, batch.lengths.astype(float),
@@ -240,7 +243,7 @@ def _chunk_weights(batch: SampleBatch, fitness: np.ndarray, lam: float
     from the running sum of ``log(f / lam)`` restarted at the chunk."""
     log_ratio = np.log(fitness / lam)
     for p0, p1, v0, v1 in _path_chunks(batch):
-        states = batch.states[v0:v1]
+        states = batch.states[v0:v1].astype(np.intp)
         per_visit = log_ratio[states]
         log_w = np.cumsum(per_visit)
         log_w -= per_visit

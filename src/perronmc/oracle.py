@@ -9,9 +9,9 @@ agreement between the two is meaningful evidence of correctness.
 Their settings are module constants: :func:`power_iteration` stops once
 successive iterates differ by less than ``POWER_TOL`` in L1 and the
 eigen-residual is at most ``POWER_RESIDUAL_TOL * max(1, lam)``, and gives up
-after ``POWER_MAX_ITER`` steps; :func:`lemma_partial_sums` sums at most
-``LEMMA_MAX_TERMS`` terms and stops early once N consecutive terms fall
-below ``LEMMA_STOP_INCREMENT``.
+after ``POWER_MAX_ITER`` steps; :func:`lemma_partial_sums` stops once N
+consecutive terms fall below ``LEMMA_STOP_INCREMENT``, and gives up after
+``LEMMA_MAX_TERMS`` terms.  Giving up raises :class:`NoConvergence`.
 """
 
 from __future__ import annotations
@@ -131,6 +131,7 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
             the message counts states from 1.
         Divergence: partial sums exceeded 1 + 1e-6, meaning ``lam`` is below
             the true eigenvalue.
+        NoConvergence: the stop rule did not fire within LEMMA_MAX_TERMS.
     """
     if not 0 < lam < np.inf:
         raise InvalidArgument(
@@ -158,6 +159,10 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
             break
         v[k] = 0.0
         v = (v @ a) / lam
+    else:
+        raise NoConvergence(LEMMA_MAX_TERMS, (
+            f"the series did not settle within the cap of {LEMMA_MAX_TERMS} "
+            f"terms (partial sum {partial}); its terms decay too slowly"))
 
     terms_arr = np.asarray(terms)
     positive = terms_arr[terms_arr > 0.0]

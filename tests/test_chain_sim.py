@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from perronmc import estimator
 from perronmc.chain_sim import _step_states, build_sampler, mix_seed, sample_batch
 from perronmc.errors import AllTruncated, InvalidArgument
-from perronmc.matrix_core import decompose
+from perronmc.matrix_core import decompose, validate
 
 from _support import (
     CHI2_99,
@@ -287,6 +290,45 @@ class TestSampleBatch:
             assert chi2 < CHI2_99[max(int(positive.sum()) - 1, 1)]
             assert freq[~positive].sum() == 0.0
 
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_peak_memory_per_visit(self, monkeypatch, shards):
+        # Long excursions (mean tau ~ N): about 2M visits, each stored as an
+        # int32 state, recorded during the walk as that state plus a 1-byte
+        # keep mask; int64 records and output took about 24.5 bytes.
+        matrix = validate(
+            np.random.default_rng(100).uniform(0.5, 2.0, (100, 100)).tolist())
+        sampler = build_sampler(decompose(matrix))
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            batch = sample_batch(sampler, 0, count=20_000, seed=3,
+                                 cap=10**6, shards=shards)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        visits = batch.states.shape[0]
+        assert visits > 10**6
+        assert peak <= 12 * visits
+
+        # The estimator casts each chunk's states to intp, so the narrow
+        # dtype changes none of its arithmetic.
+        config = estimator.EstimationConfig(samples=20_000, seed=3,
+                                            shards=shards)
+        narrow = estimator.run_estimation(matrix, config)
+
+        def widened(*args):
+            batch = sample_batch(*args)
+            return dataclasses.replace(batch,
+                                       states=batch.states.astype(np.int64))
+
+        monkeypatch.setattr(estimator, "sample_batch", widened)
+        wide = estimator.run_estimation(matrix, config)
+        for field in dataclasses.fields(narrow):
+            a, b = getattr(narrow, field.name), getattr(wide, field.name)
+            assert (a is None) == (b is None), field.name
+            if a is not None:
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
 
 class TestFrozenStream:
     """The sampler's output is part of every report, so it is frozen here.
@@ -322,7 +364,7 @@ class TestFrozenStream:
         h.update(np.ascontiguousarray(batch.states, dtype="<i8").tobytes())
         h.update(np.ascontiguousarray(batch.lengths, dtype="<i8").tobytes())
         assert h.hexdigest() == digest
-        assert batch.states.dtype == np.int64
+        assert batch.states.dtype == np.int32
         assert batch.lengths.dtype == np.int64
         assert batch.truncated_count == truncated
         assert batch.shard_path_counts.tolist() == per_shard

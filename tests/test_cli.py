@@ -418,6 +418,22 @@ class TestExitCodes:
         assert code == 3
         assert "TruncationBiasGuard" in err
 
+    def test_series_cut_off_at_the_term_cap_is_three(self, capsys,
+                                                    monkeypatch, tmp_path):
+        # lambda = 1.0000001 and the matrix without state 1 has spectral
+        # radius 1, so the terms shrink by a factor of about 1 - 1e-7 per
+        # step and the partial sum is far from 1 when the cap stops it.
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(
+            {"n": 3, "rows": [[0, 1e-7, 0], [0, 0, 1], [1, 0, 1]]}))
+        monkeypatch.setattr(oracle, "LEMMA_MAX_TERMS", 1000)
+        code = main(["lemma-check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: NoConvergence: ")
+        assert "cap of 1000 terms" in captured.err
+
     @pytest.mark.parametrize("law,rows", [
         # Generation 1 stays under the 1e9 ceiling in every type, and
         # generation 2 expects about 9.7e18 children in all, past what
