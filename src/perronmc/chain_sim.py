@@ -24,7 +24,9 @@ Reproducibility contract: :func:`sample_batch` is a pure function of
 ``(kernel, k, count, seed, cap, shards)``.  Attempts are assigned to shards
 in contiguous blocks of ``ceil(count / shards)``; shard ``s`` draws from a
 PCG64 generator whose seed is ``mix_seed(seed, s)``, the SplitMix64 mix
-documented below, so the result does not depend on execution order.
+documented below.  All shards walk together; at each step a shard draws
+one uniform per walker it still has out, in walker order, as it would
+walking alone, so the result does not depend on execution order.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ def _step_states(sampler: RowSampler, current: np.ndarray,
     cum = sampler.cumulative.reshape(-1)
     row = current * n
     pos = row + sampler.guide.reshape(-1)[row + (u * n).astype(np.intp)]
-    todo = np.flatnonzero(cum[pos] <= u)
+    todo = (cum[pos] <= u).nonzero()[0]
     while todo.size:
         p = pos[todo] + 1
         pos[todo] = p
@@ -166,53 +168,16 @@ def _step_states(sampler: RowSampler, current: np.ndarray,
     return pos - row
 
 
-def _walk_block(sampler: RowSampler, k: int, block: int,
-                rng: np.random.Generator, cap: int):
-    """Run ``block`` first-return attempts at once.
-
-    All still-active walkers advance together each step, consuming one
-    uniform per walker in walker order; this is deterministic for a fixed
-    generator state.  Returns (flat int32 visit states, int64 per-path
-    lengths, truncated count) with truncated attempts removed from the flat
-    arrays.  Each step records only its ``keep`` mask and the kept walkers'
-    new states as int32, 5 bytes per visit, and the scatter rebuilds the
-    walker ids by applying the masks in order; the walk itself indexes
-    with intp, so only the stored copy is narrowed.
-    """
-    active = np.arange(block)
-    current = np.full(block, k, dtype=np.intp)
-    return_time = np.zeros(block, dtype=np.int64)
-    record = []
-
-    step = 0
-    while active.size and step < cap:
-        step += 1
-        u = rng.random(active.size)
-        nxt = _step_states(sampler, current, u)
-        keep = nxt != k
-        return_time[active[~keep]] = step
-        active = active[keep]
-        current = nxt[keep]
-        record.append((keep, current.astype(np.int32)))
-
-    kept = return_time > 0
-    lengths = return_time[kept]
-    # Walker w's path starts after the paths of the kept walkers before it;
-    # truncated walkers have return time 0, so they take no room.
-    start = np.cumsum(return_time) - return_time
-    states = np.empty(int(lengths.sum()), dtype=np.int32)
-    states[start[kept]] = k
-    walkers = np.arange(block)
-    for t, (keep, visited) in enumerate(record, start=1):
-        walkers = walkers[keep]
-        alive = kept[walkers] if active.size else slice(None)
-        states[start[walkers[alive]] + t] = visited[alive]
-    return states, lengths, int(active.size)
-
-
 def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
                  cap: int, shards: int) -> SampleBatch:
     """Sample ``count`` excursion attempts, split deterministically by shard.
+
+    All shards walk together, each filling its slice of one uniform buffer,
+    so the walk lasts as long as the longest excursion, or ``cap`` steps.
+    Each step records only its ``keep`` mask and the kept walkers' new
+    states as int32, 5 bytes per visit, and the scatter rebuilds the walker
+    ids by applying the masks in order; the walk itself indexes with intp,
+    so only the stored copy is narrowed.
 
     Args:
         sampler: tables from :func:`build_sampler`.
@@ -232,31 +197,55 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
     check_base_state(k, sampler.n)
 
     block = -(-count // shards)
-    all_states = []
-    all_lengths = []
-    shard_path_counts = np.zeros(shards, dtype=np.int64)
-    truncated_total = 0
-    for s in range(shards):
-        size = min(block, count - s * block)
-        if size <= 0:
-            break
-        rng = np.random.default_rng(mix_seed(seed, s))
-        states, lengths, truncated = _walk_block(sampler, k, size, rng, cap)
-        all_states.append(states)
-        all_lengths.append(lengths)
-        shard_path_counts[s] = lengths.shape[0]
-        truncated_total += truncated
+    # Only the first ceil(count / block) shards hold attempts.
+    edges = np.minimum(np.arange(0, count + block, block), count)
+    rngs = [np.random.default_rng(mix_seed(seed, s))
+            for s in range(edges.size - 1)]
+    active = np.arange(count)
+    current = np.full(count, k, dtype=np.intp)
+    return_time = np.zeros(count, dtype=np.int64)
+    u = np.empty(count)
+    live = list(range(len(rngs)))
+    record = []
 
-    states = np.concatenate(all_states)
-    lengths = np.concatenate(all_lengths)
+    step = 0
+    while active.size and step < cap:
+        step += 1
+        # Shard s's active walkers are active[ends[s]:ends[s + 1]]; a shard
+        # whose walkers have all stopped never has any again.
+        ends = active.searchsorted(edges).tolist()
+        live = [s for s in live if ends[s] < ends[s + 1]]
+        for s in live:
+            rngs[s].random(out=u[ends[s]:ends[s + 1]])
+        nxt = _step_states(sampler, current, u[:active.size])
+        keep = nxt != k
+        return_time[active[~keep]] = step
+        active = active[keep]
+        current = nxt[keep]
+        record.append((keep, current.astype(np.int32)))
+
+    kept = return_time > 0
+    lengths = return_time[kept]
     if lengths.size == 0:
         raise AllTruncated(count, cap)
+    # Walker w's path starts after the paths of the kept walkers before it;
+    # truncated walkers have return time 0, so they take no room.
+    start = np.cumsum(return_time) - return_time
+    states = np.empty(int(lengths.sum()), dtype=np.int32)
+    states[start[kept]] = k
+    walkers = np.arange(count)
+    for t, (keep, visited) in enumerate(record, start=1):
+        walkers = walkers[keep]
+        alive = kept[walkers] if active.size else slice(None)
+        states[start[walkers[alive]] + t] = visited[alive]
+    shard_path_counts = np.bincount(np.flatnonzero(kept) // block,
+                                    minlength=shards)
     states.flags.writeable = False
     lengths.flags.writeable = False
     shard_path_counts.flags.writeable = False
     return SampleBatch(
         states=states,
         lengths=lengths,
-        truncated_count=truncated_total,
+        truncated_count=int(active.size),
         shard_path_counts=shard_path_counts,
     )

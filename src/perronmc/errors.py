@@ -18,6 +18,8 @@ refusal is worded once.
 
 from __future__ import annotations
 
+import math
+
 
 class PerronMCError(Exception):
     """Base class for all library errors."""
@@ -52,6 +54,14 @@ def check_counts(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
             raise InvalidArgument(f"{name} must be >= 1")
+
+
+def check_trial(lam: float) -> None:
+    """Raise :class:`InvalidArgument` unless the trial eigenvalue ``lam`` is
+    finite and > 0."""
+    if not 0 < lam < math.inf:
+        raise InvalidArgument(
+            f"trial eigenvalue must be finite and > 0, got {lam}")
 
 
 def check_base_state(k: int, n: int) -> None:

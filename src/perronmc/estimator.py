@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_sim import SampleBatch, build_sampler, sample_batch
-from .errors import EmptyBatch, InvalidArgument, TruncationBiasGuard
+from .errors import (EmptyBatch, InvalidArgument, TruncationBiasGuard,
+                     check_trial)
 from .matrix_core import NonNegativeMatrix, decompose
 
 __all__ = [
@@ -97,9 +98,7 @@ def _require_trial(batch: SampleBatch, lam: float) -> None:
     """The checks of every function that weighs the batch at a given
     ``lam``: the batch holds paths, and ``lam`` is finite and > 0."""
     _require_paths(batch)
-    if not 0 < lam < np.inf:
-        raise InvalidArgument(
-            f"trial eigenvalue must be finite and > 0, got {lam}")
+    check_trial(lam)
 
 
 @dataclass(frozen=True)

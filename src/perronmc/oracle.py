@@ -9,9 +9,10 @@ agreement between the two is meaningful evidence of correctness.
 Their settings are module constants: :func:`power_iteration` stops once
 successive iterates differ by less than ``POWER_TOL`` in L1 and the
 eigen-residual is at most ``POWER_RESIDUAL_TOL * max(1, lam)``, and gives up
-after ``POWER_MAX_ITER`` steps; :func:`lemma_partial_sums` stops once N
-consecutive terms fall below ``LEMMA_STOP_INCREMENT``, and gives up after
-``LEMMA_MAX_TERMS`` terms.  Giving up raises :class:`NoConvergence`.
+after ``POWER_MAX_ITER`` steps; :func:`lemma_partial_sums` stops once the
+weight still to return is certified below ``LEMMA_STOP_INCREMENT``, and
+gives up after ``LEMMA_MAX_TERMS`` terms.  Giving up raises
+:class:`NoConvergence`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (Divergence, InvalidArgument, NoConvergence,
-                     NotOnSimplex, check_base_state)
+from .errors import (Divergence, NoConvergence, NotOnSimplex,
+                     check_base_state, check_trial)
 from .matrix_core import NonNegativeMatrix, decompose
 
 __all__ = [
@@ -62,9 +63,10 @@ class LemmaSeries:
     ``terms[n]`` is the weight that first returns to the base state k at
     step n + 1: the weights of the paths k -> ... -> k of that length that
     avoid k in between, over lam**(n + 1); ``terms[0]`` is A[k, k] / lam.
-    At the true eigenvalue the partial sums increase to 1.  ``tail_ratio``
-    is the ratio of the last two positive terms, or None when fewer than
-    two terms are positive.
+    At the true eigenvalue the partial sums increase to 1, and the terms
+    left out after the last one sum to at most ``LEMMA_STOP_INCREMENT``.
+    ``tail_ratio`` is the ratio of the last two positive terms, or None
+    when fewer than two terms are positive.
     """
 
     terms: np.ndarray
@@ -119,34 +121,32 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
     One excursion from ``k``, run as a row vector: it starts at row ``k``
     of A / lam, and each step reads its entry at ``k`` as the next term,
     kills that entry, and moves the rest by A / lam, so the cost stays
-    O(LEMMA_MAX_TERMS * N^2) and no matrix power is formed.  The killed
-    chain's spectral radius lies strictly below the dominant eigenvalue, so
-    at (or above) that value the terms decay geometrically; summation stops
-    once N consecutive terms fall below ``LEMMA_STOP_INCREMENT`` (zero terms
-    can alternate with positive ones up to the longest base-avoiding cycle,
-    never longer).
+    O(LEMMA_MAX_TERMS * N^2) and no matrix power is formed.  With ``h``
+    the right Perron vector of A, a kill removes the term times ``h[k]``
+    from ``v @ h`` and a step scales ``v @ h`` by ``rho(A) / lam <= 1`` at
+    or above the dominant eigenvalue, so the terms still to come sum to at
+    most ``(v @ h) / h[k]``; summation stops once that bound, read right
+    after the kill, is at most ``LEMMA_STOP_INCREMENT``.
 
     Raises:
         InvalidArgument: ``lam`` not finite and > 0, or ``k`` not a state;
             the message counts states from 1.
         Divergence: partial sums exceeded 1 + 1e-6, meaning ``lam`` is below
             the true eigenvalue.
-        NoConvergence: the stop rule did not fire within LEMMA_MAX_TERMS.
+        NoConvergence: the tail bound stayed above ``LEMMA_STOP_INCREMENT``
+            for ``LEMMA_MAX_TERMS`` terms, or power iteration did not settle.
     """
-    if not 0 < lam < np.inf:
-        raise InvalidArgument(
-            f"trial eigenvalue must be finite and > 0, got {lam}")
+    check_trial(lam)
     check_base_state(k, matrix.n)
     # Dividing A and lam by the same power of two leaves every term's bits
     # as they are and brings lam into [1, 2) whatever the matrix's scale.
     exponent = int(np.frexp(lam)[1]) - 1
     a = np.ldexp(matrix.entries, -exponent)
     lam = float(np.ldexp(lam, -exponent))
+    h = power_iteration(NonNegativeMatrix(n=matrix.n, entries=a.T)).vector
 
     terms = []
     partial = 0.0
-    quiet = 0
-    window = max(matrix.n, 2)
     v = a[k] / lam
     for _ in range(LEMMA_MAX_TERMS):
         term = float(v[k])
@@ -154,15 +154,15 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
         partial += term
         if partial > 1.0 + DIVERGENCE_SLACK:
             raise Divergence(len(terms), partial)
-        quiet = quiet + 1 if term < LEMMA_STOP_INCREMENT else 0
-        if quiet >= window:
-            break
         v[k] = 0.0
+        if v @ h <= LEMMA_STOP_INCREMENT * h[k]:
+            break
         v = (v @ a) / lam
     else:
         raise NoConvergence(LEMMA_MAX_TERMS, (
             f"the series did not settle within the cap of {LEMMA_MAX_TERMS} "
-            f"terms (partial sum {partial}); its terms decay too slowly"))
+            f"terms (partial sum {partial}); the weight still to return "
+            "decays too slowly"))
 
     terms_arr = np.asarray(terms)
     positive = terms_arr[terms_arr > 0.0]

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from perronmc.chain_sim import SampleBatch
-from perronmc.errors import PerronMCError
+from perronmc.chain_sim import (RowSampler, SampleBatch, _step_states,
+                                mix_seed)
+from perronmc.errors import AllTruncated, PerronMCError
 from perronmc.estimator import _chunk_weights
 from perronmc.matrix_core import NonNegativeMatrix, RowDecomposition, validate
 
@@ -139,6 +140,74 @@ def step_states_reference(kernel: np.ndarray, current: np.ndarray,
     cumulative, last_positive = inverse_cdf_tables(kernel)
     nxt = (cumulative[current] <= u[:, None]).sum(axis=1)
     return np.minimum(nxt, last_positive[current])
+
+
+def _walk_block(sampler: RowSampler, k: int, block: int,
+                rng: np.random.Generator, cap: int):
+    """Run ``block`` first-return attempts at once.
+
+    All still-active walkers advance together each step, consuming one
+    uniform per walker in walker order.  Returns (flat int32 visit states,
+    int64 per-path lengths, truncated count) with truncated attempts
+    removed from the flat arrays.
+    """
+    active = np.arange(block)
+    current = np.full(block, k, dtype=np.intp)
+    return_time = np.zeros(block, dtype=np.int64)
+    record = []
+
+    step = 0
+    while active.size and step < cap:
+        step += 1
+        u = rng.random(active.size)
+        nxt = _step_states(sampler, current, u)
+        keep = nxt != k
+        return_time[active[~keep]] = step
+        active = active[keep]
+        current = nxt[keep]
+        record.append((keep, current.astype(np.int32)))
+
+    kept = return_time > 0
+    lengths = return_time[kept]
+    start = np.cumsum(return_time) - return_time
+    states = np.empty(int(lengths.sum()), dtype=np.int32)
+    states[start[kept]] = k
+    walkers = np.arange(block)
+    for t, (keep, visited) in enumerate(record, start=1):
+        walkers = walkers[keep]
+        alive = kept[walkers] if active.size else slice(None)
+        states[start[walkers[alive]] + t] = visited[alive]
+    return states, lengths, int(active.size)
+
+
+def sample_batch_by_shard(sampler: RowSampler, k: int, count: int, seed: int,
+                          cap: int, shards: int) -> SampleBatch:
+    """The batch walked one shard at a time: shard ``s`` walks its block of
+    ``ceil(count / shards)`` attempts alone, on the generator seeded by
+    ``mix_seed(seed, s)``, and the shards' results are concatenated."""
+    block = -(-count // shards)
+    all_states = []
+    all_lengths = []
+    shard_path_counts = np.zeros(shards, dtype=np.int64)
+    truncated_total = 0
+    for s in range(shards):
+        size = min(block, count - s * block)
+        if size <= 0:
+            break
+        rng = np.random.default_rng(mix_seed(seed, s))
+        states, lengths, truncated = _walk_block(sampler, k, size, rng, cap)
+        all_states.append(states)
+        all_lengths.append(lengths)
+        shard_path_counts[s] = lengths.shape[0]
+        truncated_total += truncated
+
+    states = np.concatenate(all_states)
+    lengths = np.concatenate(all_lengths)
+    if lengths.size == 0:
+        raise AllTruncated(count, cap)
+    return SampleBatch(states=states, lengths=lengths,
+                       truncated_count=truncated_total,
+                       shard_path_counts=shard_path_counts)
 
 
 def excursions(batch: SampleBatch) -> list[Excursion]:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from perronmc import estimator
+from perronmc import chain_sim, estimator
 from perronmc.chain_sim import _step_states, build_sampler, mix_seed, sample_batch
 from perronmc.errors import AllTruncated, InvalidArgument
 from perronmc.matrix_core import decompose, validate
@@ -17,6 +17,7 @@ from _support import (
     excursions,
     inverse_cdf_tables,
     random_primitive_matrix,
+    sample_batch_by_shard,
     sample_excursion,
     step_states_reference,
     unchecked,
@@ -328,6 +329,83 @@ class TestSampleBatch:
             assert (a is None) == (b is None), field.name
             if a is not None:
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _dense_uniform_100():
+    return validate(
+        np.random.default_rng(100).uniform(0.5, 2.0, (100, 100)).tolist())
+
+
+class TestOneWalk:
+    """All shards walk together, and draw what each would draw alone."""
+
+    @pytest.mark.parametrize("rows,count,shards,cap,truncated", [
+        (FAIR, 1_000, 1, 10**6, False),
+        (FAIR, 1_000, 2, 10**6, False),
+        (FAIR, 1_001, 3, 10**6, False),
+        (FAIR, 997, 7, 10**6, False),
+        (FAIR, 1_000, 8, 10**6, False),
+        # Fewer attempts than shards: the last shards hold none.
+        (FAIR, 5, 8, 10**6, False),
+        (FAIR, 1, 3, 10**6, False),
+        ([[0.0, 1.0], [1.0, 500.0]], 2_000, 3, 1_000, True),
+        ([[0.0, 1.0], [1.0, 500.0]], 500, 8, 300, True),
+        ([[2.5]], 100, 7, 10, False),
+        (_skewed_matrix(), 3_000, 7, 10**6, False),
+    ])
+    def test_equals_the_per_shard_walk(self, rows, count, shards, cap,
+                                       truncated):
+        sampler = _sampler_for(rows)
+        for seed in (0, 41):
+            got = sample_batch(sampler, 0, count, seed, cap, shards)
+            ref = sample_batch_by_shard(sampler, 0, count, seed, cap, shards)
+            assert got.states.dtype == ref.states.dtype == np.int32
+            assert got.lengths.dtype == ref.lengths.dtype == np.int64
+            assert got.states.tobytes() == ref.states.tobytes()
+            assert got.lengths.tobytes() == ref.lengths.tobytes()
+            assert got.truncated_count == ref.truncated_count
+            assert (got.truncated_count > 0) == truncated
+            assert got.shard_path_counts.dtype == np.int64
+            assert (got.shard_path_counts.tolist()
+                    == ref.shard_path_counts.tolist())
+
+    @pytest.mark.parametrize("rows,cap", [
+        (_dense_uniform_100, 10**6),
+        (lambda: validate([[0.0, 1.0], [1.0, 500.0]]), 1_000),
+    ])
+    def test_walks_as_long_as_the_longest_excursion(self, monkeypatch, rows,
+                                                    cap):
+        # Walked shard by shard, the 8 shards of the dense 100x100 take
+        # 6,697 steps where the longest of their paths has 1,040.
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return step_states(*args)
+
+        step_states = chain_sim._step_states
+        monkeypatch.setattr(chain_sim, "_step_states", counted)
+        batch = sample_batch(_sampler_for(rows().entries), 0, count=20_000,
+                             seed=3, cap=cap, shards=8)
+        expected = cap if batch.truncated_count else int(batch.lengths.max())
+        assert len(calls) == expected
+
+    def test_generators_only_for_shards_that_hold_attempts(self,
+                                                            monkeypatch):
+        seeds = []
+
+        def counted(seed, index):
+            seeds.append(index)
+            return mix(seed, index)
+
+        mix = chain_sim.mix_seed
+        monkeypatch.setattr(chain_sim, "mix_seed", counted)
+        batch = sample_batch(_sampler_for(FAIR), 0, count=20, seed=5,
+                             cap=10**6, shards=10**6)
+        assert seeds == list(range(20))
+        assert batch.shard_path_counts.shape == (10**6,)
+        assert batch.shard_path_counts[:20].tolist() == [1] * 20
+        assert not batch.shard_path_counts[20:].any()
 
 
 class TestFrozenStream:

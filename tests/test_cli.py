@@ -434,6 +434,22 @@ class TestExitCodes:
         assert captured.err.startswith("error: NoConvergence: ")
         assert "cap of 1000 terms" in captured.err
 
+    def test_series_with_weight_still_out_is_three(self, capsys,
+                                                   monkeypatch, tmp_path):
+        # Every term past the first is about 1e-16, yet the weight held by
+        # state 2 returns over about 1e16 steps, so the series sums to 1:
+        # terms that are all small do not end it, the tail bound does.
+        path = tmp_path / "quiet.json"
+        path.write_text(json.dumps(
+            {"n": 2, "rows": [[0, 1e-8], [1e-8, 1]]}))
+        monkeypatch.setattr(oracle, "LEMMA_MAX_TERMS", 1000)
+        code = main(["lemma-check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: NoConvergence: ")
+        assert "cap of 1000 terms" in captured.err
+
     @pytest.mark.parametrize("law,rows", [
         # Generation 1 stays under the 1e9 ceiling in every type, and
         # generation 2 expects about 9.7e18 children in all, past what

@@ -203,6 +203,19 @@ class TestLemmaPartialSums:
             scaled = lemma_partial_sums(scale(matrix, c), 0, c * lam)
             assert np.array_equal(scaled.terms, base.terms)
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-5])
+    @pytest.mark.parametrize("factor", [1.01, 1.1])
+    def test_left_out_tail_is_below_the_stop_increment(self, eps, factor):
+        # The terms fall below the stop increment long before the weight
+        # held by state 2 has returned; the series sums to
+        # eps**2 / (lam * (lam - 1)) by the geometric series on B = [[1]].
+        matrix = validate([[0.0, eps], [eps, 1.0]])
+        lam = factor * power_iteration(matrix).eigenvalue
+        series = lemma_partial_sums(matrix, 0, lam)
+        assert series.terms.max() < 1e-9
+        left_out = eps**2 / (lam * (lam - 1.0)) - series.partial_sums[-1]
+        assert 0.0 <= left_out <= oracle.LEMMA_STOP_INCREMENT
+
     def test_single_state(self):
         series = lemma_partial_sums(validate([[2.0]]), 0, 2.0)
         assert series.terms[0] == 1.0
