@@ -18,6 +18,16 @@ law each type-i parent has exactly f(i) children, and one multinomial call
 splits every type's children by its row of M; types without parents
 consume no draws.
 
+The trees of a block of at most ``TREE_BLOCK`` grow in lockstep, one
+generation at a time: the block is a ``(trees, N)`` array of counts, the
+arithmetic of a generation runs once for all its live trees, and only the
+draws loop over them, each from the tree's own generator.  A tree draws
+exactly what it would draw grown alone, so the block changes no report.
+Memory is bounded by the block, about ``TREE_BLOCK * N`` counts and
+``TREE_BLOCK`` generators, whatever the number of trees.  The one-tree
+entry points, :func:`step_generation` and :func:`run_tree`, run a block of
+one tree.
+
 A tree ends with :class:`PopulationOverflow` when some type count passes
 ``POPULATION_CEILING``, or when a generation's expected number of children
 passes ``_DRAW_LIMIT``, the most that can be drawn.
@@ -55,6 +65,8 @@ POISSON_SAMPLER = "poisson-total-split"
 # numpy's Poisson sampler refuses a mean above about 9.2234e18, and
 # counts are int64.
 _DRAW_LIMIT = 9.2e18
+# Trees grown together by conditioned_proportions; bounds its memory.
+TREE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -80,37 +92,91 @@ def _whole_means(fitness: np.ndarray, present) -> np.ndarray:
     return per_parent
 
 
+def _step_block(counts: np.ndarray, decomp: RowDecomposition,
+                rngs, law: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One generation of each tree of a block, from the parents ``counts``,
+    a ``(trees, N)`` int64 array, row ``t`` drawing from ``rngs[t]``.
+
+    The arithmetic runs once for the block; only the draws loop over the
+    trees, and each tree's generator sees the calls a tree grown alone
+    makes.  The means are stacked vector-matrix products, which numpy sends
+    to the BLAS routine of a single tree's product, so their bits do not
+    depend on the block.
+
+    Returns:
+        (children as a ``(trees, N)`` int64 array, their totals, and a mask
+        of the trees that overflowed: some type count passes
+        ``POPULATION_CEILING``, or the expected number of children passes
+        ``_DRAW_LIMIT`` and nothing is drawn).
+    """
+    child = np.zeros(counts.shape, dtype=np.int64)
+    if law == "poisson":
+        means = ((counts * decomp.fitness)[:, None, :] @ decomp.kernel)[:, 0, :]
+        mass = means.sum(axis=1)
+        over = mass > _DRAW_LIMIT
+        draw = ~over & (mass > 0.0)
+        if draw.any():
+            split = means[draw] / mass[draw, None]
+            child[draw] = [r.multinomial(r.poisson(m), p) for r, m, p
+                           in zip(rngs[draw], mass[draw].tolist(), split)]
+    elif law == "deterministic":
+        per_parent = _whole_means(decomp.fitness, (counts > 0).any(axis=0))
+        over = (counts[:, None, :] @ per_parent)[:, 0] > _DRAW_LIMIT
+        totals = counts * per_parent.astype(np.int64)
+        # A tree without parents would draw nothing.
+        draw = ~over & totals.any(axis=1)
+        if draw.any():
+            child[draw] = [r.multinomial(t, decomp.kernel).sum(axis=0)
+                           for r, t in zip(rngs[draw], totals[draw])]
+    else:
+        raise InvalidArgument(
+            f"unknown offspring law {law!r}; pick from {OFFSPRING_LAWS}")
+    over |= child.max(axis=1) > POPULATION_CEILING
+    return child, child.sum(axis=1), over
+
+
+def _grow(decomp: RowDecomposition, counts: np.ndarray, horizon: int,
+          rngs, law: str) -> tuple[np.ndarray, np.ndarray]:
+    """Grow each row of ``counts`` for ``horizon`` generations in lockstep,
+    row ``t`` drawing from ``rngs[t]``.
+
+    A tree leaves the block when it dies out, since extinction is
+    absorbing, or when it overflows.
+
+    Returns:
+        (final counts, and the generation at which each tree overflowed,
+        0 for a tree that did not).
+    """
+    counts = counts.copy()
+    rngs = np.array(rngs, dtype=object)
+    overflowed = np.zeros(len(rngs), dtype=np.int64)
+    live = np.arange(len(rngs))
+    for generation in range(1, horizon + 1):
+        if live.size == 0:
+            break
+        child, total, over = _step_block(counts[live], decomp, rngs[live], law)
+        counts[live] = child
+        overflowed[live[over]] = generation
+        live = live[(total > 0) & ~over]
+    return counts, overflowed
+
+
 def _generation(counts: np.ndarray, decomp: RowDecomposition,
                 rng: np.random.Generator, law: str,
                 generation: int) -> tuple[np.ndarray, int]:
     """Per-type offspring counts of the parents ``counts``, as int64, and
-    their total; the children are generation ``generation``.
+    their total; the children are generation ``generation``.  A block of
+    one tree.
 
     Raises:
         PopulationOverflow: some type count passes ``POPULATION_CEILING``,
             or the expected number of children passes ``_DRAW_LIMIT``.
     """
-    if law == "poisson":
-        means = (counts * decomp.fitness) @ decomp.kernel
-        mass = means.sum()
-        if mass > _DRAW_LIMIT:
-            raise PopulationOverflow(generation, POPULATION_CEILING)
-        child = (rng.multinomial(rng.poisson(mass), means / mass) if mass > 0.0
-                 else np.zeros(decomp.n, dtype=np.int64))
-    elif law == "deterministic":
-        per_parent = _whole_means(decomp.fitness, counts > 0)
-        if counts @ per_parent > _DRAW_LIMIT:
-            raise PopulationOverflow(generation, POPULATION_CEILING)
-        totals = counts * per_parent.astype(np.int64)
-        child = rng.multinomial(totals, decomp.kernel).sum(axis=0)
-    else:
-        raise InvalidArgument(
-            f"unknown offspring law {law!r}; pick from {OFFSPRING_LAWS}")
-    total = child.sum()
-    # The largest count never exceeds the total.
-    if total > POPULATION_CEILING and child.max() > POPULATION_CEILING:
+    child, total, over = _step_block(np.asarray(counts)[None], decomp,
+                                     np.array([rng], dtype=object), law)
+    if over[0]:
         raise PopulationOverflow(generation, POPULATION_CEILING)
-    return child, total
+    return child[0], total[0]
 
 
 def step_generation(pop: Population, decomp: RowDecomposition,
@@ -137,28 +203,34 @@ def run_tree(decomp: RowDecomposition, initial: np.ndarray, horizon: int,
 
     Extinction is absorbing, so simulation stops early once every count is
     zero; the tree survived exactly when the counts are not all zero.
-    Deterministic for fixed arguments.
+    Deterministic for fixed arguments; a block of one tree.
 
     Raises:
         PopulationOverflow: as in :func:`step_generation`.
     """
     check_counts(horizon=horizon)
-    rng = np.random.default_rng(seed)
-    counts = np.asarray(initial, dtype=np.int64)
-    for generation in range(1, horizon + 1):
-        counts, total = _generation(counts, decomp, rng, law, generation)
-        if total == 0:
-            break
-    return counts
+    final, overflowed = _grow(decomp, np.asarray(initial, dtype=np.int64)[None],
+                              horizon, [np.random.default_rng(seed)], law)
+    if overflowed[0]:
+        raise PopulationOverflow(int(overflowed[0]), POPULATION_CEILING)
+    return final[0]
+
+
+def _refuse(fitness: np.ndarray, trials: int, horizon: int, law: str) -> None:
+    """The refusals of :func:`check_arguments`, on the row sums ``fitness``."""
+    check_counts(trials=trials, horizon=horizon)
+    if law == "deterministic":  # every tree starts with each type
+        _whole_means(fitness, True)
 
 
 def check_arguments(matrix: NonNegativeMatrix, trials: int, horizon: int,
                     law: str) -> None:
     """Refuse what :func:`conditioned_proportions` refuses without reading
-    its pair, so that a caller can refuse it before power iteration."""
-    check_counts(trials=trials, horizon=horizon)
-    if law == "deterministic":  # every tree starts with each type
-        _whole_means(decompose(matrix).fitness, True)
+    its pair, so that a caller can refuse it before power iteration.
+
+    The row sums are computed as :func:`decompose` computes the fitness,
+    so both refuse the same means."""
+    _refuse(matrix.entries.sum(axis=1), trials, horizon, law)
 
 
 def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
@@ -168,8 +240,13 @@ def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
 
     Each tree starts from one individual of every type and gets its own
     stream seeded by ``mix_seed(seed, tree_index)``, so trees could run in
-    any order or in parallel without changing the result.  Every surviving
-    tree weighs equally.  ``pair`` is the matrix's Perron pair, from
+    any order or in parallel without changing the result.  They grow in
+    blocks of ``TREE_BLOCK`` trees, one generation at a time, so memory
+    does not grow with ``trials``.  A tree that overflows leaves its block;
+    the refusal names the first tree in order that overflowed, before a
+    later block runs, as growing the trees one by one would.  Every
+    surviving tree weighs equally, and its proportions are added in tree
+    order.  ``pair`` is the matrix's Perron pair, from
     :func:`perronmc.oracle.power_iteration`.
 
     Returns:
@@ -178,23 +255,30 @@ def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
     Raises:
         InvalidArgument: as in :func:`check_arguments`.
         Subcritical: the dominant eigenvalue is <= 1.
+        PopulationOverflow: as in :func:`step_generation`, for some tree.
         NoSurvivors: no tree survived to the horizon.
     """
-    check_arguments(matrix, trials, horizon, law)
+    decomp = decompose(matrix)
+    _refuse(decomp.fitness, trials, horizon, law)
     if pair.eigenvalue <= 1.0:
         raise Subcritical(pair.eigenvalue)
 
-    decomp = decompose(matrix)
     n = matrix.n
-    start = np.ones(n, dtype=np.int64)
     summed = np.zeros(n)
     survivors = 0
-    for t in range(trials):
-        counts = run_tree(decomp, start, horizon, mix_seed(seed, t), law=law)
-        total = counts.sum()
-        if total > 0:
-            survivors += 1
-            summed += counts / total
+    for lo in range(0, trials, TREE_BLOCK):
+        hi = min(lo + TREE_BLOCK, trials)
+        rngs = [np.random.default_rng(mix_seed(seed, t)) for t in range(lo, hi)]
+        final, overflowed = _grow(decomp, np.ones((hi - lo, n), dtype=np.int64),
+                                  horizon, rngs, law)
+        if overflowed.any():  # the first tree in order that overflowed
+            raise PopulationOverflow(int(overflowed[overflowed > 0][0]),
+                                     POPULATION_CEILING)
+        total = final.sum(axis=1)
+        alive = total > 0
+        survivors += int(alive.sum())
+        for share in final[alive] / total[alive, None]:  # in tree order
+            summed += share
     if survivors == 0:
         raise NoSurvivors(trials, horizon)
     proportions = summed / survivors

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from perronmc.errors import (
     Subcritical,
 )
 from perronmc.gw_app import (
+    OFFSPRING_LAWS,
     Population,
     _generation,
+    _step_block,
     check_arguments,
     conditioned_proportions,
     run_tree,
@@ -208,6 +211,19 @@ class TestConditionedProportions:
             conditioned_proportions(matrix, None, trials, horizon, seed=0,
                                     law=law)
 
+    def test_a_deterministic_run_decomposes_once(self, tmp_path,
+                                                 monkeypatch):
+        calls = []
+        real = gw_app.decompose
+        monkeypatch.setattr(gw_app, "decompose",
+                            lambda matrix: calls.append(matrix) or real(matrix))
+        (tmp_path / "m.json").write_text(json.dumps({"n": 2,
+                                                     "rows": [[0, 1], [1, 1]]}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["gw-sim", "m.json", "--offspring-law", "deterministic",
+                     "--trials", "5", "--horizon", "3"]) == 0
+        assert len(calls) == 1
+
     def test_integer_means_pass_the_check(self):
         check_arguments(validate(ACCEPTANCE_2X2), 1, 1, "deterministic")
 
@@ -226,6 +242,139 @@ class TestConditionedProportions:
         b = conditioned_proportions(matrix, pair, trials=100, horizon=6, seed=34)
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1]
+
+
+def _per_tree(counts, decomp, rng, law):
+    """One tree's children in the one-dimensional arithmetic of a tree grown
+    alone: the form the block step must reproduce bit for bit."""
+    if law == "poisson":
+        means = (counts * decomp.fitness) @ decomp.kernel
+        mass = means.sum()
+        if mass == 0.0:
+            return np.zeros(decomp.n, dtype=np.int64)
+        return rng.multinomial(rng.poisson(mass), means / mass)
+    totals = counts * np.round(decomp.fitness).astype(np.int64)
+    if not totals.any():  # such a call would draw nothing
+        return np.zeros(decomp.n, dtype=np.int64)
+    return rng.multinomial(totals, decomp.kernel).sum(axis=0)
+
+
+class _Recording:
+    """A generator that records the arguments of every draw, bit for bit."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def poisson(self, lam):
+        self.calls.append(("poisson", np.float64(lam).tobytes()))
+        return self.rng.poisson(lam)
+
+    def multinomial(self, n, pvals):
+        self.calls.append(("multinomial", np.asarray(n).tobytes(),
+                           np.asarray(pvals).tobytes()))
+        return self.rng.multinomial(n, pvals)
+
+
+class TestBlockStep:
+    """Trees grown together in a block draw what each draws alone."""
+
+    @staticmethod
+    def _block(law, n, trees):
+        rng = np.random.default_rng([n, trees, OFFSPRING_LAWS.index(law)])
+        if law == "poisson":
+            entries = rng.uniform(0.0, 2.0, (n, n))
+        else:  # integer row sums; zeros leave types without parents
+            entries = rng.integers(0, 2, (n, n)).astype(float)
+            entries[:, 0] += 1.0
+        counts = rng.integers(0, 4, (trees, n))
+        counts[::3] = 0  # extinct trees
+        if n > 1:
+            counts[1::3, 0] = 0  # a live tree with a type without parents
+            counts[1::3, 1] = 1
+        return decompose(unchecked(entries)), counts
+
+    @pytest.mark.parametrize("trees", [1, 2, 1023, 1025])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 17, 100])
+    @pytest.mark.parametrize("law", OFFSPRING_LAWS)
+    def test_rows_match_one_tree_calls(self, law, n, trees):
+        # Each generator must see the calls, arguments to the last bit, of
+        # a tree grown alone; equal draws alone would rarely show a mean off
+        # by one ulp.
+        decomp, counts = self._block(law, n, trees)
+        seeds = [mix_seed(70 + n, t) for t in range(trees)]
+        rngs = np.array([_Recording(s) for s in seeds], dtype=object)
+        child, total, over = _step_block(counts, decomp, rngs, law)
+        assert child.shape == counts.shape and child.dtype == np.int64
+        assert not over.any()
+        for t, seed in enumerate(seeds):
+            alone, reference = _Recording(seed), _Recording(seed)
+            row, row_total = _generation(counts[t], decomp, alone, law, 1)
+            np.testing.assert_array_equal(child[t], row)
+            np.testing.assert_array_equal(
+                row, _per_tree(counts[t], decomp, reference, law))
+            assert total[t] == row_total
+            assert rngs[t].calls == alone.calls == reference.calls
+            assert (rngs[t].rng.bit_generator.state
+                    == alone.rng.bit_generator.state)
+        assert not child[::3].any()
+
+    @pytest.mark.parametrize("block", [gw_app.TREE_BLOCK, 4])
+    def test_refusal_names_the_first_tree_that_overflows(self, block,
+                                                         monkeypatch):
+        # Type 2 grows 2.5-fold a generation, so trees pass the ceiling 100
+        # at different generations.  At this seed tree 0
+        # overflows at generation 6, tree 1 at 5 and tree 6 at 4: a block
+        # that stopped at its earliest overflow would name generation 4.
+        monkeypatch.setattr(gw_app, "POPULATION_CEILING", 100)
+        monkeypatch.setattr(gw_app, "TREE_BLOCK", block)
+        matrix = validate([[0.2, 0.2], [0.2, 2.5]])
+        decomp, trials, horizon, seed = decompose(matrix), 10, 12, 3
+        generations = []
+        for t in range(trials):
+            with pytest.raises(PopulationOverflow) as exc:
+                run_tree(decomp, [1, 1], horizon, mix_seed(seed, t))
+            generations.append(exc.value.generation)
+        assert generations[0] > min(generations[1:])
+        with pytest.raises(PopulationOverflow) as exc:
+            conditioned_proportions(matrix, power_iteration(matrix), trials,
+                                    horizon, seed)
+        assert exc.value.generation == generations[0] == 6
+
+    @pytest.mark.parametrize("law", OFFSPRING_LAWS)
+    def test_blocks_sum_in_tree_order(self, law, monkeypatch):
+        # The same sum as growing the trees one by one, whatever the block.
+        matrix = validate([[0, 1], [1, 1]])
+        pair = power_iteration(matrix)
+        decomp = decompose(matrix)
+        trials, horizon, seed = 40, 9, 8
+        summed, survivors = np.zeros(2), 0
+        for t in range(trials):
+            counts = run_tree(decomp, [1, 1], horizon, mix_seed(seed, t), law)
+            if counts.sum() > 0:
+                survivors += 1
+                summed += counts / counts.sum()
+        if law == "poisson":
+            assert 0 < survivors < trials  # some trees die out
+        for block in (1, 7, gw_app.TREE_BLOCK):
+            monkeypatch.setattr(gw_app, "TREE_BLOCK", block)
+            props, alive = conditioned_proportions(matrix, pair, trials,
+                                                   horizon, seed, law=law)
+            np.testing.assert_array_equal(props, summed / survivors)
+            assert alive == survivors
+
+    def test_memory_does_not_grow_with_trees(self):
+        matrix = validate(ACCEPTANCE_2X2)
+        pair = power_iteration(matrix)
+        peaks = []
+        for trials in (2 * gw_app.TREE_BLOCK, 10_000):
+            tracemalloc.start()
+            try:
+                conditioned_proportions(matrix, pair, trials, horizon=2, seed=9)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
 
 
 class TestOffspringLaw:
@@ -345,3 +494,61 @@ class TestFrozenDeterministicStream:
                      *flags]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Each row is a rotation of this dyadic vector, so every row sum is exactly
+# 3 and the dominant eigenvalue is 3; the rotations repeat, so the column
+# sums differ and the proportions are not uniform.
+_LAMBDA3_ROW = [0.75, 0.5, 0.375, 0.25, 0.25, 0.25, 0.25, 0.125, 0.125, 0.125]
+
+
+class TestFrozenPoissonStream:
+    """``gw-sim`` stdout under the default Poisson law, pinned by sha256.
+
+    The ``gw_sampler`` tag names this law's stream; these digests pin it,
+    so a change that keeps the tag must keep every report.  The runs of
+    more than 1,024 trees cross a block of trees.  The near-critical 2x2
+    (eigenvalue about 1.076) loses most of its trees.
+    """
+
+    CASES = {
+        "readme-2x2": (
+            [[1, 2], [3, 4]],
+            ["--trials", "2000", "--horizon", "10", "--seed", "1"],
+            "d5bc5e44d9dad4b2bb2cfed3fa8b3f48d5bd7009d8f739e4920a86e7067c99ae"),
+        "lambda3-10x10": (
+            [[_LAMBDA3_ROW[(j + i * i) % 10] for j in range(10)]
+             for i in range(10)],
+            ["--trials", "300", "--horizon", "8", "--seed", "2"],
+            "8af913c69f72ffe12a67e1f79f5817b0f9b1baa97815a4d3b794cd0c61e85058"),
+        "near-critical-2x2": (
+            [[0.75, 0.5], [0.375, 0.5]],
+            ["--trials", "1500", "--horizon", "12", "--seed", "4"],
+            "808f5f8697c9bfe9d91b6dc884656e69fbf65372d1f91e03f1bd58ed4f8d709e"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_report_is_frozen(self, name, tmp_path, monkeypatch, capsys):
+        rows, flags, digest = self.CASES[name]
+        (tmp_path / "m.json").write_text(json.dumps({"n": len(rows),
+                                                     "rows": rows}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["gw-sim", "m.json", *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_overflow_refusal_is_frozen(self, tmp_path, monkeypatch, capsys):
+        # Type 2 grows about 63-fold a generation, so a tree passes the
+        # ceiling 10**9 at generation 5 or 6.  At this seed tree 0 passes it
+        # at generation 6 and tree 1 at generation 5; the refusal names
+        # tree 0's, the first tree in order that overflows.
+        (tmp_path / "m.json").write_text(json.dumps(
+            {"n": 2, "rows": [[0.5, 0.5], [0.5, 63]]}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["gw-sim", "m.json", "--trials", "8", "--horizon", "8",
+                     "--seed", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: PopulationOverflow: population "
+                                "exceeded the ceiling 1000000000 at "
+                                "generation 6\n")
