@@ -22,17 +22,21 @@ draws.
 
 Reproducibility contract: :func:`sample_batch` is a pure function of
 ``(kernel, k, count, seed, cap, shards)``.  Attempts are assigned to shards
-in contiguous blocks of ``ceil(count / shards)``; shard ``s`` draws from a
-PCG64 generator whose seed is ``mix_seed(seed, s)``, the SplitMix64 mix
-documented below.  All shards walk together; at each step a shard draws
-one uniform per walker it still has out, in walker order, as it would
-walking alone, so the result does not depend on execution order.
+in contiguous blocks of ``ceil(count / shards)``; shard ``s`` draws from
+stream ``s`` of ``seed``: the generator ``np.random.default_rng`` builds
+from ``mix_seed(seed, s)``, the SplitMix64 mix documented below.
+:func:`_streams` builds the streams of a range of indices bit for bit,
+hashing their seeds as numpy's SeedSequence does in one vector pass
+instead of one seed at a time; the branching simulator seeds its trees
+with it too.  All shards walk together; at each step a shard draws one
+uniform per walker it still has out, in walker order, as it would walking
+alone, so the result does not depend on execution order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -48,6 +52,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = 0xFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
@@ -64,6 +69,114 @@ def mix_seed(seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _mix_seeds(seed: int, lo: int, hi: int) -> np.ndarray:
+    """``mix_seed(seed, t)`` for ``t`` in ``[lo, hi)``, as uint64.
+
+    Every constant is a numpy scalar of the array's dtype, so the arithmetic
+    wraps mod 2**64 under both numpy 1.x's and NEP 50's promotion rules.
+    """
+    z = (np.uint64(seed & _MASK64)
+         + np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
+    return z ^ (z >> np.uint64(31))
+
+
+def _hash_constants(init: int, mult: int, calls: int):
+    """The constants of ``calls`` successive calls of numpy's SeedSequence
+    hash: call ``i`` xors its word with ``init * mult**i`` and multiplies
+    it by ``init * mult**(i + 1)``, mod 2**32.  Returned as two uint64
+    columns, one row per call."""
+    steps = [init * pow(mult, i, 1 << 32) & _MASK32 for i in range(calls + 1)]
+    return (np.array(steps[:-1], dtype=np.uint64)[:, None],
+            np.array(steps[1:], dtype=np.uint64)[:, None])
+
+
+# numpy's SeedSequence: its pool of 4 words, filled and mixed by 16 hash
+# calls, then 8 calls that draw 8 32-bit words from it.
+_POOL = 4
+_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+
+
+def _hash(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of 32-bit words held in uint64, one call per row.
+
+    Only uint64 arithmetic runs, masked to 32 bits after the product, and
+    every constant is a uint64 array or scalar, so it wraps alike under
+    numpy 1.x's and NEP 50's promotion rules.
+    """
+    value = ((value ^ xor) * mul) & np.uint64(_MASK32)
+    return value ^ (value >> np.uint64(16))
+
+
+def _seed_words(z: np.ndarray) -> np.ndarray:
+    """Row ``t`` is ``SeedSequence(int(z[t])).generate_state(4, np.uint64)``,
+    for a uint64 array ``z``, hashed for all seeds at once.
+
+    The entropy of a seed is its low and high 32-bit words; a seed below
+    2**32 has one word, and SeedSequence fills the pool past the entropy
+    with the hash of 0, so its high word 0 hashes the same.  The rows are
+    C-contiguous, since PCG64 reads a row's memory directly.
+    """
+    pool = np.zeros((_POOL, z.size), dtype=np.uint64)
+    pool[0] = z & np.uint64(_MASK32)
+    pool[1] = z >> np.uint64(32)
+    pool = _hash(pool, _POOL_XOR[:_POOL], _POOL_MUL[:_POOL])
+    # Each word is mixed into every other word in turn, so late words
+    # affect earlier ones.  While word src is mixed in it does not change,
+    # so its three hashes, one per other word, are taken at once.
+    for src in range(_POOL):
+        call = _POOL + (_POOL - 1) * src
+        hashed = _hash(pool[src], _POOL_XOR[call:call + _POOL - 1],
+                       _POOL_MUL[call:call + _POOL - 1])
+        dst = [i for i in range(_POOL) if i != src]
+        mixed = (_MIX_L * pool[dst] - _MIX_R * hashed) & np.uint64(_MASK32)
+        pool[dst] = mixed ^ (mixed >> np.uint64(16))
+    # Eight 32-bit words from the pool in cycle, paired little-endian with
+    # | and <<, not a view, so the result does not depend on the host's
+    # byte order.
+    half = _hash(np.tile(pool, (2, 1)), _STATE_XOR, _STATE_MUL)
+    words = half[0::2] | (half[1::2] << np.uint64(32))
+    return np.ascontiguousarray(words.T)
+
+
+@cache
+def _row_seed_sequence() -> type:
+    """A seed sequence whose state is one row of :func:`_seed_words`.
+
+    Defined on first use, so that importing the package does not load
+    ``numpy.random``, and once, so that every stream shares the class.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowSeedSequence(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for exactly these four uint64 words.
+            return self.words
+
+    return RowSeedSequence
+
+
+def _streams(seed: int, lo: int, hi: int) -> list:
+    """The generators ``np.random.default_rng(mix_seed(seed, t))`` for ``t``
+    in ``[lo, hi)``, bit for bit.
+
+    The seeds are mixed and hashed in one vector pass (:func:`_seed_words`);
+    each row then seeds ``PCG64``, which sets its state from the row as it
+    does from numpy's own SeedSequence.
+    """
+    from numpy.random import PCG64, Generator
+
+    row_seed = _row_seed_sequence()
+    return [Generator(PCG64(row_seed(row)))
+            for row in _seed_words(_mix_seeds(seed, lo, hi))]
 
 
 @dataclass(frozen=True)
@@ -199,8 +312,7 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
     block = -(-count // shards)
     # Only the first ceil(count / block) shards hold attempts.
     edges = np.minimum(np.arange(0, count + block, block), count)
-    rngs = [np.random.default_rng(mix_seed(seed, s))
-            for s in range(edges.size - 1)]
+    rngs = _streams(seed, 0, edges.size - 1)
     active = np.arange(count)
     current = np.full(count, k, dtype=np.intp)
     return_time = np.zeros(count, dtype=np.int64)

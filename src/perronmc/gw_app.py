@@ -21,12 +21,15 @@ consume no draws.
 The trees of a block of at most ``TREE_BLOCK`` grow in lockstep, one
 generation at a time: the block is a ``(trees, N)`` array of counts, the
 arithmetic of a generation runs once for all its live trees, and only the
-draws loop over them, each from the tree's own generator.  A tree draws
-exactly what it would draw grown alone, so the block changes no report.
-Memory is bounded by the block, about ``TREE_BLOCK * N`` counts and
-``TREE_BLOCK`` generators, whatever the number of trees.  The one-tree
-entry points, :func:`step_generation` and :func:`run_tree`, run a block of
-one tree.
+draws loop over them, each from the tree's own generator.  Tree ``t``
+draws from stream ``t`` of the seed, ``default_rng(mix_seed(seed, t))``;
+a block's generators are built together by ``chain_sim._streams``, which
+hashes their seeds in one vector pass and gives each tree the stream it
+has always had.  A tree draws exactly what it would draw grown alone, so
+the block changes no report.  Memory is bounded by the block, about
+``TREE_BLOCK * N`` counts and ``TREE_BLOCK`` generators, whatever the
+number of trees.  The one-tree entry points, :func:`step_generation` and
+:func:`run_tree`, run a block of one tree.
 
 A tree ends with :class:`PopulationOverflow` when some type count passes
 ``POPULATION_CEILING``, or when a generation's expected number of children
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_sim import mix_seed
+from .chain_sim import _streams
 from .errors import (InvalidArgument, NoSurvivors, PopulationOverflow,
                      Subcritical, check_counts)
 from .matrix_core import NonNegativeMatrix, RowDecomposition, decompose
@@ -239,8 +242,10 @@ def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
     """Average type proportions over trees that survive to the horizon.
 
     Each tree starts from one individual of every type and gets its own
-    stream seeded by ``mix_seed(seed, tree_index)``, so trees could run in
-    any order or in parallel without changing the result.  They grow in
+    stream, ``np.random.default_rng(mix_seed(seed, tree_index))``, so trees
+    could run in any order or in parallel without changing the result.  A
+    block's streams are seeded together by ``chain_sim._streams``, bit for
+    bit the generators seeded one tree at a time.  They grow in
     blocks of ``TREE_BLOCK`` trees, one generation at a time, so memory
     does not grow with ``trials``.  A tree that overflows leaves its block;
     the refusal names the first tree in order that overflowed, before a
@@ -268,7 +273,7 @@ def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
     survivors = 0
     for lo in range(0, trials, TREE_BLOCK):
         hi = min(lo + TREE_BLOCK, trials)
-        rngs = [np.random.default_rng(mix_seed(seed, t)) for t in range(lo, hi)]
+        rngs = _streams(seed, lo, hi)
         final, overflowed = _grow(decomp, np.ones((hi - lo, n), dtype=np.int64),
                                   horizon, rngs, law)
         if overflowed.any():  # the first tree in order that overflowed

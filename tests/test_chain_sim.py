@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +65,59 @@ class TestMixSeed:
     def test_distinct_streams(self):
         seen = {mix_seed(s, i) for s in range(8) for i in range(8)}
         assert len(seen) == 64
+
+
+class TestStreams:
+    """``_streams`` re-implements the seeding of ``np.random.default_rng``:
+    numpy's SeedSequence hash, vectorised over the streams of a block.  The
+    reference is numpy itself, so a numpy release that changes SeedSequence
+    fails here first."""
+
+    REFERENCE = ("numpy's SeedSequence/default_rng is the reference; "
+                 "_seed_words re-implements its hash")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63,
+                                      2**64 - 1, -(2**40) - 7, 2**64 + 12345])
+    @pytest.mark.parametrize("lo", [0, 1023, 1024, 10**6])
+    def test_matches_default_rng(self, seed, lo):
+        hi = lo + 24
+        mixed = chain_sim._mix_seeds(seed, lo, hi)
+        words = chain_sim._seed_words(mixed)
+        rngs = chain_sim._streams(seed, lo, hi)
+        assert mixed.dtype == np.uint64 and words.shape == (hi - lo, 4)
+        assert len(rngs) == hi - lo
+        for t, m, w, rng in zip(range(lo, hi), mixed.tolist(), words, rngs):
+            assert m == mix_seed(seed, t)
+            expected = np.random.SeedSequence(m).generate_state(4, np.uint64)
+            assert w.tolist() == expected.tolist(), (
+                f"seed words of stream {t} differ: {self.REFERENCE}")
+            assert (rng.bit_generator.state
+                    == np.random.default_rng(m).bit_generator.state), (
+                f"PCG64 state of stream {t} differs: {self.REFERENCE}")
+
+    def test_streams_draw_the_reference_sequence(self):
+        for t, rng in enumerate(chain_sim._streams(3, 0, 4)):
+            ref = np.random.default_rng(mix_seed(3, t))
+            np.testing.assert_array_equal(rng.random(5), ref.random(5))
+            assert rng.poisson(7.5) == ref.poisson(7.5)
+
+    def test_empty_range(self):
+        assert chain_sim._streams(9, 5, 5) == []
+
+    def test_package_import_leaves_numpy_random_unloaded(self):
+        # _streams imports numpy.random when called, so that importing the
+        # CLI does not pay for it.  numpy 1.x loads numpy.random with numpy
+        # itself; what is checked is that perronmc.cli adds none of it.
+        src = str(Path(chain_sim.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy\n"
+                "def loaded():\n"
+                "    return {m for m in sys.modules\n"
+                "            if m.startswith('numpy.random')}\n"
+                "before = loaded(); import perronmc.cli\n"
+                "print(sorted(loaded() - before))")
+        done = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 def _assert_sentinel_rows(sampler, kernel):
@@ -394,12 +450,12 @@ class TestOneWalk:
                                                             monkeypatch):
         seeds = []
 
-        def counted(seed, index):
-            seeds.append(index)
-            return mix(seed, index)
+        def counted(seed, lo, hi):
+            seeds.extend(range(lo, hi))
+            return streams(seed, lo, hi)
 
-        mix = chain_sim.mix_seed
-        monkeypatch.setattr(chain_sim, "mix_seed", counted)
+        streams = chain_sim._streams
+        monkeypatch.setattr(chain_sim, "_streams", counted)
         batch = sample_batch(_sampler_for(FAIR), 0, count=20, seed=5,
                              cap=10**6, shards=10**6)
         assert seeds == list(range(20))
