@@ -159,11 +159,11 @@ class NoConvergence(GuardError):
 
 
 class Divergence(GuardError):
-    def __init__(self, term_index: int, partial_sum: float):
+    def __init__(self, term_index: int, partial_sum: float, slack: float):
         self.term_index = term_index
         self.partial_sum = partial_sum
         super().__init__(
-            f"partial sums exceeded 1 + 1e-6 at term {term_index} "
+            f"partial sums exceeded 1 + {slack:g} at term {term_index} "
             f"(sum={partial_sum}); the trial eigenvalue is below the true one"
         )
 

@@ -28,8 +28,8 @@ hashes their seeds in one vector pass and gives each tree the stream it
 has always had.  A tree draws exactly what it would draw grown alone, so
 the block changes no report.  Memory is bounded by the block, about
 ``TREE_BLOCK * N`` counts and ``TREE_BLOCK`` generators, whatever the
-number of trees.  The one-tree entry points, :func:`step_generation` and
-:func:`run_tree`, run a block of one tree.
+number of trees.  :func:`step_generation`, which advances one population
+by one generation, runs a block of one tree.
 
 A tree ends with :class:`PopulationOverflow` when some type count passes
 ``POPULATION_CEILING``, or when a generation's expected number of children
@@ -51,7 +51,6 @@ from .oracle import PerronPair
 __all__ = [
     "Population",
     "step_generation",
-    "run_tree",
     "check_arguments",
     "conditioned_proportions",
 ]
@@ -95,6 +94,10 @@ def _whole_means(fitness: np.ndarray, present) -> np.ndarray:
     return per_parent
 
 
+# A product past the float range leaves an inf mass, or a NaN one where it
+# meets a zero kernel entry: neither is <= _DRAW_LIMIT, so both overflow,
+# and numpy need not warn of them.
+@np.errstate(over="ignore", invalid="ignore")
 def _step_block(counts: np.ndarray, decomp: RowDecomposition,
                 rngs, law: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One generation of each tree of a block, from the parents ``counts``,
@@ -116,7 +119,7 @@ def _step_block(counts: np.ndarray, decomp: RowDecomposition,
     if law == "poisson":
         means = ((counts * decomp.fitness)[:, None, :] @ decomp.kernel)[:, 0, :]
         mass = means.sum(axis=1)
-        over = mass > _DRAW_LIMIT
+        over = ~(mass <= _DRAW_LIMIT)
         draw = ~over & (mass > 0.0)
         if draw.any():
             split = means[draw] / mass[draw, None]
@@ -125,7 +128,9 @@ def _step_block(counts: np.ndarray, decomp: RowDecomposition,
     elif law == "deterministic":
         per_parent = _whole_means(decomp.fitness, (counts > 0).any(axis=0))
         over = (counts[:, None, :] @ per_parent)[:, 0] > _DRAW_LIMIT
-        totals = counts * per_parent.astype(np.int64)
+        # Only trees that overflow have parents whose mean passes the limit,
+        # so capping it leaves every total that is drawn as it was.
+        totals = counts * np.minimum(per_parent, _DRAW_LIMIT).astype(np.int64)
         # A tree without parents would draw nothing.
         draw = ~over & totals.any(axis=1)
         if draw.any():
@@ -164,28 +169,11 @@ def _grow(decomp: RowDecomposition, counts: np.ndarray, horizon: int,
     return counts, overflowed
 
 
-def _generation(counts: np.ndarray, decomp: RowDecomposition,
-                rng: np.random.Generator, law: str,
-                generation: int) -> tuple[np.ndarray, int]:
-    """Per-type offspring counts of the parents ``counts``, as int64, and
-    their total; the children are generation ``generation``.  A block of
-    one tree.
-
-    Raises:
-        PopulationOverflow: some type count passes ``POPULATION_CEILING``,
-            or the expected number of children passes ``_DRAW_LIMIT``.
-    """
-    child, total, over = _step_block(np.asarray(counts)[None], decomp,
-                                     np.array([rng], dtype=object), law)
-    if over[0]:
-        raise PopulationOverflow(generation, POPULATION_CEILING)
-    return child[0], total[0]
-
-
 def step_generation(pop: Population, decomp: RowDecomposition,
                     rng: np.random.Generator,
                     law: str = DEFAULT_LAW) -> Population:
-    """Advance the population by one generation, as :func:`run_tree` does.
+    """Advance the population by one generation, drawing from ``rng`` what
+    a tree of :func:`conditioned_proportions` draws; a block of one tree.
 
     Raises:
         PopulationOverflow: some type count would exceed
@@ -193,37 +181,13 @@ def step_generation(pop: Population, decomp: RowDecomposition,
             expected number of children passes what a 64-bit count can hold.
     """
     generation = pop.generation + 1
-    child, _ = _generation(pop.counts, decomp, rng, law, generation)
+    child, _, over = _step_block(np.asarray(pop.counts)[None], decomp,
+                                 np.array([rng], dtype=object), law)
+    if over[0]:
+        raise PopulationOverflow(generation, POPULATION_CEILING)
+    child = child[0]
     child.flags.writeable = False
     return Population(counts=child, generation=generation)
-
-
-def run_tree(decomp: RowDecomposition, initial: np.ndarray, horizon: int,
-             seed: int, law: str = DEFAULT_LAW) -> np.ndarray:
-    """Simulate one tree of the process with mean matrix ``decomp`` from
-    the per-type counts ``initial`` for ``horizon`` generations and return
-    its final per-type counts.
-
-    Extinction is absorbing, so simulation stops early once every count is
-    zero; the tree survived exactly when the counts are not all zero.
-    Deterministic for fixed arguments; a block of one tree.
-
-    Raises:
-        PopulationOverflow: as in :func:`step_generation`.
-    """
-    check_counts(horizon=horizon)
-    final, overflowed = _grow(decomp, np.asarray(initial, dtype=np.int64)[None],
-                              horizon, [np.random.default_rng(seed)], law)
-    if overflowed[0]:
-        raise PopulationOverflow(int(overflowed[0]), POPULATION_CEILING)
-    return final[0]
-
-
-def _refuse(fitness: np.ndarray, trials: int, horizon: int, law: str) -> None:
-    """The refusals of :func:`check_arguments`, on the row sums ``fitness``."""
-    check_counts(trials=trials, horizon=horizon)
-    if law == "deterministic":  # every tree starts with each type
-        _whole_means(fitness, True)
 
 
 def check_arguments(matrix: NonNegativeMatrix, trials: int, horizon: int,
@@ -233,7 +197,9 @@ def check_arguments(matrix: NonNegativeMatrix, trials: int, horizon: int,
 
     The row sums are computed as :func:`decompose` computes the fitness,
     so both refuse the same means."""
-    _refuse(matrix.entries.sum(axis=1), trials, horizon, law)
+    check_counts(trials=trials, horizon=horizon)
+    if law == "deterministic":  # every tree starts with each type
+        _whole_means(matrix.entries.sum(axis=1), True)
 
 
 def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
@@ -263,8 +229,8 @@ def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
         PopulationOverflow: as in :func:`step_generation`, for some tree.
         NoSurvivors: no tree survived to the horizon.
     """
+    check_arguments(matrix, trials, horizon, law)
     decomp = decompose(matrix)
-    _refuse(decomp.fitness, trials, horizon, law)
     if pair.eigenvalue <= 1.0:
         raise Subcritical(pair.eigenvalue)
 

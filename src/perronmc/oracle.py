@@ -17,6 +17,7 @@ gives up after ``LEMMA_MAX_TERMS`` terms.  Giving up raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,8 @@ class LemmaSeries:
     At the true eigenvalue the partial sums increase to 1, and the terms
     left out after the last one sum to at most ``LEMMA_STOP_INCREMENT``.
     ``tail_ratio`` is the ratio of the last two positive terms, or None
-    when fewer than two terms are positive.
+    when fewer than two terms are positive or the ratio passes the float
+    range.
     """
 
     terms: np.ndarray
@@ -93,7 +95,8 @@ def power_iteration(matrix: NonNegativeMatrix) -> PerronPair:
 
     Raises:
         NoConvergence: iterate did not settle within ``POWER_MAX_ITER`` steps
-            (signals a nearly degenerate spectrum).
+            (signals a nearly degenerate spectrum), or its sum underflowed
+            to zero (entries too close to the smallest float).
     """
     a = matrix.entries
     n = matrix.n
@@ -102,6 +105,10 @@ def power_iteration(matrix: NonNegativeMatrix) -> PerronPair:
     for it in range(1, POWER_MAX_ITER + 1):
         w = v @ a
         lam = float(w.sum())
+        if not 0.0 < lam < math.inf:
+            raise NoConvergence(it, (
+                f"power iteration underflowed: iterate {it} sums to {lam}; "
+                "the entries are too small to iterate"))
         w = w / lam
         diff = float(np.abs(w - v).sum())
         v = w
@@ -131,8 +138,8 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
     Raises:
         InvalidArgument: ``lam`` not finite and > 0, or ``k`` not a state;
             the message counts states from 1.
-        Divergence: partial sums exceeded 1 + 1e-6, meaning ``lam`` is below
-            the true eigenvalue.
+        Divergence: partial sums exceeded 1 + ``DIVERGENCE_SLACK``, meaning
+            ``lam`` is below the true eigenvalue.
         NoConvergence: the tail bound stayed above ``LEMMA_STOP_INCREMENT``
             for ``LEMMA_MAX_TERMS`` terms, or power iteration did not settle.
     """
@@ -153,7 +160,7 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
         terms.append(term)
         partial += term
         if partial > 1.0 + DIVERGENCE_SLACK:
-            raise Divergence(len(terms), partial)
+            raise Divergence(len(terms), partial, DIVERGENCE_SLACK)
         v[k] = 0.0
         if v @ h <= LEMMA_STOP_INCREMENT * h[k]:
             break
@@ -165,14 +172,14 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
             "decays too slowly"))
 
     terms_arr = np.asarray(terms)
-    positive = terms_arr[terms_arr > 0.0]
-    tail_ratio = (float(positive[-1] / positive[-2]) if positive.size >= 2
-                  else None)
+    # Python floats: a ratio past the float range is inf, with no warning.
+    last = terms_arr[terms_arr > 0.0][-2:].tolist()
+    ratio = last[1] / last[0] if len(last) == 2 else math.inf
     partial_sums = np.cumsum(terms_arr)
     terms_arr.flags.writeable = False
     partial_sums.flags.writeable = False
     return LemmaSeries(terms=terms_arr, partial_sums=partial_sums,
-                       tail_ratio=tail_ratio)
+                       tail_ratio=ratio if ratio < math.inf else None)
 
 
 def quasispecies_residual(matrix: NonNegativeMatrix,

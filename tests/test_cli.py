@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -264,6 +265,18 @@ class TestSubcommands:
         assert payload["tail_ratio"] is None
         assert payload["final_partial_sum"] == 1.0
 
+    def test_lemma_check_tail_ratio_past_the_float_range_is_null(
+            self, capsys, tmp_path):
+        # The terms are 1e-320 and 1.0: their ratio is past the float range.
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 2, "rows": [[1e-320, 1], [1, 0]]}))
+        assert main(["lemma-check", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out, parse_constant=_reject_constant)
+        assert payload["tail_ratio"] is None
+        assert payload["terms_used"] == 2
+
     def test_gw_sim(self, capsys, matrix_json):
         code, payload = _run_json(capsys, [
             "gw-sim", matrix_json, "--trials", "300", "--horizon", "8",
@@ -469,6 +482,39 @@ class TestExitCodes:
         assert code == 3
         assert "PopulationOverflow" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("rows", [[[1e308, 1e-300], [1, 1]],
+                                      [[1e-300, 1e300], [1e300, 1e-300]]])
+    def test_deterministic_means_past_int64_are_refused_quietly(
+            self, capsys, tmp_path, rows):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 2, "rows": rows}))
+        code = main(["gw-sim", str(path), "--offspring-law", "deterministic",
+                     "--trials", "10"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("error: PopulationOverflow: population "
+                                "exceeded the ceiling 1000000000 at "
+                                "generation 1\n")
+
+    @pytest.mark.parametrize("subcommand",
+                             ["oracle", "compare", "lemma-check", "gw-sim"])
+    def test_underflowing_power_iteration_is_refused_at_once(
+            self, capsys, tmp_path, subcommand):
+        # Valid and primitive, but v @ A underflows to zero at once.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"n": 2, "rows": [[5e-324, 5e-324]] * 2}))
+        start = time.perf_counter()
+        code = main([subcommand, str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("error: NoConvergence: power iteration "
+                                "underflowed: iterate 1 sums to 0.0; the "
+                                "entries are too small to iterate\n")
+        assert elapsed < 1.0
 
     def test_cap_one_all_truncated(self, capsys, tmp_path):
         path = tmp_path / "m.csv"

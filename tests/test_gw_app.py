@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from perronmc import gw_app
-from perronmc.chain_sim import mix_seed
+from perronmc.chain_sim import _streams, mix_seed
 from perronmc.cli import main
 from perronmc.errors import (
     InvalidArgument,
@@ -17,11 +17,10 @@ from perronmc.errors import (
 from perronmc.gw_app import (
     OFFSPRING_LAWS,
     Population,
-    _generation,
+    _grow,
     _step_block,
     check_arguments,
     conditioned_proportions,
-    run_tree,
     step_generation,
 )
 from perronmc.matrix_core import decompose, validate
@@ -40,6 +39,15 @@ from _support import (
 def _pop(counts, generation=0):
     return Population(counts=np.asarray(counts, dtype=np.int64),
                       generation=generation)
+
+
+def _grown(decomp, initial, horizon, seeds, law="poisson"):
+    """One tree per seed from the counts ``initial``, tree ``t`` grown by
+    ``_grow`` from ``default_rng(seeds[t])``, which draws what it would
+    draw alone: (final counts, overflow generation or 0), one row a tree."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    counts = np.tile(np.asarray(initial, dtype=np.int64), (len(rngs), 1))
+    return _grow(decomp, counts, horizon, rngs, law)
 
 
 class TestStepGeneration:
@@ -103,31 +111,38 @@ class TestStepGeneration:
                                 np.random.default_rng(4))
         assert child.generation == 4
 
+    @pytest.mark.parametrize("law", OFFSPRING_LAWS)
+    def test_a_product_past_the_float_range_overflows(self, law):
+        # Type 1's 10 parents expect 1e309 children, past the float range;
+        # times the zero kernel entry (1e-300 / 1e308) the Poisson mean
+        # of type 2 is NaN, which must not pass as a mass of no children.
+        # A numeric warning fails the test.
+        decomp = decompose(validate([[1e308, 1e-300], [1, 1]]))
+        with pytest.raises(PopulationOverflow) as exc:
+            step_generation(_pop([10, 10]), decomp, np.random.default_rng(5),
+                            law=law)
+        assert exc.value.generation == 1
+
 
 class TestRunTree:
+    """Whole trees grown by ``_grow``, the one branching loop."""
+
     def test_subcritical_dies_out(self):
         matrix = scale(random_stochastic_matrix(np.random.default_rng(5), 3),
                        0.5)
         assert power_iteration(matrix).eigenvalue == pytest.approx(0.5)
-        decomp = decompose(matrix)
-        survivors = sum(
-            run_tree(decomp, [1, 1, 1], horizon=50, seed=seed).sum() > 0
-            for seed in range(10_000)
-        )
-        assert survivors / 10_000 < 0.01
+        final, _ = _grown(decompose(matrix), [1, 1, 1], 50, range(10_000))
+        assert (final.sum(axis=1) > 0).mean() < 0.01
 
     def test_supercritical_survives_often(self):
         decomp = decompose(validate(ACCEPTANCE_2X2))
-        survivors = sum(
-            run_tree(decomp, [1, 0], horizon=10, seed=seed).sum() > 0
-            for seed in range(2_000)
-        )
-        assert survivors / 2_000 > 0.5
+        final, _ = _grown(decomp, [1, 0], 10, range(2_000))
+        assert (final.sum(axis=1) > 0).mean() > 0.5
 
     def test_deterministic_given_seed(self):
         decomp = decompose(validate(ACCEPTANCE_2X2))
-        a = run_tree(decomp, [1, 1], horizon=6, seed=99)
-        b = run_tree(decomp, [1, 1], horizon=6, seed=99)
+        a, _ = _grown(decomp, [1, 1], 6, [99])
+        b, _ = _grown(decomp, [1, 1], 6, [99])
         np.testing.assert_array_equal(a, b)
 
     def test_overflow_needs_one_type_over_the_ceiling(self, monkeypatch):
@@ -135,24 +150,23 @@ class TestRunTree:
         # ceiling 8 but, at this seed, no type does.  Generation 2 has 27.
         monkeypatch.setattr(gw_app, "POPULATION_CEILING", 8)
         decomp = decompose(validate([[1, 1, 1], [1, 1, 1], [1, 1, 1]]))
-        counts = run_tree(decomp, [1, 1, 1], horizon=1, seed=0,
-                          law="deterministic")
-        assert counts.sum() == 9
-        with pytest.raises(PopulationOverflow) as exc:
-            run_tree(decomp, [1, 1, 1], horizon=3, seed=0,
-                     law="deterministic")
-        assert exc.value.generation == 2
+        counts, overflowed = _grown(decomp, [1, 1, 1], 1, [0],
+                                    law="deterministic")
+        assert counts.sum() == 9 and overflowed[0] == 0
+        _, overflowed = _grown(decomp, [1, 1, 1], 3, [0], law="deterministic")
+        assert overflowed[0] == 2
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_horizon_below_one_is_refused(self, horizon):
+        matrix = validate(ACCEPTANCE_2X2)
         with pytest.raises(InvalidArgument):
-            run_tree(decompose(validate(ACCEPTANCE_2X2)), [1, 0],
-                     horizon=horizon, seed=0)
+            conditioned_proportions(matrix, power_iteration(matrix), trials=1,
+                                    horizon=horizon, seed=0)
 
     def test_outcome_shape(self):
         matrix = validate(ACCEPTANCE_2X2)
-        counts = run_tree(decompose(matrix), [1, 1], horizon=5, seed=7)
-        assert counts.shape == (2,) and counts.dtype == np.int64
+        counts, _ = _grown(decompose(matrix), [1, 1], 5, [7])
+        assert counts.shape == (1, 2) and counts.dtype == np.int64
         assert (counts >= 0).all()
         props, survivors = conditioned_proportions(
             matrix, power_iteration(matrix), trials=20, horizon=5, seed=7)
@@ -309,11 +323,11 @@ class TestBlockStep:
         assert not over.any()
         for t, seed in enumerate(seeds):
             alone, reference = _Recording(seed), _Recording(seed)
-            row, row_total = _generation(counts[t], decomp, alone, law, 1)
+            row = step_generation(_pop(counts[t]), decomp, alone, law).counts
             np.testing.assert_array_equal(child[t], row)
             np.testing.assert_array_equal(
                 row, _per_tree(counts[t], decomp, reference, law))
-            assert total[t] == row_total
+            assert total[t] == row.sum()
             assert rngs[t].calls == alone.calls == reference.calls
             assert (rngs[t].rng.bit_generator.state
                     == alone.rng.bit_generator.state)
@@ -330,12 +344,10 @@ class TestBlockStep:
         monkeypatch.setattr(gw_app, "TREE_BLOCK", block)
         matrix = validate([[0.2, 0.2], [0.2, 2.5]])
         decomp, trials, horizon, seed = decompose(matrix), 10, 12, 3
-        generations = []
-        for t in range(trials):
-            with pytest.raises(PopulationOverflow) as exc:
-                run_tree(decomp, [1, 1], horizon, mix_seed(seed, t))
-            generations.append(exc.value.generation)
-        assert generations[0] > min(generations[1:])
+        generations = [
+            int(_grown(decomp, [1, 1], horizon, [mix_seed(seed, t)])[1][0])
+            for t in range(trials)]
+        assert generations[0] > min(generations[1:]) > 0
         with pytest.raises(PopulationOverflow) as exc:
             conditioned_proportions(matrix, power_iteration(matrix), trials,
                                     horizon, seed)
@@ -350,7 +362,8 @@ class TestBlockStep:
         trials, horizon, seed = 40, 9, 8
         summed, survivors = np.zeros(2), 0
         for t in range(trials):
-            counts = run_tree(decomp, [1, 1], horizon, mix_seed(seed, t), law)
+            final, _ = _grown(decomp, [1, 1], horizon, [mix_seed(seed, t)], law)
+            counts = final[0]
             if counts.sum() > 0:
                 survivors += 1
                 summed += counts / counts.sum()
@@ -398,10 +411,11 @@ class TestOffspringLaw:
         # One type-1 ancestor, which has no children with probability e**-3.
         decomp = decompose(validate(ACCEPTANCE_2X2))
         trees, horizon = 20_000, 3
-        new = np.array([
-            run_tree(decomp, [1, 0], horizon=horizon, seed=mix_seed(601, t))
-            for t in range(trees)
-        ], dtype=float)
+        # Tree t draws from default_rng(mix_seed(601, t)), grown in one block.
+        final, overflowed = _grow(decomp, np.tile([1, 0], (trees, 1)),
+                                  horizon, _streams(601, 0, trees), "poisson")
+        assert not overflowed.any()
+        new = final.astype(float)
         rng = np.random.default_rng(602)
         old = np.empty_like(new)
         for t in range(trees):
@@ -426,7 +440,7 @@ class TestOffspringLaw:
         expected = parents @ matrix.entries
         reps = 20_000
         rng = np.random.default_rng(603)
-        draws = np.array([_generation(parents, decomp, rng, "poisson", 1)[0]
+        draws = np.array([step_generation(_pop(parents), decomp, rng).counts
                           for _ in range(reps)], dtype=float)
         mean = draws.mean(axis=0)
         cov = np.cov(draws, rowvar=False)
@@ -444,9 +458,8 @@ class TestOffspringLaw:
         rng = np.random.default_rng(604)
         state = rng.bit_generator.state
         for law in ("poisson", "deterministic"):
-            child, _ = _generation(np.zeros(2, dtype=np.int64), decomp, rng,
-                                   law, 1)
-            np.testing.assert_array_equal(child, [0, 0])
+            child = step_generation(_pop([0, 0]), decomp, rng, law)
+            np.testing.assert_array_equal(child.counts, [0, 0])
         assert rng.bit_generator.state == state
 
     def test_deterministic_law_draws_the_per_type_stream(self):
@@ -457,8 +470,8 @@ class TestOffspringLaw:
             for _ in range(8):
                 expected = children_by_type(counts, decomp, a,
                                             law="deterministic")
-                counts, _ = _generation(counts, decomp, b, "deterministic",
-                                        1)
+                counts = step_generation(_pop(counts), decomp, b,
+                                         "deterministic").counts
                 np.testing.assert_array_equal(counts, expected)
             assert a.bit_generator.state == b.bit_generator.state
 

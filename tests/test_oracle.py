@@ -180,6 +180,16 @@ class TestLemmaPartialSums:
             lemma_partial_sums(validate([[4, 1], [1, 1]]), 0, 2.0)
         assert exc.value.term_index == 1
 
+    def test_divergence_message_names_the_slack(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DIVERGENCE_SLACK", 0.5)
+        with pytest.raises(Divergence, match=r"^partial sums exceeded "
+                           r"1 \+ 0\.5 at term 1 \(sum=2\.0\)"):
+            lemma_partial_sums(validate([[4, 1], [1, 1]]), 0, 2.0)
+        # The bound moves with the slack: the partial sums 1.25 and 1.5
+        # stay within it, 1.625 does not.
+        with pytest.raises(Divergence, match=r"at term 3 \(sum=1\.625\)"):
+            lemma_partial_sums(validate([[2.5, 1], [1, 1]]), 0, 2.0)
+
     @pytest.mark.parametrize("k, lam", [(0, 0.0), (0, -1.0), (0, np.inf),
                                         (-1, 5.0), (2, 5.0)])
     def test_refuses_bad_arguments(self, k, lam):
