@@ -215,10 +215,15 @@ def _render_text(payload: dict, lines: list[str] | None = None,
         if isinstance(value, dict):
             _render_text(value, lines, prefix=f"{prefix}{key}.")
         elif isinstance(value, list):
-            lines.append(f"{prefix}{key}: " + " ".join(str(v) for v in value))
+            lines.append(f"{prefix}{key}: " + " ".join(map(_text, value)))
         else:
-            lines.append(f"{prefix}{key}: {value}")
+            lines.append(f"{prefix}{key}: {_text(value)}")
     return lines
+
+
+def _text(value) -> str:
+    """One report value as text; a missing value reads as JSON's null."""
+    return "null" if value is None else str(value)
 
 
 class _Parser(argparse.ArgumentParser):

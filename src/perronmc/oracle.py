@@ -93,15 +93,23 @@ def power_iteration(matrix: NonNegativeMatrix) -> PerronPair:
     positive iterate is just the sum, so the normalization factor converges
     to the dominant eigenvalue.  Primitivity guarantees convergence.
 
+    The iteration runs on A divided by the power of two that brings its
+    largest entry into [1, 2), so that entries near the smallest float do
+    not underflow in v @ A.  Dividing by a power of two leaves every
+    iterate's bits as they are wherever nothing underflows, and the
+    eigenvalue and residual are scaled back exactly, so the eigenvalue of
+    ``2**k * A`` is ``2**k`` times that of ``A`` and the vector is the
+    same.
+
     Raises:
         NoConvergence: iterate did not settle within ``POWER_MAX_ITER`` steps
             (signals a nearly degenerate spectrum), or its sum underflowed
-            to zero (entries too close to the smallest float).
+            to zero (entries too far below the largest one to iterate).
     """
-    a = matrix.entries
     n = matrix.n
+    exponent = int(np.frexp(matrix.entries.max())[1]) - 1
+    a = np.ldexp(matrix.entries, -exponent)
     v = np.full(n, 1.0 / n)
-    lam = 0.0
     for it in range(1, POWER_MAX_ITER + 1):
         w = v @ a
         lam = float(w.sum())
@@ -113,7 +121,10 @@ def power_iteration(matrix: NonNegativeMatrix) -> PerronPair:
         diff = float(np.abs(w - v).sum())
         v = w
         if diff < POWER_TOL:
-            residual = float(np.abs(v @ a - lam * v).sum())
+            # The residual test reads both in the matrix's own units.
+            residual = float(np.ldexp(np.abs(v @ a - lam * v).sum(),
+                                      exponent))
+            lam = float(np.ldexp(lam, exponent))
             if residual <= POWER_RESIDUAL_TOL * max(1.0, lam):
                 v.flags.writeable = False
                 return PerronPair(eigenvalue=lam, vector=v,

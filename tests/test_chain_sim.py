@@ -11,7 +11,7 @@ import pytest
 from perronmc import chain_sim, estimator
 from perronmc.chain_sim import _step_states, build_sampler, mix_seed, sample_batch
 from perronmc.errors import AllTruncated, InvalidArgument
-from perronmc.matrix_core import decompose, validate
+from perronmc.matrix_core import RowDecomposition, decompose, validate
 
 from _support import (
     CHI2_99,
@@ -158,16 +158,26 @@ class TestBuildSampler:
         assert np.abs(cumsum[:, -1] - 1.0).max() <= 1e-12
 
 
-def _edge_uniforms(kernel):
-    """Uniforms on and beside every bucket edge b / N and every cumulative
-    sum of the kernel, plus the ends of [0, 1)."""
-    n = kernel.shape[0]
-    cumsum, _ = inverse_cdf_tables(kernel)
-    points = np.concatenate((np.arange(n) / n, cumsum.ravel()))
+def _edge_uniforms(kernel, rows=slice(None)):
+    """Uniforms on and beside every bucket edge b / M and every cumulative
+    sum of the kernel's ``rows``, plus the ends of [0, 1)."""
+    m = chain_sim.BUCKETS_PER_STATE * kernel.shape[0]
+    cumsum = np.cumsum(kernel[rows], axis=-1)
+    points = np.concatenate((np.arange(m) / m, cumsum.ravel()))
     u = np.concatenate((points, np.nextafter(points, -1.0),
                         np.nextafter(points, 2.0),
                         [0.0, np.nextafter(1.0, 0.0)]))
     return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+def _on_threshold_rows(n, seed):
+    """Rows of whole weights that sum to M = BUCKETS_PER_STATE * N, some of
+    them zero, so that many cumulative sums land exactly on a bucket
+    threshold (b - 1) / M."""
+    m = chain_sim.BUCKETS_PER_STATE * n
+    rng = np.random.default_rng(seed)
+    p = rng.random((n, n)) ** 4
+    return np.stack([rng.multinomial(m, row / row.sum()) for row in p])
 
 
 class TestStepStates:
@@ -221,11 +231,60 @@ class TestStepStates:
 
     def test_guide_counts_entries_one_bucket_low(self):
         sampler = _sampler_for(_skewed_matrix())
-        n = sampler.n
-        thresholds = (np.arange(n) - 1) / n
+        m = chain_sim.BUCKETS_PER_STATE * sampler.n
+        thresholds = (np.arange(m) - 1) / m
         expected = (sampler.cumulative[:, None, :]
                     <= thresholds[None, :, None]).sum(axis=2)
         np.testing.assert_array_equal(sampler.guide, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+    def test_equals_full_scan_on_threshold_rows(self, n):
+        rows = _on_threshold_rows(n, seed=n)
+        kernel = _kernel_for(rows)
+        sampler = build_sampler(decompose(unchecked(rows)))
+        m = chain_sim.BUCKETS_PER_STATE * n
+        if n > 1:
+            landed = np.isin(sampler.cumulative, (np.arange(m) - 1) / m)
+            assert landed.any()
+        # Each row meets the edges and its own sums, a few rows at a time,
+        # so the scan's (walkers, N) table stays small.
+        for lo in range(0, n, 4):
+            block = range(lo, min(lo + 4, n))
+            edges = [_edge_uniforms(kernel, i) for i in block]
+            current = np.repeat(block, [e.shape[0] for e in edges])
+            u = np.concatenate(edges)
+            np.testing.assert_array_equal(
+                _step_states(sampler, current, u),
+                step_states_reference(kernel, current, u))
+
+    @pytest.mark.parametrize("n", [2, 11, 255, 256, 257])
+    def test_guide_is_exact_on_and_beside_every_threshold(self, n):
+        # Row [c, 1 - c, 0, ...] has c itself as its first cumulative
+        # entry, so every threshold and its float neighbours meet the
+        # build's one-step corrections, both ways.
+        m = chain_sim.BUCKETS_PER_STATE * n
+        thresholds = (np.arange(m) - 1) / m
+        values = np.concatenate((thresholds, np.nextafter(thresholds, -1.0),
+                                 np.nextafter(thresholds, 2.0)))
+        values = np.unique(values[(values >= 0.0) & (values < 1.0)])
+        for lo in range(0, values.size, n):
+            c = values[lo:lo + n]
+            kernel = np.zeros((n, n))
+            kernel[:, 0] = 1.0
+            kernel[:c.size, 0] = c
+            kernel[:c.size, 1] = 1.0 - c
+            sampler = build_sampler(
+                RowDecomposition(fitness=np.ones(n), kernel=kernel))
+            expected = [np.searchsorted(row, thresholds, side="right")
+                        for row in sampler.cumulative]
+            np.testing.assert_array_equal(sampler.guide, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+    def test_guide_is_no_larger_than_an_int64_square(self, n):
+        sampler = _sampler_for(_on_threshold_rows(n, seed=n))
+        assert sampler.guide.shape == (n, chain_sim.BUCKETS_PER_STATE * n)
+        assert sampler.guide.dtype == np.min_scalar_type(n)
+        assert sampler.guide.nbytes <= 8 * n * n
 
 
 class TestSampleExcursion:

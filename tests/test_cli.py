@@ -277,6 +277,27 @@ class TestSubcommands:
         assert payload["tail_ratio"] is None
         assert payload["terms_used"] == 2
 
+    @pytest.mark.parametrize("rows,k", [
+        ([[5e-324, 5e-324]] * 2, 0), ([[5e-324, 5e-324]] * 2, 1),
+        ([[5e-324, 5e-324]] * 2, 1074), ([[5e-324, 5e-324]] * 2, 2000),
+        (ACCEPTANCE_2X2, -1000), (ACCEPTANCE_2X2, 1), (ACCEPTANCE_2X2, 1000),
+    ])
+    def test_oracle_is_exact_under_dyadic_scaling(self, capsys, tmp_path,
+                                                   rows, k):
+        reports = []
+        for name, power in (("a", 0), ("b", k)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(
+                {"n": 2, "rows": np.ldexp(rows, power).tolist()}))
+            reports.append(_run_json(capsys, ["oracle", str(path)]))
+        (code_a, a), (code_b, b) = reports
+        assert code_a == code_b == 0
+        assert b["lambda"] == np.ldexp(a["lambda"], k)
+        assert np.array(b["u"]).tobytes() == np.array(a["u"]).tobytes()
+        if rows[0][0] == 5e-324:
+            assert a["lambda"] == 1e-323
+            assert a["u"] == [0.5, 0.5]
+
     def test_gw_sim(self, capsys, matrix_json):
         code, payload = _run_json(capsys, [
             "gw-sim", matrix_json, "--trials", "300", "--horizon", "8",
@@ -301,6 +322,23 @@ class TestSubcommands:
         assert code == 0
         assert "lambda:" in out
         assert "config.subcommand: oracle" in out
+
+    def test_text_output_renders_a_missing_tail_ratio_as_null(
+            self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 2, "rows": [[1e-320, 1], [1, 0]]}))
+        assert main(["lemma-check", str(path), "--output", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "tail_ratio: null" in lines
+        assert not any("None" in line for line in lines)
+
+    def test_text_output_renders_one_shard_dispersion_as_null(
+            self, capsys, matrix_csv):
+        assert main(["estimate", matrix_csv, "--output", "text",
+                     "--shards", "1", "--samples", "200"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "dispersion: null" in lines
+        assert not any("None" in line for line in lines)
 
 
 SUBCOMMANDS = ("estimate", "oracle", "compare", "lemma-check", "gw-sim")
@@ -502,17 +540,26 @@ class TestExitCodes:
                              ["oracle", "compare", "lemma-check", "gw-sim"])
     def test_underflowing_power_iteration_is_refused_at_once(
             self, capsys, tmp_path, subcommand):
-        # Valid and primitive, but v @ A underflows to zero at once.
+        # Valid and primitive, but the first iterate puts half its weight
+        # on each of states 3 and 4, whose rows hold only the smallest
+        # float, and half of that float rounds to zero.
         path = tmp_path / "tiny.json"
-        path.write_text(json.dumps({"n": 2, "rows": [[5e-324, 5e-324]] * 2}))
+        path.write_text(json.dumps({"n": 4, "rows": [
+            [0, 0, 1, 0], [0, 0, 0, 1],
+            [5e-324, 5e-324, 0, 0], [5e-324, 5e-324, 0, 5e-324]]}))
+        # compare estimates first, and its bisection takes about 600 steps
+        # over a row-sum bracket this wide, so it samples fewer paths.
+        argv = [subcommand, str(path)]
+        if subcommand == "compare":
+            argv += ["--samples", "2000"]
         start = time.perf_counter()
-        code = main([subcommand, str(path)])
+        code = main(argv)
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert captured.err == ("error: NoConvergence: power iteration "
-                                "underflowed: iterate 1 sums to 0.0; the "
+                                "underflowed: iterate 2 sums to 0.0; the "
                                 "entries are too small to iterate\n")
         assert elapsed < 1.0
 
