@@ -7,11 +7,12 @@ Subcommands:
     lemma-check  partial sums of the return-weight series at the oracle value.
     gw-sim       branching-tree type proportions against the oracle vector.
 
-Each subcommand takes only the flags it reads.  States are 1-based on
-this surface, in reports and in every error message, the library's
-included; the library's arguments and the errors' attributes are 0-based.
-Reports carry the full resolved configuration, contain no timestamps, and
-are byte-identical for identical invocations.
+Each subcommand takes only the flags it reads, and refuses a bad one
+before power iteration, which runs before any sampling.  States are
+1-based on this surface, in reports and in every error message, the
+library's included; the library's arguments and the errors' attributes
+are 0-based.  Reports carry the full resolved configuration, contain no
+timestamps, and are byte-identical for identical invocations.
 
 Exit codes: 0 success, otherwise the ``exit_code`` of the error's family
 in :mod:`perronmc.errors`: 1 bad input (parse/validation/precondition,
@@ -124,16 +125,13 @@ def _config_dict(cfg: argparse.Namespace) -> dict:
 
 
 def _estimate_payload(matrix: NonNegativeMatrix,
-                      cfg: argparse.Namespace) -> dict:
-    report = estimator.run_estimation(matrix, estimator.EstimationConfig(
-        base_state=cfg.base_state - 1, samples=cfg.samples, seed=cfg.seed,
-        cap=cfg.cap, shards=cfg.shards, tol=cfg.tol,
-    ))
+                      est: estimator.EstimationConfig) -> dict:
+    report = estimator.run_estimation(matrix, est)
     return {
         "lambda_hat": report.lambda_hat,
         "u_hat": report.u_hat.tolist(),
-        "base_state": cfg.base_state,
-        "samples": cfg.samples,
+        "base_state": est.base_state + 1,
+        "samples": est.samples,
         "truncated": report.truncated_count,
         "g_residual": report.g_residual,
         "dispersion": None if report.dispersion is None else report.dispersion.tolist(),
@@ -159,13 +157,22 @@ def run(config: argparse.Namespace) -> dict:
     every field is echoed into the report.
     """
     matrix = parse_matrix(config.matrix_path)
+    # Refused here: the sampling flags, by the config, and the base state.
+    if config.subcommand in ("estimate", "compare"):
+        est = estimator.EstimationConfig(
+            base_state=config.base_state - 1, samples=config.samples,
+            seed=config.seed, cap=config.cap, shards=config.shards,
+            tol=config.tol)
+    if "base_state" in config:
+        check_base_state(config.base_state - 1, matrix.n)
+
     if config.subcommand == "estimate":
-        payload = _estimate_payload(matrix, config)
+        payload = _estimate_payload(matrix, est)
     elif config.subcommand == "oracle":
         payload = _oracle_payload(matrix)
     elif config.subcommand == "compare":
-        payload = _estimate_payload(matrix, config)
-        payload.update(_oracle_payload(matrix))
+        payload = _oracle_payload(matrix)
+        payload.update(_estimate_payload(matrix, est))
         u_hat = np.asarray(payload["u_hat"])
         u = np.asarray(payload["u"])
         payload["l1_error"] = float(np.abs(u_hat - u).sum())
@@ -173,7 +180,6 @@ def run(config: argparse.Namespace) -> dict:
             abs(payload["lambda_hat"] - payload["lambda"]) / payload["lambda"]
         )
     elif config.subcommand == "lemma-check":
-        check_base_state(config.base_state - 1, matrix.n)
         pair = oracle.power_iteration(matrix)
         series = oracle.lemma_partial_sums(matrix, config.base_state - 1,
                                            pair.eigenvalue)
@@ -185,11 +191,8 @@ def run(config: argparse.Namespace) -> dict:
             "tail_ratio": series.tail_ratio,
         }
     elif config.subcommand == "gw-sim":
-        gw_app.check_arguments(matrix, config.trials, config.horizon,
-                               config.offspring_law)
-        pair = oracle.power_iteration(matrix)
-        proportions, survivors = gw_app.conditioned_proportions(
-            matrix, pair, config.trials, config.horizon, config.seed,
+        proportions, survivors, pair = gw_app.conditioned_proportions(
+            matrix, config.trials, config.horizon, config.seed,
             law=config.offspring_law,
         )
         payload = {

@@ -10,7 +10,8 @@ exit status:
 * :class:`InputError` (1): bad matrices, bad files, violated preconditions;
 * :class:`StructuralError` (2): the matrix is not primitive;
 * :class:`GuardError` (3): a statistical or numerical guard refused to
-  report a result.  The lam solve needs none: its bracket holds the root.
+  report a result.  The lam solve's bracket always holds the root; it
+  refuses only a root too far below the largest row sum to be resolved.
 
 The argument checks that several modules make live here too, so that each
 refusal is worded once.
@@ -132,6 +133,16 @@ class AllTruncated(GuardError):
 class EmptyBatch(GuardError):
     def __init__(self) -> None:
         super().__init__("batch contains no non-truncated excursions")
+
+
+class EigenvalueUnderflow(GuardError):
+    def __init__(self, largest: float):
+        self.largest = largest
+        super().__init__(
+            f"the eigenvalue lies more than 2**1022 times below the largest "
+            f"row sum {largest}; the lam solve cannot resolve it in floating "
+            "point"
+        )
 
 
 class TruncationBiasGuard(GuardError):

@@ -22,7 +22,12 @@ O(paths); no array grows as paths x N.  The solve runs on
 ``f~ = f / 2**e``, with ``2**e`` the power of two that brings ``max f`` into
 ``[1, 2)``, and puts ``lam = lam~ * 2**e`` back with ``ldexp``.  Scaling the
 matrix by a power of two changes only ``e``, so the estimates scale
-exactly.
+exactly.  Row sums may span more than the float range: an ``f~`` below
+the normal range, which ``ldexp`` would round to a few bits or to 0,
+takes its log from ``f = m * 2**x`` as ``log m + (x - e) log 2``, and
+every other entry keeps the bits of ``log f~``.  A root ``lam~`` below
+the normal range holds too few bits to report and is refused with
+:class:`~perronmc.errors.EigenvalueUnderflow`.
 
 The per-visit weights are needed only at the final ``lam``.  One pass
 over the batch, in path-aligned chunks of a few thousand visits, adds them
@@ -43,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_sim import SampleBatch, build_sampler, sample_batch
-from .errors import (EmptyBatch, InvalidArgument, TruncationBiasGuard,
-                     check_trial)
+from .errors import (EigenvalueUnderflow, EmptyBatch, InvalidArgument,
+                     TruncationBiasGuard, check_counts, check_trial)
 from .matrix_core import NonNegativeMatrix, decompose
 
 __all__ = [
@@ -60,6 +65,10 @@ __all__ = [
 TRUNCATION_BIAS_LIMIT = 1e-3
 # Visits per block of the running sum behind the per-visit weights.
 _CUMSUM_CHUNK = 4096
+# The smallest normal float, and its exponent as frexp gives it: a float
+# m * 2**x with m in [0.5, 1) is normal when x >= _TINY_EXP.
+_TINY = float(np.finfo(float).tiny)
+_TINY_EXP = int(np.frexp(_TINY)[1])
 
 
 @dataclass(frozen=True)
@@ -73,12 +82,23 @@ class EstimateReport:
     dispersion: np.ndarray | None
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < 1:
+        raise InvalidArgument(f"tol must lie in (0, 1), got {tol}")
+
+
 @dataclass(frozen=True)
 class EstimationConfig:
     """Knobs for :func:`run_estimation`; defaults suit desk-scale matrices.
 
     These field defaults are the only copy of the sampling defaults: the
-    CLI's flags read them from here.
+    CLI's flags read them from here.  A config refuses its own bad values
+    when it is built, so nothing is sampled for one that would be refused;
+    the base state is checked against the matrix by the sampler.
+
+    Raises:
+        InvalidArgument: ``tol`` outside (0, 1), or ``samples``, ``shards``
+            or ``cap`` below 1.
     """
 
     base_state: int = 0
@@ -87,6 +107,10 @@ class EstimationConfig:
     cap: int = 1_000_000
     shards: int = 1
     tol: float = 1e-10
+
+    def __post_init__(self) -> None:
+        _check_tol(self.tol)
+        check_counts(samples=self.samples, shards=self.shards, cap=self.cap)
 
 
 def _require_paths(batch: SampleBatch) -> None:
@@ -126,7 +150,13 @@ class _PathSums:
     def of(cls, batch: SampleBatch, fitness: np.ndarray) -> "_PathSums":
         exponent = int(np.frexp(fitness.max())[1]) - 1
         scaled = np.ldexp(fitness, -exponent)
-        log_scaled = np.log(scaled)
+        # ldexp rounds an f~ below the normal range to a few bits, or to 0;
+        # such an entry's log is read from frexp instead.
+        mantissa, exps = np.frexp(fitness)
+        deep = exps - exponent < _TINY_EXP
+        log_scaled = np.log(np.where(deep, 1.0, scaled))
+        log_scaled[deep] = (np.log(mantissa[deep])
+                            + (exps[deep] - exponent) * np.log(2.0))
         starts = batch.offsets
         log_sums = np.empty(starts.shape[0])
         for p0, p1, v0, v1 in _path_chunks(batch):
@@ -153,6 +183,10 @@ class _PathSums:
         return float(np.exp(self.log_g(np.ldexp(lam, -self.exponent))))
 
     def unscale(self, lam_scaled: float) -> float:
+        """``lam`` from a root ``lam~`` of the solve; a root below the
+        normal range holds too few bits to report, and is refused."""
+        if lam_scaled < _TINY:
+            raise EigenvalueUnderflow(float(np.ldexp(self.hi, self.exponent)))
         return float(np.ldexp(lam_scaled, self.exponent))
 
 
@@ -183,15 +217,12 @@ def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
     Raises:
         EmptyBatch: no usable excursions.
         InvalidArgument: ``tol`` outside (0, 1).
+        EigenvalueUnderflow: the root lies more than ``2**1022`` times
+            below ``max f``, past the normal range of the scaled solve.
     """
     _require_paths(batch)
     _check_tol(tol)
     return _solve_lambda(_PathSums.of(batch, fitness), tol)
-
-
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < 1:
-        raise InvalidArgument(f"tol must lie in (0, 1), got {tol}")
 
 
 def _solve_lambda(sums: _PathSums, tol: float) -> float:
@@ -335,10 +366,9 @@ def run_estimation(matrix: NonNegativeMatrix,
 
     Raises:
         AllTruncated: propagated from sampling.
-        InvalidArgument: ``tol`` outside (0, 1), before any sampling.
         TruncationBiasGuard: more than 0.1% of attempts truncated.
+        EigenvalueUnderflow: as in :func:`estimate_lambda`.
     """
-    _check_tol(config.tol)
     decomp = decompose(matrix)
     sampler = build_sampler(decomp)
     batch = sample_batch(sampler, config.base_state, config.samples,

@@ -46,12 +46,11 @@ from .chain_sim import _streams
 from .errors import (InvalidArgument, NoSurvivors, PopulationOverflow,
                      Subcritical, check_counts)
 from .matrix_core import NonNegativeMatrix, RowDecomposition, decompose
-from .oracle import PerronPair
+from .oracle import PerronPair, power_iteration
 
 __all__ = [
     "Population",
     "step_generation",
-    "check_arguments",
     "conditioned_proportions",
 ]
 
@@ -190,22 +189,13 @@ def step_generation(pop: Population, decomp: RowDecomposition,
     return Population(counts=child, generation=generation)
 
 
-def check_arguments(matrix: NonNegativeMatrix, trials: int, horizon: int,
-                    law: str) -> None:
-    """Refuse what :func:`conditioned_proportions` refuses without reading
-    its pair, so that a caller can refuse it before power iteration.
-
-    The row sums are computed as :func:`decompose` computes the fitness,
-    so both refuse the same means."""
-    check_counts(trials=trials, horizon=horizon)
-    if law == "deterministic":  # every tree starts with each type
-        _whole_means(matrix.entries.sum(axis=1), True)
-
-
-def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
-                            trials: int, horizon: int, seed: int,
-                            law: str = DEFAULT_LAW) -> tuple[np.ndarray, int]:
+def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
+                            horizon: int, seed: int, law: str = DEFAULT_LAW
+                            ) -> tuple[np.ndarray, int, PerronPair]:
     """Average type proportions over trees that survive to the horizon.
+
+    The arguments are refused before power iteration runs, and power
+    iteration runs before any tree grows.
 
     Each tree starts from one individual of every type and gets its own
     stream, ``np.random.default_rng(mix_seed(seed, tree_index))``, so trees
@@ -217,20 +207,25 @@ def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
     the refusal names the first tree in order that overflowed, before a
     later block runs, as growing the trees one by one would.  Every
     surviving tree weighs equally, and its proportions are added in tree
-    order.  ``pair`` is the matrix's Perron pair, from
-    :func:`perronmc.oracle.power_iteration`.
+    order.
 
     Returns:
-        (proportions on the simplex, number of surviving trees).
+        (proportions on the simplex, number of surviving trees, and the
+        matrix's Perron pair from :func:`perronmc.oracle.power_iteration`).
 
     Raises:
-        InvalidArgument: as in :func:`check_arguments`.
+        InvalidArgument: ``trials`` or ``horizon`` below 1, or, under the
+            deterministic law, a row sum that is not an integer.
+        NoConvergence: from power iteration.
         Subcritical: the dominant eigenvalue is <= 1.
         PopulationOverflow: as in :func:`step_generation`, for some tree.
         NoSurvivors: no tree survived to the horizon.
     """
-    check_arguments(matrix, trials, horizon, law)
+    check_counts(trials=trials, horizon=horizon)
     decomp = decompose(matrix)
+    if law == "deterministic":  # every tree starts with each type
+        _whole_means(decomp.fitness, True)
+    pair = power_iteration(matrix)
     if pair.eigenvalue <= 1.0:
         raise Subcritical(pair.eigenvalue)
 
@@ -254,4 +249,4 @@ def conditioned_proportions(matrix: NonNegativeMatrix, pair: PerronPair,
         raise NoSurvivors(trials, horizon)
     proportions = summed / survivors
     proportions.flags.writeable = False
-    return proportions, survivors
+    return proportions, survivors, pair

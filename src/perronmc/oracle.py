@@ -202,6 +202,12 @@ def quasispecies_residual(matrix: NonNegativeMatrix,
     exactly when ``x`` is the dominant left eigenvector, in which case the
     mean fitness equals the dominant eigenvalue.
 
+    Both sides are computed on the fitness divided by the power of two that
+    brings its largest entry into [1, 2), as :func:`power_iteration` does,
+    and scaled back exactly, so the rounding stays relative to the answer
+    even at the bottom of the float range, and the residuals of
+    ``2**k * A`` are ``2**k`` times those of ``A``.
+
     Raises:
         NotOnSimplex: ``x`` has a negative or non-finite entry, or does not
             sum to 1.
@@ -218,10 +224,13 @@ def quasispecies_residual(matrix: NonNegativeMatrix,
         raise NotOnSimplex(f"entries sum to {total}")
 
     decomp = decompose(matrix)
-    mean_fitness = float(x @ decomp.fitness)
-    creation = (x * decomp.fitness) @ decomp.kernel
-    per_state = np.abs(x * mean_fitness - creation)
+    exponent = int(np.frexp(decomp.fitness.max())[1]) - 1
+    fitness = np.ldexp(decomp.fitness, -exponent)
+    mean_fitness = float(x @ fitness)
+    creation = (x * fitness) @ decomp.kernel
+    per_state = np.ldexp(np.abs(x * mean_fitness - creation), exponent)
     per_state.flags.writeable = False
     return EquilibriumResidual(per_state=per_state,
                                max_abs=float(per_state.max()),
-                               mean_fitness=mean_fitness)
+                               mean_fitness=float(np.ldexp(mean_fitness,
+                                                           exponent)))

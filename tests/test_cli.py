@@ -547,13 +547,10 @@ class TestExitCodes:
         path.write_text(json.dumps({"n": 4, "rows": [
             [0, 0, 1, 0], [0, 0, 0, 1],
             [5e-324, 5e-324, 0, 0], [5e-324, 5e-324, 0, 5e-324]]}))
-        # compare estimates first, and its bisection takes about 600 steps
-        # over a row-sum bracket this wide, so it samples fewer paths.
-        argv = [subcommand, str(path)]
-        if subcommand == "compare":
-            argv += ["--samples", "2000"]
+        # compare runs power iteration before it samples, so it refuses at
+        # once at the default sample count.
         start = time.perf_counter()
-        code = main(argv)
+        code = main([subcommand, str(path)])
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 3
@@ -562,6 +559,33 @@ class TestExitCodes:
                                 "underflowed: iterate 2 sums to 0.0; the "
                                 "entries are too small to iterate\n")
         assert elapsed < 1.0
+
+    def test_row_sums_past_the_float_range(self, capsys, tmp_path):
+        # Row sums 2, 5e-324 and 1e-323 are solved without a warning.
+        path = tmp_path / "span.json"
+        path.write_text(json.dumps({"n": 3, "rows": [
+            [0, 1, 1], [5e-324, 0, 0], [5e-324, 0, 5e-324]]}))
+        code = main(["estimate", str(path), "--samples", "2000"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["lambda_hat"] == pytest.approx(
+            3.1435e-162, rel=0.01)
+
+    def test_root_below_the_float_range_is_refused(self, capsys, tmp_path):
+        # The eigenvalue, about 1.3e-113, is more than 2**1022 times below
+        # the largest row sum, 2**1023: past the normal range of the solve.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 3, "rows": [
+            [0, 2**1023, 0], [0, 0, 5e-324], [5e-324, 0, 5e-324]]}))
+        code = main(["estimate", str(path), "--samples", "2000"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: EigenvalueUnderflow: the eigenvalue lies more than "
+            "2**1022 times below the largest row sum 8.98846567431158e+307; "
+            "the lam solve cannot resolve it in floating point\n")
 
     def test_cap_one_all_truncated(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
@@ -602,6 +626,9 @@ class TestExitCodes:
         ["gw-sim", "M", "--trials", "0"],
         ["gw-sim", "M", "--horizon", "0"],
         ["gw-sim", "HALF", "--offspring-law", "deterministic"],
+        ["compare", "M", "--samples", "0"],
+        ["compare", "M", "--tol", "1"],
+        ["compare", "M", "--base-state", "3"],
     ])
     def test_bad_argument_is_refused_before_power_iteration(
             self, capsys, monkeypatch, tmp_path, matrix_csv, argv):
@@ -625,6 +652,17 @@ class TestExitCodes:
         assert main(["estimate", matrix_csv, "--tol", tol]) == 1
         assert "InvalidArgument" in capsys.readouterr().err
 
+    def test_compare_refused_by_power_iteration_never_samples(
+            self, capsys, monkeypatch, matrix_csv):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before power iteration")
+
+        monkeypatch.setattr(estimator, "sample_batch", no_sampling)
+        calls = _count_power_iterations(monkeypatch, fail=True)
+        assert main(["compare", matrix_csv]) == 3
+        assert "error: NoConvergence: " in capsys.readouterr().err
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("argv", [["--help"], ["estimate", "--help"]])
     def test_help_is_zero(self, capsys, argv):
         assert _exit_code(argv) == 0
@@ -647,7 +685,7 @@ class TestExitCodes:
                 pending.append(sub)
                 if sub not in families:
                     concrete.append(sub)
-        assert len(concrete) == 17
+        assert len(concrete) == 18
         for cls in concrete:
             owners = [f for f in families if issubclass(cls, f)]
             assert len(owners) == 1, cls

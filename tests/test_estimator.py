@@ -185,6 +185,18 @@ class TestEstimateLambda:
         assert abs(lam - end) <= np.spacing(end)
         assert len(calls) <= 1074
 
+    def test_row_sums_past_the_float_range(self):
+        # Row sums 2, 5e-324 and 1e-323: divided by 2, the small two fall
+        # below the normal range, where ldexp rounds them to one bit or to
+        # 0.  The root, about sqrt(2 * 5e-324) = 3.143e-162, solves the
+        # batch's own equation as read from unscaled logs.
+        batch, decomp = _batch_for([[0, 1, 1], [5e-324, 0, 0],
+                                    [5e-324, 0, 5e-324]], count=20_000)
+        lam = estimate_lambda(batch, decomp.fitness)
+        weights = [np.exp(return_weight_log(exc, decomp.fitness, np.log(lam)))
+                   for exc in excursions(batch)]
+        assert abs(np.mean(weights) - 1.0) <= EstimationConfig.tol
+
     @pytest.mark.parametrize("c", [2.0, 0.5, 4.0, 2.0**-20, 2.0**30])
     def test_dyadic_scaling_is_exact(self, c):
         matrix = validate(ACCEPTANCE_2X2)

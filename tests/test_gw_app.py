@@ -19,7 +19,6 @@ from perronmc.gw_app import (
     Population,
     _grow,
     _step_block,
-    check_arguments,
     conditioned_proportions,
     step_generation,
 )
@@ -160,16 +159,15 @@ class TestRunTree:
     def test_horizon_below_one_is_refused(self, horizon):
         matrix = validate(ACCEPTANCE_2X2)
         with pytest.raises(InvalidArgument):
-            conditioned_proportions(matrix, power_iteration(matrix), trials=1,
-                                    horizon=horizon, seed=0)
+            conditioned_proportions(matrix, trials=1, horizon=horizon, seed=0)
 
     def test_outcome_shape(self):
         matrix = validate(ACCEPTANCE_2X2)
         counts, _ = _grown(decompose(matrix), [1, 1], 5, [7])
         assert counts.shape == (1, 2) and counts.dtype == np.int64
         assert (counts >= 0).all()
-        props, survivors = conditioned_proportions(
-            matrix, power_iteration(matrix), trials=20, horizon=5, seed=7)
+        props, survivors, _ = conditioned_proportions(
+            matrix, trials=20, horizon=5, seed=7)
         assert survivors > 0
         assert (props >= 0).all()
         assert props.sum() == pytest.approx(1.0)
@@ -179,27 +177,26 @@ class TestConditionedProportions:
     def test_2x2_converges_to_left_eigenvector(self):
         _, u_true = closed_form_2x2()
         matrix = validate(ACCEPTANCE_2X2)
-        props, survivors = conditioned_proportions(
-            matrix, power_iteration(matrix), trials=1_000, horizon=10, seed=31)
+        props, survivors, _ = conditioned_proportions(
+            matrix, trials=1_000, horizon=10, seed=31)
         assert survivors > 900
         assert np.abs(props - u_true).sum() < 0.05
 
     def test_symmetric_matrix_is_uniform(self):
         matrix = validate([[2.0, 2.0], [2.0, 2.0]])
-        props, _ = conditioned_proportions(
-            matrix, power_iteration(matrix), trials=500, horizon=8, seed=32)
+        props, _, _ = conditioned_proportions(
+            matrix, trials=500, horizon=8, seed=32)
         np.testing.assert_allclose(props, [0.5, 0.5], atol=0.02)
 
     def test_horizon_improves_agreement(self):
         _, u_true = closed_form_2x2()
         matrix = validate(ACCEPTANCE_2X2)
-        pair = power_iteration(matrix)
         gaps = []
         for horizon in (3, 10):
             total = 0.0
             for seed in (41, 42, 43):
-                props, _ = conditioned_proportions(
-                    matrix, pair, trials=300, horizon=horizon, seed=seed)
+                props, _, _ = conditioned_proportions(
+                    matrix, trials=300, horizon=horizon, seed=seed)
                 total += np.abs(props - u_true).sum()
             gaps.append(total / 3)
         assert gaps[1] < gaps[0]
@@ -207,8 +204,7 @@ class TestConditionedProportions:
     def test_subcritical_rejected(self):
         matrix = random_stochastic_matrix(np.random.default_rng(6), 3)
         with pytest.raises(Subcritical):
-            conditioned_proportions(matrix, power_iteration(matrix),
-                                    trials=10, horizon=5, seed=0)
+            conditioned_proportions(matrix, trials=10, horizon=5, seed=0)
 
     @pytest.mark.parametrize("rows,trials,horizon,law", [
         (ACCEPTANCE_2X2, 0, 5, "poisson"),
@@ -217,13 +213,14 @@ class TestConditionedProportions:
         ([[0.5, 0.25], [0.25, 0.5]], 10, 5, "deterministic"),
     ])
     def test_arguments_are_refused_before_the_pair_is_read(self, rows, trials,
-                                                           horizon, law):
-        matrix = validate(rows)
+                                                           horizon, law,
+                                                           monkeypatch):
+        calls = []
+        monkeypatch.setattr(gw_app, "power_iteration", calls.append)
         with pytest.raises(InvalidArgument):
-            check_arguments(matrix, trials, horizon, law)
-        with pytest.raises(InvalidArgument):
-            conditioned_proportions(matrix, None, trials, horizon, seed=0,
+            conditioned_proportions(validate(rows), trials, horizon, seed=0,
                                     law=law)
+        assert calls == []
 
     def test_a_deterministic_run_decomposes_once(self, tmp_path,
                                                  monkeypatch):
@@ -239,21 +236,21 @@ class TestConditionedProportions:
         assert len(calls) == 1
 
     def test_integer_means_pass_the_check(self):
-        check_arguments(validate(ACCEPTANCE_2X2), 1, 1, "deterministic")
+        props, survivors, _ = conditioned_proportions(
+            validate(ACCEPTANCE_2X2), 1, 1, seed=0, law="deterministic")
+        assert survivors == 1 and props.sum() == pytest.approx(1.0)
 
     def test_no_survivors(self):
         # Barely supercritical: most trees die fast, three trials suffice.
         matrix = scale(random_stochastic_matrix(np.random.default_rng(7), 2),
                        1.02)
         with pytest.raises(NoSurvivors):
-            conditioned_proportions(matrix, power_iteration(matrix),
-                                    trials=3, horizon=40, seed=12)
+            conditioned_proportions(matrix, trials=3, horizon=40, seed=12)
 
     def test_determinism(self):
         matrix = validate(ACCEPTANCE_2X2)
-        pair = power_iteration(matrix)
-        a = conditioned_proportions(matrix, pair, trials=100, horizon=6, seed=34)
-        b = conditioned_proportions(matrix, pair, trials=100, horizon=6, seed=34)
+        a = conditioned_proportions(matrix, trials=100, horizon=6, seed=34)
+        b = conditioned_proportions(matrix, trials=100, horizon=6, seed=34)
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1]
 
@@ -349,15 +346,13 @@ class TestBlockStep:
             for t in range(trials)]
         assert generations[0] > min(generations[1:]) > 0
         with pytest.raises(PopulationOverflow) as exc:
-            conditioned_proportions(matrix, power_iteration(matrix), trials,
-                                    horizon, seed)
+            conditioned_proportions(matrix, trials, horizon, seed)
         assert exc.value.generation == generations[0] == 6
 
     @pytest.mark.parametrize("law", OFFSPRING_LAWS)
     def test_blocks_sum_in_tree_order(self, law, monkeypatch):
         # The same sum as growing the trees one by one, whatever the block.
         matrix = validate([[0, 1], [1, 1]])
-        pair = power_iteration(matrix)
         decomp = decompose(matrix)
         trials, horizon, seed = 40, 9, 8
         summed, survivors = np.zeros(2), 0
@@ -371,19 +366,18 @@ class TestBlockStep:
             assert 0 < survivors < trials  # some trees die out
         for block in (1, 7, gw_app.TREE_BLOCK):
             monkeypatch.setattr(gw_app, "TREE_BLOCK", block)
-            props, alive = conditioned_proportions(matrix, pair, trials,
-                                                   horizon, seed, law=law)
+            props, alive, _ = conditioned_proportions(matrix, trials, horizon,
+                                                      seed, law=law)
             np.testing.assert_array_equal(props, summed / survivors)
             assert alive == survivors
 
     def test_memory_does_not_grow_with_trees(self):
         matrix = validate(ACCEPTANCE_2X2)
-        pair = power_iteration(matrix)
         peaks = []
         for trials in (2 * gw_app.TREE_BLOCK, 10_000):
             tracemalloc.start()
             try:
-                conditioned_proportions(matrix, pair, trials, horizon=2, seed=9)
+                conditioned_proportions(matrix, trials, horizon=2, seed=9)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

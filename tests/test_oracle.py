@@ -251,6 +251,25 @@ class TestQuasispeciesResidual:
         assert res.max_abs == 0.0
         assert res.mean_fitness == 4.0
 
+    def test_subnormal_matrix_has_no_residual(self):
+        # In the matrix's own units each creation term, 2.5e-324, rounds
+        # to 0 and leaves a residual as large as the answer.
+        matrix = validate([[5e-324, 5e-324], [5e-324, 5e-324]])
+        res = quasispecies_residual(matrix, power_iteration(matrix).vector)
+        assert res.max_abs == 0.0
+        assert res.mean_fitness == 1e-323
+
+    @pytest.mark.parametrize("k", [-900, -20, 20, 900])
+    def test_residuals_scale_exactly_by_powers_of_two(self, k):
+        matrix = random_primitive_matrix(np.random.default_rng(41), n_max=6)
+        x = power_iteration(matrix).vector
+        res = quasispecies_residual(matrix, x)
+        res_k = quasispecies_residual(scale(matrix, 2.0**k), x)
+        np.testing.assert_array_equal(res_k.per_state,
+                                      np.ldexp(res.per_state, k))
+        assert res_k.max_abs == np.ldexp(res.max_abs, k)
+        assert res_k.mean_fitness == np.ldexp(res.mean_fitness, k)
+
     @pytest.mark.parametrize("x", [
         np.array([0.5, 0.6]),
         np.array([-0.1, 1.1]),
