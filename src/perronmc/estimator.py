@@ -7,18 +7,28 @@ eigenvalue ``lam``, the per-step weights
 
 and the return weight ``w_tau``.  The mean return weight over a batch is a
 strictly decreasing, continuous function of ``lam`` that equals 1 at the
-dominant eigenvalue, so ``lam`` is found by bisection on the row-sum bracket
-``[min f, max f]`` using the same fixed batch at every trial value.  Every
-factor ``f / lam`` is >= 1 at ``min f`` and <= 1 at ``max f``, so the
-bracket holds the root, and bisection stops only at ``tol`` or at float
-resolution.  The eigenvector estimate is the visit-weighted tally
-normalized to the simplex.
+dominant eigenvalue, and the same fixed batch serves every trial value.
+Every factor ``f / lam`` is >= 1 at ``min f`` and <= 1 at ``max f``, so
+the row-sum bracket ``[min f, max f]`` holds the root.  The eigenvector
+estimate is the visit-weighted tally normalized to the simplex.
 
 A path enters the return weight only through its log fitness sum
 ``S_p = sum_t log f(X_t)`` and its length ``tau_p``:
 ``log w_tau = S_p - tau_p log lam``.  One O(visits) pass over the batch
-gives these two per-path arrays, after which every bisection step costs
-O(paths); no array grows as paths x N.  The solve runs on
+gives these two per-path arrays, after which every evaluation of the mean
+return weight costs O(paths); no array grows as paths x N.
+
+``lam`` is found by Newton's method on ``t = log lam`` from the low end of
+the bracket, with a bisection fallback.  ``log g(t) = log mean_p exp(S_p -
+tau_p t)`` is a log-sum-exp of affine functions of ``t``, so it is convex,
+and it decreases with slope ``-sum_p tau_p W_p / sum_p W_p <= -1``, where
+``W_p`` is the path's return weight.  A tangent of a convex function lies
+below it, so every Newton step from below the root lands at or below the
+root: from ``t = log min f`` the iterates rise to the root, quadratically
+near it, in a handful of steps.  Where rounding stops a step from rising,
+or would carry it past the bracket, the solve bisects the bracket it has
+narrowed so far, in ``t``, and stops at ``tol`` or at float resolution.
+The solve runs on
 ``f~ = f / 2**e``, with ``2**e`` the power of two that brings ``max f`` into
 ``[1, 2)``, and puts ``lam = lam~ * 2**e`` back with ``ldexp``.  Scaling the
 matrix by a power of two changes only ``e``, so the estimates scale
@@ -42,6 +52,7 @@ run slower on int32 indices; the copy is chunk-sized.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -50,7 +61,7 @@ import numpy as np
 from .chain_sim import SampleBatch, build_sampler, sample_batch
 from .errors import (EigenvalueUnderflow, EmptyBatch, InvalidArgument,
                      TruncationBiasGuard, check_counts, check_trial)
-from .matrix_core import NonNegativeMatrix, decompose
+from .matrix_core import NonNegativeMatrix, decompose, unit_scale
 
 __all__ = [
     "EstimateReport",
@@ -69,6 +80,10 @@ _CUMSUM_CHUNK = 4096
 # m * 2**x with m in [0.5, 1) is normal when x >= _TINY_EXP.
 _TINY = float(np.finfo(float).tiny)
 _TINY_EXP = int(np.frexp(_TINY)[1])
+# The floor of a max-shifted log weight: exp(-708) is still normal, and np.exp
+# runs many times slower on subnormal results.  A weight this small is lost
+# in a sum that holds the largest weight, 1.
+_LOG_WEIGHT_FLOOR = -708.0
 
 
 @dataclass(frozen=True)
@@ -131,25 +146,27 @@ class _PathSums:
 
     Attributes:
         exponent: ``e`` with ``f = f~ * 2**e`` and ``max f~`` in [1, 2).
-        lo, hi: the row-sum bracket ``[min f~, max f~]``.
+        lo, hi: the row-sum bracket ``[min f~, max f~]``; ``lo`` is 0 when
+            ``min f~`` lies below the float range.
+        log_lo: ``min log f~``, finite even where ``lo`` is 0.
         log_sums: ``S_p = sum_t log f~(X_t)`` per path.
         lengths: ``tau_p`` per path, as floats.
-        work: per-path scratch for :meth:`log_g`, so that a bisection step
-            allocates nothing; otherwise every step would allocate, and
+        work: per-path scratch for :meth:`log_g`, so that an evaluation
+            allocates nothing; otherwise every one would allocate, and
             page in, several path-sized temporaries.
     """
 
     exponent: int
     lo: float
     hi: float
+    log_lo: float
     log_sums: np.ndarray
     lengths: np.ndarray
     work: np.ndarray
 
     @classmethod
     def of(cls, batch: SampleBatch, fitness: np.ndarray) -> "_PathSums":
-        exponent = int(np.frexp(fitness.max())[1]) - 1
-        scaled = np.ldexp(fitness, -exponent)
+        scaled, exponent = unit_scale(fitness)
         # ldexp rounds an f~ below the normal range to a few bits, or to 0;
         # such an entry's log is read from frexp instead.
         mantissa, exps = np.frexp(fitness)
@@ -164,27 +181,35 @@ class _PathSums:
             log_sums[p0:p1] = np.add.reduceat(log_scaled[states],
                                               starts[p0:p1] - v0)
         return cls(exponent, float(scaled.min()), float(scaled.max()),
-                   log_sums, batch.lengths.astype(float),
-                   np.empty_like(log_sums))
+                   float(log_scaled.min()), log_sums,
+                   batch.lengths.astype(float), np.empty_like(log_sums))
 
-    def log_g(self, lam_scaled: float) -> float:
-        """log mean return weight at ``lam = lam_scaled * 2**exponent``,
-        by the max-shifted log-sum-exp of ``S_p - tau_p log lam~``."""
+    def log_g(self, t: float) -> tuple[float, float]:
+        """log mean return weight at ``lam = exp(t) * 2**exponent``, by the
+        max-shifted log-sum-exp of ``S_p - tau_p t``, and its slope in
+        ``t``, ``-sum_p tau_p W_p / sum_p W_p``."""
         logs = self.work
-        np.multiply(self.lengths, np.log(lam_scaled), out=logs)
+        np.multiply(self.lengths, t, out=logs)
         np.subtract(self.log_sums, logs, out=logs)
         m = logs.max()
         logs -= m
+        np.maximum(logs, _LOG_WEIGHT_FLOOR, out=logs)
         np.exp(logs, out=logs)
-        return float(m + np.log(logs.sum()) - np.log(logs.shape[0]))
+        total = logs.sum()
+        slope = -float(self.lengths @ logs / total)
+        return float(m + np.log(total) - np.log(logs.shape[0])), slope
 
     def g(self, lam: float) -> float:
         """Mean return weight at ``lam``."""
-        return float(np.exp(self.log_g(np.ldexp(lam, -self.exponent))))
+        t = np.log(np.ldexp(lam, -self.exponent))
+        return float(np.exp(self.log_g(t)[0]))
 
     def unscale(self, lam_scaled: float) -> float:
-        """``lam`` from a root ``lam~`` of the solve; a root below the
-        normal range holds too few bits to report, and is refused."""
+        """``lam`` from a root ``lam~`` of the solve, held to the row-sum
+        bracket, so that a bracket of one value gives that value bitwise; a
+        root below the normal range holds too few bits to report, and is
+        refused."""
+        lam_scaled = min(max(lam_scaled, self.lo), self.hi)
         if lam_scaled < _TINY:
             raise EigenvalueUnderflow(float(np.ldexp(self.hi, self.exponent)))
         return float(np.ldexp(lam_scaled, self.exponent))
@@ -206,11 +231,12 @@ def g_hat(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
 
 def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
                     tol: float = EstimationConfig.tol) -> float:
-    """Solve mean-return-weight(lam) = 1 by bisection on [min f, max f].
+    """Solve mean-return-weight(lam) = 1 by Newton's method on log lam
+    from ``min f``, with a bisection fallback inside [min f, max f].
 
     The paths do not depend on the trial value, so the target is a
     deterministic, strictly decreasing, continuous function of ``lam`` and
-    the bracket always holds the root.  Bisection stops at the tolerance or
+    the bracket always holds the root.  The solve stops at the tolerance or
     at float resolution, whichever comes first; a constant fitness vector
     gives a degenerate bracket, whose one value is returned.
 
@@ -226,27 +252,36 @@ def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
 
 
 def _solve_lambda(sums: _PathSums, tol: float) -> float:
-    """Bisect ``[lo, hi]`` until ``|g - 1| <= tol`` at the midpoint, or
-    until the midpoint is no longer strictly inside the bracket: at most
-    1,074 evaluations of log g, on the widest bracket ``[5e-324, 2)``.
+    """Newton's method on ``t = log lam~`` from ``t = log_lo``, until
+    ``|g - 1| <= tol``, with a bisection fallback.
+
+    Every evaluation narrows the bracket ``[lo, hi]``, which starts at
+    ``[log_lo, log hi]``.  A Newton step that fails to raise ``t``, or
+    that would leave the bracket, switches the solve to bisection of the
+    bracket for good; bisection stops when the midpoint is no longer
+    strictly inside it.
 
     Comparisons happen on log g, which stays finite even where the mean
     weight itself would overflow: ``log1p(-tol) <= log g <= log1p(tol)``.
     """
     band_lo = float(np.log1p(-tol))
     band_hi = float(np.log1p(tol))
-    lo, hi = sums.lo, sums.hi
+    lo, hi = sums.log_lo, math.log(sums.hi)
+    t, newton = lo, True
     while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return sums.unscale(mid)
-        log_g = sums.log_g(mid)
+        log_g, slope = sums.log_g(t)
         if band_lo <= log_g <= band_hi:
-            return sums.unscale(mid)
+            break
         if log_g > 0.0:
-            lo = mid
+            lo = t
         else:
-            hi = mid
+            hi = t
+        step = t - log_g / slope
+        newton = newton and t < step < hi
+        t = step if newton else 0.5 * (lo + hi)
+        if not lo < t < hi:
+            break
+    return sums.unscale(math.exp(t))
 
 
 def _path_chunks(batch: SampleBatch) -> list[tuple[int, int, int, int]]:

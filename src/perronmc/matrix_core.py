@@ -39,6 +39,7 @@ __all__ = [
     "validate",
     "check_primitive",
     "decompose",
+    "unit_scale",
 ]
 
 
@@ -192,3 +193,17 @@ def decompose(matrix: NonNegativeMatrix) -> RowDecomposition:
     fitness = matrix.entries.sum(axis=1)
     kernel = matrix.entries / fitness[:, None]
     return RowDecomposition(fitness=_freeze(fitness), kernel=_freeze(kernel))
+
+
+def unit_scale(x) -> tuple[np.ndarray, int]:
+    """``x`` divided by the power of two ``2**e`` that brings its largest
+    entry into [1, 2), and ``e``.
+
+    Dividing by a power of two keeps every bit of an entry that stays in
+    the normal range, so work done on the scaled values and scaled back
+    with ``ldexp`` gives the same bits at every power-of-two scale of
+    ``x``.  An entry more than about ``2**1022`` below the largest is
+    rounded to a few bits or to 0.
+    """
+    exponent = int(np.frexp(np.max(x))[1]) - 1
+    return np.ldexp(x, -exponent), exponent

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (Divergence, NoConvergence, NotOnSimplex,
                      check_base_state, check_trial)
-from .matrix_core import NonNegativeMatrix, decompose
+from .matrix_core import NonNegativeMatrix, decompose, unit_scale
 
 __all__ = [
     "PerronPair",
@@ -107,8 +107,7 @@ def power_iteration(matrix: NonNegativeMatrix) -> PerronPair:
             to zero (entries too far below the largest one to iterate).
     """
     n = matrix.n
-    exponent = int(np.frexp(matrix.entries.max())[1]) - 1
-    a = np.ldexp(matrix.entries, -exponent)
+    a, exponent = unit_scale(matrix.entries)
     v = np.full(n, 1.0 / n)
     for it in range(1, POWER_MAX_ITER + 1):
         w = v @ a
@@ -158,9 +157,9 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
     check_base_state(k, matrix.n)
     # Dividing A and lam by the same power of two leaves every term's bits
     # as they are and brings lam into [1, 2) whatever the matrix's scale.
-    exponent = int(np.frexp(lam)[1]) - 1
+    lam, exponent = unit_scale(lam)
+    lam = float(lam)
     a = np.ldexp(matrix.entries, -exponent)
-    lam = float(np.ldexp(lam, -exponent))
     h = power_iteration(NonNegativeMatrix(n=matrix.n, entries=a.T)).vector
 
     terms = []
@@ -224,8 +223,7 @@ def quasispecies_residual(matrix: NonNegativeMatrix,
         raise NotOnSimplex(f"entries sum to {total}")
 
     decomp = decompose(matrix)
-    exponent = int(np.frexp(decomp.fitness.max())[1]) - 1
-    fitness = np.ldexp(decomp.fitness, -exponent)
+    fitness, exponent = unit_scale(decomp.fitness)
     mean_fitness = float(x @ fitness)
     creation = (x * fitness) @ decomp.kernel
     per_state = np.ldexp(np.abs(x * mean_fitness - creation), exponent)

@@ -3,14 +3,17 @@ scalar reference paths that the vectorized pipeline is checked against."""
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from perronmc.chain_sim import (RowSampler, SampleBatch, _step_states,
                                 mix_seed)
 from perronmc.errors import AllTruncated, PerronMCError
-from perronmc.estimator import _chunk_weights
+from perronmc.estimator import EstimationConfig, _chunk_weights
 from perronmc.matrix_core import NonNegativeMatrix, RowDecomposition, validate
 
 ACCEPTANCE_2X2 = [[1.0, 2.0], [3.0, 4.0]]
@@ -43,6 +46,23 @@ def random_primitive_matrix(rng: np.random.Generator, n_max: int = 8,
             return validate(raw)
         except PerronMCError:
             continue
+
+
+def bench_inputs(name: str, seed: int
+                 ) -> tuple[NonNegativeMatrix, EstimationConfig]:
+    """The matrix and the sampling settings that a ``compare`` workload of
+    ``perfbench/workloads.py`` hands the CLI at bench seed ``seed``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses looks its module up
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS[name]
+    rows, cli_seed = workloads.inputs(workload, seed)
+    flags = dict(zip(workload.flags[::2], workload.flags[1::2]))
+    return validate(rows), EstimationConfig(samples=int(flags["--samples"]),
+                                            seed=cli_seed,
+                                            shards=int(flags["--shards"]))
 
 
 def unchecked(rows) -> NonNegativeMatrix:
@@ -299,6 +319,30 @@ def estimate_uk(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
     """
     tally = visit_tally(batch, fitness, lam)
     return float(batch.path_count / tally.denominator)
+
+
+def solve_lambda_by_bisection(sums, tol: float) -> float:
+    """The lam solve by plain bisection of ``lam~`` on the row-sum bracket
+    ``[sums.lo, sums.hi]`` of a :class:`perronmc.estimator._PathSums`.
+
+    Stops when ``log1p(-tol) <= log g <= log1p(tol)`` at the midpoint, or
+    when the midpoint is no longer strictly inside the bracket: at most
+    1,074 evaluations of log g, on the widest bracket ``[5e-324, 2)``.
+    """
+    band_lo = float(np.log1p(-tol))
+    band_hi = float(np.log1p(tol))
+    lo, hi = sums.lo, sums.hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return sums.unscale(mid)
+        log_g, _ = sums.log_g(np.log(mid))
+        if band_lo <= log_g <= band_hi:
+            return sums.unscale(mid)
+        if log_g > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def lemma_terms_reference(entries: np.ndarray, k: int, lam: float,

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ from perronmc import estimator
 from perronmc.chain_sim import build_sampler, sample_batch
 from perronmc.cli import main
 from perronmc.errors import (
+    EigenvalueUnderflow,
     EmptyBatch,
     InvalidArgument,
     NotPrimitive,
@@ -27,6 +29,7 @@ from perronmc.oracle import lemma_partial_sums, power_iteration
 
 from _support import (
     ACCEPTANCE_2X2,
+    bench_inputs,
     closed_form_2x2,
     estimate_uk,
     excursions,
@@ -35,6 +38,7 @@ from _support import (
     random_stochastic_matrix,
     return_weight_log,
     scale,
+    solve_lambda_by_bisection,
     step_weights,
     step_weights_by_path,
     unchecked,
@@ -54,6 +58,13 @@ FAIR = [[0.5, 0.5], [0.5, 0.5]]
 # the row-sum bracket needs about 230 halvings to meet the tolerance.
 WIDE_BRACKET = [[5e-61, 5e-61, 1e-200], [1.5e-60, 1.5e-60, 0.0],
                 [1.0, 0.0, 0.0]]
+# Row sums 2, 5e-324 and 1e-323, dominant eigenvalue about 3.14e-162:
+# about 570 halvings.
+WIDE_3X3 = [[0, 1, 1], [5e-324, 0, 0], [5e-324, 0, 5e-324]]
+# Row sums 2**1023, 5e-324 and 1e-323, dominant eigenvalue about 1.3e-113:
+# more than 2**1022 times below the largest row sum, so it is refused,
+# after about 1,074 halvings.
+HUGE = [[0, 2**1023, 0], [0, 0, 5e-324], [5e-324, 0, 5e-324]]
 
 
 class TestPathWeights:
@@ -171,27 +182,64 @@ class TestEstimateLambda:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_solve_stops_at_float_resolution(self, sign):
         # A log g that never enters the tolerance band drives the widest
-        # float bracket to one of its ends; the loop must stop there.
+        # float bracket to one of its ends; the loop must stop there.  Its
+        # slope is the flattest a real log g has, since every tau_p >= 1:
+        # Newton then climbs by unit steps across the bracket, about 745
+        # wide in log lam, and bisection halves the rest to float
+        # resolution.
         calls = []
 
-        def log_g(mid):
-            calls.append(mid)
-            return sign
+        def log_g(t):
+            calls.append(t)
+            return sign, -1.0
 
         lo, hi = 5e-324, float(np.nextafter(2.0, 0.0))
-        sums = SimpleNamespace(lo=lo, hi=hi, log_g=log_g, unscale=float)
+        sums = SimpleNamespace(log_lo=math.log(lo), hi=hi, log_g=log_g,
+                               unscale=float)
         lam = estimator._solve_lambda(sums, 1e-10)
         end = hi if sign > 0 else lo
         assert abs(lam - end) <= np.spacing(end)
-        assert len(calls) <= 1074
+        assert len(calls) <= math.ceil(math.log(hi) - math.log(lo)) + 64
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-3])
+    def test_newton_root_agrees_with_bisection(self, tol):
+        # Both roots lie in the band log1p(-tol) <= log g <= log1p(tol), and
+        # log g falls by at least 1 per unit of log lam, since every
+        # tau_p >= 1: so the roots differ in log lam by at most the band's
+        # width.
+        rng = np.random.default_rng(41)
+        matrices = [random_primitive_matrix(rng) for _ in range(20)]
+        matrices += [validate(WIDE_BRACKET), validate(WIDE_3X3)]
+        width = float(np.log1p(tol) - np.log1p(-tol))
+        for i, matrix in enumerate(matrices):
+            decomp = decompose(matrix)
+            batch = sample_batch(build_sampler(decomp), 0, 2000, seed=i,
+                                 cap=10**6, shards=1)
+            sums = estimator._PathSums.of(batch, decomp.fitness)
+            newton = estimator._solve_lambda(sums, tol)
+            bisection = solve_lambda_by_bisection(sums, tol)
+            assert abs(math.log(newton) - math.log(bisection)) <= width, i
+
+    def test_path_weights_stay_normal(self):
+        # Rows scaled by 0.5 to 2 spread log f~ so far that at the low end
+        # of the bracket the longest path outweighs the shortest by more
+        # than e**708: np.exp would return subnormal weights there, many
+        # times slower than normal ones.
+        rng = np.random.default_rng(5)
+        rows = (rng.uniform(0.5, 2.0, (100, 100))
+                * rng.uniform(0.5, 2.0, (100, 1)))
+        batch, decomp = _batch_for(rows, count=2000, seed=3)
+        sums = estimator._PathSums.of(batch, decomp.fitness)
+        sums.log_g(sums.log_lo)
+        tiny = np.finfo(float).tiny
+        assert not ((sums.work > 0.0) & (sums.work < tiny)).any()
 
     def test_row_sums_past_the_float_range(self):
         # Row sums 2, 5e-324 and 1e-323: divided by 2, the small two fall
         # below the normal range, where ldexp rounds them to one bit or to
         # 0.  The root, about sqrt(2 * 5e-324) = 3.143e-162, solves the
         # batch's own equation as read from unscaled logs.
-        batch, decomp = _batch_for([[0, 1, 1], [5e-324, 0, 0],
-                                    [5e-324, 0, 5e-324]], count=20_000)
+        batch, decomp = _batch_for(WIDE_3X3, count=20_000)
         lam = estimate_lambda(batch, decomp.fitness)
         weights = [np.exp(return_weight_log(exc, decomp.fitness, np.log(lam)))
                    for exc in excursions(batch)]
@@ -392,6 +440,33 @@ class TestVisitTallies:
 
 
 class TestRunEstimation:
+    @pytest.mark.parametrize("case", [
+        "compare-uniform-n100", "compare-master-n200", "wide-bracket",
+        "wide-3x3", "huge"])
+    def test_solve_takes_few_evaluations(self, monkeypatch, case):
+        # Plain bisection made 37, 30, 233, 572 and 1,074 evaluations of
+        # log g on these, residual included.
+        if case.startswith("compare-"):
+            matrix, config = bench_inputs(case, seed=0)
+        else:
+            rows = {"wide-bracket": WIDE_BRACKET, "wide-3x3": WIDE_3X3,
+                    "huge": HUGE}[case]
+            matrix, config = validate(rows), EstimationConfig()
+        calls = []
+        log_g = estimator._PathSums.log_g
+
+        def counted(sums, t):
+            calls.append(t)
+            return log_g(sums, t)
+
+        monkeypatch.setattr(estimator._PathSums, "log_g", counted)
+        if case == "huge":
+            with pytest.raises(EigenvalueUnderflow):
+                run_estimation(matrix, config)
+        else:
+            assert run_estimation(matrix, config).g_residual <= config.tol
+        assert 0 < len(calls) <= 10
+
     def test_not_primitive_propagates(self):
         with pytest.raises(NotPrimitive):
             run_estimation(validate(FLIP))
