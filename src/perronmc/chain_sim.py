@@ -32,17 +32,23 @@ instead of one seed at a time; the branching simulator seeds its trees
 with it too.  All shards walk together; at each step a shard draws one
 uniform per walker it still has out, in walker order, as it would walking
 alone, so the result does not depend on execution order.
+
+A batch is kept in the layout the walk writes it: step by step, each
+step a mask of the walkers that go on and their new states as int32,
+about 5 bytes per visit, with each path's return time and log fitness
+sum taken in the walk.  Nothing in the pipeline rebuilds the paths in
+path order; :attr:`SampleBatch.states` does so on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import AllTruncated, check_base_state, check_counts
-from .matrix_core import RowDecomposition
+from .matrix_core import RowDecomposition, _freeze, log_unit_scale
 
 __all__ = [
     "RowSampler",
@@ -207,10 +213,14 @@ class RowSampler:
             ``((b - 1) / M, u]``.  That interval is shorter than ``2 / M``,
             so a uniform finds fewer than ``2N / M = 0.5`` of the row's N
             entries in it on average.
+        log_fitness: ``log f~``, the logs of the row sums scaled by the
+            power of two of :func:`~perronmc.matrix_core.log_unit_scale`;
+            the walk sums them along each excursion.
     """
 
     cumulative: np.ndarray
     guide: np.ndarray
+    log_fitness: np.ndarray
 
     @property
     def n(self) -> int:
@@ -219,17 +229,42 @@ class RowSampler:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """A deterministic batch of first-return excursions from one base state.
+    """A deterministic batch of first-return excursions from one base state,
+    in the step-major layout the walk writes.
 
-    The visit sequences are stored flat (``states``, int32) with one length
-    per kept excursion (``lengths``, int64), ordered by attempt; each starts
-    at the base state.  Truncated attempts are excluded but counted.
+    Walker ``w`` makes attempt ``w``.  Every walker starts at the base
+    state; step ``t`` of ``steps`` is ``(keep, states)``: ``keep`` is a
+    mask over the walkers still out before the step, in walker order,
+    true for those that do not return at it, and ``states`` holds those
+    walkers' new states as int32.  A walker still out after the last step
+    was truncated: it is counted, and its return time is 0.  Paths are the
+    non-truncated attempts, in attempt order.
+
+    Attributes:
+        base_state: the base state ``k``, 0-based.
+        steps: the per-step record, as above.
+        return_times: per attempt, the step at which it returned, or 0.
+        log_sums: per path, ``S_p = sum_{t < tau_p} log f~(X_t)`` with the
+            sampler's ``log_fitness``, summed in the walk from zero.
+        log_fitness: the sampler's ``log_fitness``.
+        truncated_count: attempts that hit the cap.
+        shard_path_counts: paths per shard.
     """
 
-    states: np.ndarray
-    lengths: np.ndarray
+    base_state: int
+    steps: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    return_times: np.ndarray
+    log_sums: np.ndarray
+    log_fitness: np.ndarray
     truncated_count: int
     shard_path_counts: np.ndarray
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """``tau_p`` per path, int64."""
+        if not self.truncated_count:
+            return self.return_times
+        return _freeze(self.return_times[self.return_times > 0])
 
     @property
     def path_count(self) -> int:
@@ -238,14 +273,23 @@ class SampleBatch:
 
     @property
     def attempted(self) -> int:
-        return self.path_count + self.truncated_count
+        return int(self.return_times.shape[0])
 
     @cached_property
-    def offsets(self) -> np.ndarray:
-        """Start index of each excursion inside ``states``."""
-        out = np.zeros(self.lengths.shape[0], dtype=np.int64)
-        np.cumsum(self.lengths[:-1], out=out[1:])
-        return out
+    def states(self) -> np.ndarray:
+        """The paths' visits in path order, flat int32, each path starting
+        at the base state; replayed from ``steps`` on first use.  The
+        estimator reads ``steps`` and never builds this array."""
+        kept = self.return_times > 0
+        start = np.cumsum(self.return_times) - self.return_times
+        states = np.empty(int(self.lengths.sum()), dtype=np.int32)
+        states[start[kept]] = self.base_state
+        walkers = np.arange(self.attempted)
+        for t, (keep, visited) in enumerate(self.steps, start=1):
+            walkers = walkers[keep]
+            alive = kept[walkers] if self.truncated_count else slice(None)
+            states[start[walkers[alive]] + t] = visited[alive]
+        return _freeze(states)
 
 
 def build_sampler(decomp: RowDecomposition) -> RowSampler:
@@ -299,9 +343,9 @@ def build_sampler(decomp: RowDecomposition) -> RowSampler:
         flat[low[:, :-1][last]] = counts[:c.shape[0]][last]
         block = guide[lo:lo + rows]
         np.maximum.accumulate(block, axis=1, out=block)
-    cumulative.flags.writeable = False
-    guide.flags.writeable = False
-    return RowSampler(cumulative=cumulative, guide=guide)
+    log_fitness, _ = log_unit_scale(decomp.fitness)
+    return RowSampler(cumulative=_freeze(cumulative), guide=_freeze(guide),
+                      log_fitness=_freeze(log_fitness))
 
 
 def _step_states(sampler: RowSampler, current: np.ndarray,
@@ -335,9 +379,11 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
     All shards walk together, each filling its slice of one uniform buffer,
     so the walk lasts as long as the longest excursion, or ``cap`` steps.
     Each step records only its ``keep`` mask and the kept walkers' new
-    states as int32, 5 bytes per visit, and the scatter rebuilds the walker
-    ids by applying the masks in order; the walk itself indexes with intp,
-    so only the stored copy is narrowed.
+    states as int32, 5 bytes per visit, and nothing rebuilds the paths:
+    the batch is that record.  Each step also adds ``log f~`` of the
+    state every walker leaves into that walker's entry of ``S_p``, so
+    each path's sum is taken in the walk, in visit order from zero.  The
+    walk itself indexes with intp, so only the stored copy is narrowed.
 
     Args:
         sampler: tables from :func:`build_sampler`.
@@ -362,10 +408,11 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
     rngs = _streams(seed, 0, edges.size - 1)
     active = np.arange(count)
     current = np.full(count, k, dtype=np.intp)
-    return_time = np.zeros(count, dtype=np.int64)
+    return_times = np.zeros(count, dtype=np.int64)
+    log_sums = np.zeros(count)
     u = np.empty(count)
     live = list(range(len(rngs)))
-    record = []
+    steps = []
 
     step = 0
     while active.size and step < cap:
@@ -376,35 +423,28 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
         live = [s for s in live if ends[s] < ends[s + 1]]
         for s in live:
             rngs[s].random(out=u[ends[s]:ends[s + 1]])
+        log_sums[active] += sampler.log_fitness[current]
         nxt = _step_states(sampler, current, u[:active.size])
         keep = nxt != k
-        return_time[active[~keep]] = step
+        return_times[active[~keep]] = step
         active = active[keep]
         current = nxt[keep]
-        record.append((keep, current.astype(np.int32)))
+        steps.append((_freeze(keep), _freeze(current.astype(np.int32))))
 
-    kept = return_time > 0
-    lengths = return_time[kept]
-    if lengths.size == 0:
+    truncated = int(active.size)
+    if truncated == count:
         raise AllTruncated(count, cap)
-    # Walker w's path starts after the paths of the kept walkers before it;
-    # truncated walkers have return time 0, so they take no room.
-    start = np.cumsum(return_time) - return_time
-    states = np.empty(int(lengths.sum()), dtype=np.int32)
-    states[start[kept]] = k
-    walkers = np.arange(count)
-    for t, (keep, visited) in enumerate(record, start=1):
-        walkers = walkers[keep]
-        alive = kept[walkers] if active.size else slice(None)
-        states[start[walkers[alive]] + t] = visited[alive]
+    kept = return_times > 0
+    if truncated:
+        log_sums = log_sums[kept]
     shard_path_counts = np.bincount(np.flatnonzero(kept) // block,
                                     minlength=shards)
-    states.flags.writeable = False
-    lengths.flags.writeable = False
-    shard_path_counts.flags.writeable = False
     return SampleBatch(
-        states=states,
-        lengths=lengths,
-        truncated_count=int(active.size),
-        shard_path_counts=shard_path_counts,
+        base_state=k,
+        steps=tuple(steps),
+        return_times=_freeze(return_times),
+        log_sums=_freeze(log_sums),
+        log_fitness=sampler.log_fitness,
+        truncated_count=truncated,
+        shard_path_counts=_freeze(shard_path_counts),
     )

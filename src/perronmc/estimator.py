@@ -14,9 +14,10 @@ estimate is the visit-weighted tally normalized to the simplex.
 
 A path enters the return weight only through its log fitness sum
 ``S_p = sum_t log f(X_t)`` and its length ``tau_p``:
-``log w_tau = S_p - tau_p log lam``.  One O(visits) pass over the batch
-gives these two per-path arrays, after which every evaluation of the mean
-return weight costs O(paths); no array grows as paths x N.
+``log w_tau = S_p - tau_p log lam``.  The walk takes both as it goes
+(:class:`~perronmc.chain_sim.SampleBatch`), so the solve makes no pass
+over the visits: every evaluation of the mean return weight costs
+O(paths), and no array grows as paths x N.
 
 ``lam`` is found by Newton's method on ``t = log lam`` from the low end of
 the bracket, with a bisection fallback.  ``log g(t) = log mean_p exp(S_p -
@@ -40,20 +41,21 @@ the normal range holds too few bits to report and is refused with
 :class:`~perronmc.errors.EigenvalueUnderflow`.
 
 The per-visit weights are needed only at the final ``lam``.  One pass
-over the batch, in path-aligned chunks of a few thousand visits, adds them
-into the eigenvector tally and the per-shard tallies of the jackknife, and
-holds no batch-sized array.  ``log w_n`` is the running sum of
-``log(f / lam)`` along the path, restarted at every chunk so that its
-rounding error does not grow with the batch size.  Means of weights use
-the running-maximum log-sum-exp trick.  Both per-visit passes cast each
-chunk's int32 states to intp once, because numpy gathers and ``np.add.at``
-run slower on int32 indices; the copy is chunk-sized.
+over the batch's step-major record adds them into the eigenvector tally
+and the per-shard tallies of the jackknife.  Each walker carries
+``log w_n``, the running sum of ``log(f / lam)`` along its path from
+zero, compacted with the walkers still out, so no weight's rounding
+error grows with the batch size; each step adds its visits' weights into
+an (shards holding paths x N) table with one ``np.bincount``, and the
+table's columns sum to the tally.  The pass holds walker-sized arrays,
+never batch-sized ones.  Means of weights use the running-maximum
+log-sum-exp trick.  The pass casts each step's int32 states to intp once,
+because numpy gathers and ``np.bincount`` run slower on int32 indices.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +63,8 @@ import numpy as np
 from .chain_sim import SampleBatch, build_sampler, sample_batch
 from .errors import (EigenvalueUnderflow, EmptyBatch, InvalidArgument,
                      TruncationBiasGuard, check_counts, check_trial)
-from .matrix_core import NonNegativeMatrix, decompose, unit_scale
+from .matrix_core import (NonNegativeMatrix, decompose, log_unit_scale,
+                          unit_scale)
 
 __all__ = [
     "EstimateReport",
@@ -74,12 +77,8 @@ __all__ = [
 ]
 
 TRUNCATION_BIAS_LIMIT = 1e-3
-# Visits per block of the running sum behind the per-visit weights.
-_CUMSUM_CHUNK = 4096
-# The smallest normal float, and its exponent as frexp gives it: a float
-# m * 2**x with m in [0.5, 1) is normal when x >= _TINY_EXP.
+# The smallest normal float.
 _TINY = float(np.finfo(float).tiny)
-_TINY_EXP = int(np.frexp(_TINY)[1])
 # The floor of a max-shifted log weight: exp(-708) is still normal, and np.exp
 # runs many times slower on subnormal results.  A weight this small is lost
 # in a sum that holds the largest weight, 1.
@@ -166,23 +165,20 @@ class _PathSums:
 
     @classmethod
     def of(cls, batch: SampleBatch, fitness: np.ndarray) -> "_PathSums":
+        """The batch's own ``S_p`` and ``tau_p``, which the walk took.
+
+        ``fitness`` must be the row sums the batch was sampled under, up to
+        a power-of-two factor, which leaves every ``log f~`` as it is.
+        """
         scaled, exponent = unit_scale(fitness)
-        # ldexp rounds an f~ below the normal range to a few bits, or to 0;
-        # such an entry's log is read from frexp instead.
-        mantissa, exps = np.frexp(fitness)
-        deep = exps - exponent < _TINY_EXP
-        log_scaled = np.log(np.where(deep, 1.0, scaled))
-        log_scaled[deep] = (np.log(mantissa[deep])
-                            + (exps[deep] - exponent) * np.log(2.0))
-        starts = batch.offsets
-        log_sums = np.empty(starts.shape[0])
-        for p0, p1, v0, v1 in _path_chunks(batch):
-            states = batch.states[v0:v1].astype(np.intp)
-            log_sums[p0:p1] = np.add.reduceat(log_scaled[states],
-                                              starts[p0:p1] - v0)
+        log_scaled, _ = log_unit_scale(fitness)
+        if not np.array_equal(log_scaled, batch.log_fitness):
+            raise InvalidArgument(
+                "fitness is not the row sums the batch was sampled under")
+        lengths = batch.lengths.astype(float)
         return cls(exponent, float(scaled.min()), float(scaled.max()),
-                   float(log_scaled.min()), log_sums,
-                   batch.lengths.astype(float), np.empty_like(log_sums))
+                   float(log_scaled.min()), batch.log_sums, lengths,
+                   np.empty_like(lengths))
 
     def log_g(self, t: float) -> tuple[float, float]:
         """log mean return weight at ``lam = exp(t) * 2**exponent``, by the
@@ -223,7 +219,8 @@ def g_hat(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
 
     Raises:
         EmptyBatch: no non-truncated excursion in the batch.
-        InvalidArgument: ``lam`` is not finite and > 0.
+        InvalidArgument: ``lam`` is not finite and > 0, or ``fitness`` is
+            not the row sums the batch was sampled under.
     """
     _require_trial(batch, lam)
     return _PathSums.of(batch, fitness).g(lam)
@@ -242,7 +239,8 @@ def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
 
     Raises:
         EmptyBatch: no usable excursions.
-        InvalidArgument: ``tol`` outside (0, 1).
+        InvalidArgument: ``tol`` outside (0, 1), or ``fitness`` is not the
+            row sums the batch was sampled under.
         EigenvalueUnderflow: the root lies more than ``2**1022`` times
             below ``max f``, past the normal range of the scaled solve.
     """
@@ -284,66 +282,46 @@ def _solve_lambda(sums: _PathSums, tol: float) -> float:
     return sums.unscale(math.exp(t))
 
 
-def _path_chunks(batch: SampleBatch) -> list[tuple[int, int, int, int]]:
-    """The batch as chunks of whole paths, ``(p0, p1, v0, v1)``.
-
-    A new chunk starts at the first path start in every block of
-    ``_CUMSUM_CHUNK`` visits, so a chunk holds at most ``_CUMSUM_CHUNK``
-    plus one path's visits.  Per-visit passes that work chunk by chunk hold
-    no batch-sized temporary.
-    """
-    starts = batch.offsets
-    blocks = np.arange(0, batch.states.shape[0], _CUMSUM_CHUNK)
-    first = np.unique(np.searchsorted(starts, blocks))
-    first = first[first < starts.shape[0]]
-    paths = np.append(first, starts.shape[0]).tolist()
-    visits = np.append(starts[first], batch.states.shape[0]).tolist()
-    return list(zip(paths[:-1], paths[1:], visits[:-1], visits[1:]))
-
-
-def _chunk_weights(batch: SampleBatch, fitness: np.ndarray, lam: float
-                   ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Yield ``(p0, p1, states, weights)`` for each chunk of
-    :func:`_path_chunks`: the per-visit weights w_n, with w_0 = 1 exact,
-    from the running sum of ``log(f / lam)`` restarted at the chunk."""
-    log_ratio = np.log(fitness / lam)
-    for p0, p1, v0, v1 in _path_chunks(batch):
-        states = batch.states[v0:v1].astype(np.intp)
-        per_visit = log_ratio[states]
-        log_w = np.cumsum(per_visit)
-        log_w -= per_visit
-        log_w -= np.repeat(log_w[batch.offsets[p0:p1] - v0],
-                           batch.lengths[p0:p1])
-        yield p0, p1, states, np.exp(log_w, out=log_w)
-
-
-def _shard_ends(batch: SampleBatch) -> np.ndarray | None:
-    """One past the last path of each shard that holds paths, or None when
-    fewer than two do and the jackknife does not apply."""
-    counts = batch.shard_path_counts[batch.shard_path_counts > 0]
-    return np.cumsum(counts) if counts.shape[0] >= 2 else None
-
-
 def _visit_tallies(batch: SampleBatch, fitness: np.ndarray,
                    lam: float) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-state sums of the weights at ``lam``, over the batch and per
-    shard that holds paths (None when fewer than two do), in one pass.
+    shard that holds paths (None when fewer than two do), in one pass over
+    the record.
 
-    ``np.add.at`` adds in index order and chunks come in visit order, so
-    every sum is bitwise the ``np.bincount`` of its visits' weights.  The
-    per-shard table is indexed flat as ``shard * N + state``.
+    Row ``r`` of the table is the ``r``-th shard that holds paths, and a
+    truncated walker's visits go to one more row, which is dropped.  Each
+    path's first visit weighs exactly 1, so the base state's entries are
+    the exact path counts and ``totals[k]`` is ``path_count``.
     """
     n = fitness.shape[0]
-    ends = _shard_ends(batch)
-    totals = np.zeros(n)
-    by_shard = None if ends is None else np.zeros((ends.shape[0], n))
-    for p0, p1, states, weights in _chunk_weights(batch, fitness, lam):
-        np.add.at(totals, states, weights)
-        if by_shard is not None:
-            shard = np.searchsorted(ends, np.arange(p0, p1), side="right")
-            flat = np.repeat(shard * n, batch.lengths[p0:p1]) + states
-            np.add.at(by_shard.reshape(-1), flat, weights)
-    return totals, by_shard
+    k = batch.base_state
+    held = batch.shard_path_counts > 0
+    rows = max(int(held.sum()), 1)
+    counts = batch.shard_path_counts[held]
+    table = np.zeros((rows + 1, n))
+    table[:rows, k] = counts
+    flat = table.reshape(-1)
+    # Each walker's row, as an offset into the flat table: its path's
+    # shard, or the dropped row if it was truncated.  None when every
+    # walker adds into row 0.
+    offset = None
+    if rows > 1 or batch.truncated_count:
+        offset = np.full(batch.attempted, rows * n)
+        offset[batch.return_times > 0] = np.repeat(np.arange(0, rows * n, n),
+                                                   counts)
+    log_ratio = np.log(fitness / lam)
+    log_w = np.full(batch.attempted, log_ratio[k])
+    for keep, visited in batch.steps:
+        states = visited.astype(np.intp)
+        log_w = log_w[keep]
+        weights = np.exp(log_w)
+        log_w += log_ratio[states]
+        if offset is not None:
+            offset = offset[keep]
+            states += offset
+        flat += np.bincount(states, weights, minlength=flat.shape[0])
+    table = table[:rows]
+    return table.sum(axis=0), table if rows > 1 else None
 
 
 def _eigenvector(numerators: np.ndarray) -> np.ndarray:
@@ -386,7 +364,7 @@ def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,
     indicative plumbing, not a calibrated confidence interval.
     """
     _require_trial(batch, lam)
-    if _shard_ends(batch) is None:
+    if np.count_nonzero(batch.shard_path_counts) < 2:
         return None
     return _jackknife(_visit_tallies(batch, fitness, lam)[1])
 
@@ -415,6 +393,8 @@ def run_estimation(matrix: NonNegativeMatrix,
     sums = _PathSums.of(batch, decomp.fitness)
     lam = _solve_lambda(sums, config.tol)
     residual = abs(sums.g(lam) - 1.0)
+    # Free the solve's per-path arrays before the tally's per-walker ones.
+    del sums
     # One pass at the final lam feeds the eigenvector and the jackknife.
     totals, by_shard = _visit_tallies(batch, decomp.fitness, lam)
     u = _eigenvector(totals)

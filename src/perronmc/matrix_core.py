@@ -40,7 +40,12 @@ __all__ = [
     "check_primitive",
     "decompose",
     "unit_scale",
+    "log_unit_scale",
 ]
+
+# A float m * 2**x with m in [0.5, 1), as frexp gives it, is normal when
+# x >= _TINY_EXP.
+_TINY_EXP = int(np.frexp(np.finfo(float).tiny)[1])
 
 
 @dataclass(frozen=True)
@@ -207,3 +212,21 @@ def unit_scale(x) -> tuple[np.ndarray, int]:
     """
     exponent = int(np.frexp(np.max(x))[1]) - 1
     return np.ldexp(x, -exponent), exponent
+
+
+def log_unit_scale(x) -> tuple[np.ndarray, int]:
+    """``log(x / 2**e)`` and ``e``, with ``2**e`` as in :func:`unit_scale`.
+
+    An entry that the division takes below the normal range, where
+    ``ldexp`` would round it to a few bits or to 0, has its log taken from
+    ``x = m * 2**p`` as ``log m + (p - e) log 2``; every other entry's log
+    is that of its scaled bits, so it too is the same at every
+    power-of-two scale of ``x``.
+    """
+    scaled, exponent = unit_scale(x)
+    mantissa, exps = np.frexp(x)
+    deep = exps - exponent < _TINY_EXP
+    logs = np.log(np.where(deep, 1.0, scaled))
+    logs[deep] = (np.log(mantissa[deep])
+                  + (exps[deep] - exponent) * np.log(2.0))
+    return logs, exponent

@@ -13,7 +13,7 @@ import numpy as np
 from perronmc.chain_sim import (RowSampler, SampleBatch, _step_states,
                                 mix_seed)
 from perronmc.errors import AllTruncated, PerronMCError
-from perronmc.estimator import EstimationConfig, _chunk_weights
+from perronmc.estimator import EstimationConfig
 from perronmc.matrix_core import NonNegativeMatrix, RowDecomposition, validate
 
 ACCEPTANCE_2X2 = [[1.0, 2.0], [3.0, 4.0]]
@@ -162,6 +162,21 @@ def step_states_reference(kernel: np.ndarray, current: np.ndarray,
     return np.minimum(nxt, last_positive[current])
 
 
+def offsets(batch: SampleBatch) -> np.ndarray:
+    """Start index of each path inside ``batch.states``."""
+    out = np.zeros(batch.lengths.shape[0], dtype=np.int64)
+    np.cumsum(batch.lengths[:-1], out=out[1:])
+    return out
+
+
+def path_log_sums(states: np.ndarray, lengths: np.ndarray,
+                  log_fitness: np.ndarray) -> np.ndarray:
+    """``S_p``: each path's ``log_fitness`` over its visits, summed in
+    visit order from zero, one path at a time."""
+    parts = np.split(log_fitness[states], np.cumsum(lengths)[:-1])
+    return np.array([np.cumsum(part)[-1] for part in parts])
+
+
 def _walk_block(sampler: RowSampler, k: int, block: int,
                 rng: np.random.Generator, cap: int):
     """Run ``block`` first-return attempts at once.
@@ -200,8 +215,21 @@ def _walk_block(sampler: RowSampler, k: int, block: int,
     return states, lengths, int(active.size)
 
 
+@dataclass(frozen=True)
+class ShardWalk:
+    """The batch as the shards walked one at a time give it, in path order:
+    the visits, the path lengths and ``S_p`` per path, the truncations and
+    the paths per shard."""
+
+    states: np.ndarray
+    lengths: np.ndarray
+    log_sums: np.ndarray
+    truncated_count: int
+    shard_path_counts: np.ndarray
+
+
 def sample_batch_by_shard(sampler: RowSampler, k: int, count: int, seed: int,
-                          cap: int, shards: int) -> SampleBatch:
+                          cap: int, shards: int) -> ShardWalk:
     """The batch walked one shard at a time: shard ``s`` walks its block of
     ``ceil(count / shards)`` attempts alone, on the generator seeded by
     ``mix_seed(seed, s)``, and the shards' results are concatenated."""
@@ -225,9 +253,11 @@ def sample_batch_by_shard(sampler: RowSampler, k: int, count: int, seed: int,
     lengths = np.concatenate(all_lengths)
     if lengths.size == 0:
         raise AllTruncated(count, cap)
-    return SampleBatch(states=states, lengths=lengths,
-                       truncated_count=truncated_total,
-                       shard_path_counts=shard_path_counts)
+    return ShardWalk(states=states, lengths=lengths,
+                     log_sums=path_log_sums(states, lengths,
+                                            sampler.log_fitness),
+                     truncated_count=truncated_total,
+                     shard_path_counts=shard_path_counts)
 
 
 def excursions(batch: SampleBatch) -> list[Excursion]:
@@ -279,12 +309,29 @@ def step_weights_by_path(batch: SampleBatch, fitness: np.ndarray,
     ])
 
 
-def step_weights(batch: SampleBatch, fitness: np.ndarray,
-                 lam: float) -> np.ndarray:
-    """The estimator's per-visit weights w_n for the whole batch, flat: its
-    chunks, concatenated in visit order."""
-    return np.concatenate([weights for *_, weights
-                           in _chunk_weights(batch, fitness, lam)])
+def shard_tallies(batch: SampleBatch, fitness: np.ndarray,
+                  lam: float) -> np.ndarray:
+    """Per-state sums of the weights at ``lam``, one row per shard that
+    holds paths, from each path's own weights (:func:`step_weights_by_path`)
+    added in the order the estimator adds them: for n = 0, 1, ..., one
+    ``np.bincount`` of the n-th visits of the paths still out, in attempt
+    order, added into the table."""
+    n = fitness.shape[0]
+    counts = batch.shard_path_counts[batch.shard_path_counts > 0]
+    lengths = batch.lengths
+    weights = step_weights_by_path(batch, fitness, lam)
+    row = np.repeat(np.repeat(np.arange(counts.shape[0]), counts), lengths)
+    step = np.arange(weights.shape[0]) - np.repeat(offsets(batch), lengths)
+    order = np.argsort(step, kind="stable")
+    bins = (row * n + batch.states)[order]
+    weights = weights[order]
+    table = np.zeros((counts.shape[0], n))
+    flat = table.reshape(-1)
+    ends = np.cumsum(np.bincount(step)).tolist()
+    for lo, hi in zip([0] + ends[:-1], ends):
+        flat += np.bincount(bins[lo:hi], weights[lo:hi],
+                            minlength=flat.shape[0])
+    return table
 
 
 @dataclass(frozen=True)
@@ -304,10 +351,9 @@ class VisitTally:
 def visit_tally(batch: SampleBatch, fitness: np.ndarray,
                 lam: float) -> VisitTally:
     """Per-state visit weights of the batch at ``lam``, summed in the same
-    order as :func:`perronmc.estimator.estimate_u` sums them."""
-    numerators = np.bincount(batch.states,
-                             weights=step_weights(batch, fitness, lam),
-                             minlength=fitness.shape[0])
+    order as :func:`perronmc.estimator.estimate_u` sums them: the column
+    sums of :func:`shard_tallies`."""
+    numerators = shard_tallies(batch, fitness, lam).sum(axis=0)
     return VisitTally(numerators=numerators, denominator=float(numerators.sum()))
 
 

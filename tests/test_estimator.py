@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -38,8 +39,9 @@ from _support import (
     random_stochastic_matrix,
     return_weight_log,
     scale,
+    offsets,
+    shard_tallies,
     solve_lambda_by_bisection,
-    step_weights,
     step_weights_by_path,
     unchecked,
     visit_tally,
@@ -145,13 +147,26 @@ class TestGHat:
 
     def test_empty_batch(self):
         batch, decomp = _batch_for(FAIR, count=10)
-        empty = batch.__class__(
-            states=np.empty(0, np.int64),
-            lengths=np.empty(0, np.int64), truncated_count=10,
+        empty = dataclasses.replace(
+            batch, steps=(), return_times=np.zeros(10, np.int64),
+            log_sums=np.empty(0), truncated_count=10,
             shard_path_counts=np.array([0]),
         )
         with pytest.raises(EmptyBatch):
             g_hat(empty, decomp.fitness, 1.0)
+
+    def test_fitness_must_be_the_batch_s(self):
+        # The walk summed the sampler's log f~ along each path, so other
+        # row sums would weigh the paths by sums they did not take.  A
+        # power-of-two scale has the same f~, and scales lam exactly.
+        batch, decomp = _batch_for(ACCEPTANCE_2X2, count=100)
+        for fitness in (decomp.fitness[::-1], 3.0 * decomp.fitness):
+            with pytest.raises(InvalidArgument):
+                g_hat(batch, fitness, 5.0)
+            with pytest.raises(InvalidArgument):
+                estimate_lambda(batch, fitness)
+        assert (estimate_lambda(batch, 2.0 * decomp.fitness)
+                == 2.0 * estimate_lambda(batch, decomp.fitness))
 
 
 class TestEstimateLambda:
@@ -262,8 +277,9 @@ class TestEstimateLambda:
             batch, decomp.fitness, lam)
 
     def test_peak_memory_has_no_state_factor(self):
-        # Same path count at N=2 and N=400: the solve may hold a few arrays
-        # per visit and per path, never one per (path, state) pair.
+        # Same path count at N=2 and N=400: the walk took S_p and tau_p, so
+        # the solve holds a few arrays per path, never one per visit or per
+        # (path, state) pair.
         rng = np.random.default_rng(5)
         for n in (2, 400):
             rows = rng.uniform(0.5, 2.0, (n, n))
@@ -278,17 +294,15 @@ class TestEstimateLambda:
                 peak = tracemalloc.get_traced_memory()[1] - live
             finally:
                 tracemalloc.stop()
-            visits = batch.states.shape[0]
-            assert peak <= 6 * 8 * (visits + batch.path_count), n
+            assert peak <= 3 * 8 * batch.path_count, n
 
-    def test_peak_memory_is_one_array_per_visit(self):
-        # Long excursions (mean tau ~ N), so the per-visit term dominates:
-        # lam solve plus tally may hold the weights and per-path arrays,
-        # but no second batch-sized temporary.
+    def test_peak_memory_is_a_few_arrays_per_walker(self):
+        # Long excursions (mean tau ~ N), so a per-visit array would be 40
+        # times a per-walker one: the lam solve and the tally hold a few
+        # walker-sized arrays, none per visit.
         rows = np.random.default_rng(8).uniform(0.5, 2.0, (50, 50))
         batch, decomp = _batch_for(rows, count=20_000, seed=4)
-        visits = batch.states.shape[0]
-        assert visits > 40 * batch.path_count
+        assert batch.lengths.sum() > 40 * batch.attempted
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
@@ -297,16 +311,25 @@ class TestEstimateLambda:
             peak = tracemalloc.get_traced_memory()[1] - live
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * visits + 6 * 8 * batch.path_count
+        assert peak <= 6 * 8 * batch.attempted
 
-    def test_chunked_path_sums_equal_batch_wide_sums(self):
+    def test_path_sums_are_within_a_stated_bound_of_fsum(self):
+        # The walk sums log f~ along each path from zero, one term a step:
+        # a recursive sum of tau terms is within (tau - 1) eps sum |terms|
+        # of the exact sum (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 2002, 4.2).
         rows = np.random.default_rng(9).uniform(0.5, 2.0, (30, 30))
         batch, decomp = _batch_for(rows, count=3000, seed=5)
-        assert batch.states.shape[0] > 10 * estimator._CUMSUM_CHUNK
         sums = estimator._PathSums.of(batch, decomp.fitness)
         scaled = np.ldexp(decomp.fitness, -sums.exponent)
-        whole = np.add.reduceat(np.log(scaled)[batch.states], batch.offsets)
-        np.testing.assert_array_equal(sums.log_sums, whole)
+        terms = np.split(np.log(scaled)[batch.states],
+                         offsets(batch)[1:])
+        assert max(t.shape[0] for t in terms) > 100
+        eps = np.finfo(float).eps
+        for got, tau, path in zip(sums.log_sums, batch.lengths, terms):
+            exact = math.fsum(path)
+            bound = (tau - 1) * eps * math.fsum(np.abs(path))
+            assert abs(got - exact) <= bound
 
 
 class TestTrialEigenvalue:
@@ -369,15 +392,18 @@ class TestEstimateU:
 
     def test_step_weight_error_does_not_grow_with_batch(self):
         # Skewed 10x10 matrix: returns to state 0 are rare, mean tau ~ 800.
+        # The tally's weights are each path's own, summed from zero, at
+        # every batch size: its sums equal bitwise those of the weights
+        # taken path by path.
         rng = np.random.default_rng(0)
         rows = rng.uniform(0.5, 2.0, (10, 10))
         rows[:, 0] *= 0.01
         for count in (200, 2000):
             batch, decomp = _batch_for(rows, count=count, seed=1)
             lam = estimate_lambda(batch, decomp.fitness)
-            got = step_weights(batch, decomp.fitness, lam)
-            ref = step_weights_by_path(batch, decomp.fitness, lam)
-            assert np.abs(got / ref - 1.0).max() <= 1e-11, count
+            totals, _ = estimator._visit_tallies(batch, decomp.fitness, lam)
+            ref = visit_tally(batch, decomp.fitness, lam).numerators
+            assert _bits(totals) == _bits(ref), count
 
     def test_deterministic_chain_uk_exact(self):
         batch, decomp = _batch_for(FLIP, count=100, seed=19)
@@ -405,28 +431,38 @@ class TestVisitTallies:
         lam = estimate_lambda(batch, decomp.fitness)
         totals, by_shard = estimator._visit_tallies(batch, decomp.fitness,
                                                     lam)
-        weights = step_weights(batch, decomp.fitness, lam)
-        assert _bits(totals) == _bits(np.bincount(batch.states, weights,
-                                                  minlength=30))
-        counts = batch.shard_path_counts[batch.shard_path_counts > 0]
-        if counts.shape[0] < 2:
+        ref = shard_tallies(batch, decomp.fitness, lam)
+        assert _bits(totals) == _bits(ref.sum(axis=0))
+        assert totals[0] == batch.path_count
+        if ref.shape[0] < 2:
             assert by_shard is None
             return
-        paths = np.concatenate(([0], np.cumsum(counts)))
-        visits = np.concatenate(([0], np.cumsum(batch.lengths)))[paths]
-        assert by_shard.shape == (counts.shape[0], 30)
-        for row, v0, v1 in zip(by_shard, visits[:-1], visits[1:]):
-            ref = np.bincount(batch.states[v0:v1], weights[v0:v1],
-                              minlength=30)
-            assert _bits(row) == _bits(ref)
+        assert by_shard.shape == ref.shape
+        assert _bits(by_shard) == _bits(ref)
+
+    @pytest.mark.parametrize("count", [2_000, 8_000, 20_000])
+    def test_tally_error_does_not_grow_with_batch(self, count):
+        # About 0.21M, 0.84M and 2.1M visits.  Each total is within 1e-14
+        # relative of the exact sum of the weights taken path by path:
+        # sums over the whole batch in visit order were 1.7e-14 off at 2.1M
+        # visits, and 4.6e-14 at 8.3M.
+        rows = np.random.default_rng(100).uniform(0.5, 2.0, (100, 100))
+        batch, decomp = _batch_for(rows, count=count, seed=3)
+        lam = estimate_lambda(batch, decomp.fitness)
+        totals, _ = estimator._visit_tallies(batch, decomp.fitness, lam)
+        weights = step_weights_by_path(batch, decomp.fitness, lam)
+        order = np.argsort(batch.states, kind="stable")
+        ends = np.cumsum(np.bincount(batch.states, minlength=100))
+        exact = [math.fsum(part)
+                 for part in np.split(weights[order], ends[:-1])]
+        assert np.abs(totals / exact - 1.0).max() <= 1e-14
 
     def test_final_pass_holds_no_batch_sized_array(self):
-        # Long excursions (mean tau ~ N): over a million visits, the tally
-        # and the jackknife hold chunk-sized arrays, not one per visit.
+        # Long excursions (mean tau ~ N): over a million visits, and the
+        # tally and the jackknife hold a few walker-sized arrays.
         rows = np.random.default_rng(8).uniform(0.5, 2.0, (50, 50))
         batch, decomp = _batch_for(rows, count=25_000, seed=4, shards=4)
-        visits = batch.states.shape[0]
-        assert visits >= 10**6
+        assert batch.lengths.sum() >= 10**6
         lam = estimate_lambda(batch, decomp.fitness)
         for stage in (estimate_u, shard_dispersion):
             tracemalloc.start()
@@ -436,7 +472,7 @@ class TestVisitTallies:
                 peak = tracemalloc.get_traced_memory()[1] - live
             finally:
                 tracemalloc.stop()
-            assert peak < visits, stage.__name__
+            assert peak <= 6 * 8 * batch.attempted, stage.__name__
 
 
 class TestRunEstimation:
@@ -488,7 +524,7 @@ class TestRunEstimation:
         def no_weights(*args):
             raise AssertionError("per-visit weights computed")
 
-        monkeypatch.setattr(estimator, "_chunk_weights", no_weights)
+        monkeypatch.setattr(estimator, "_visit_tallies", no_weights)
         assert shard_dispersion(batch, decomp.fitness, 5.0) is None
 
     def test_single_shard_has_no_dispersion(self):
