@@ -145,6 +145,17 @@ class EigenvalueUnderflow(GuardError):
         )
 
 
+class TallyOverflow(GuardError):
+    def __init__(self, base_state: int, largest: int):
+        self.base_state = base_state
+        self.largest = largest
+        super().__init__(
+            f"the visit weights from base state {base_state + 1} sum past the "
+            f"float range; try base state {largest + 1}, whose tally is the "
+            "largest"
+        )
+
+
 class TruncationBiasGuard(GuardError):
     def __init__(self, truncated: int, attempted: int, limit: float):
         self.truncated = truncated

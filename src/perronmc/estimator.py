@@ -43,14 +43,17 @@ the normal range holds too few bits to report and is refused with
 The per-visit weights are needed only at the final ``lam``.  One pass
 over the batch's step-major record adds them into the eigenvector tally
 and the per-shard tallies of the jackknife.  Each walker carries
-``log w_n``, the running sum of ``log(f / lam)`` along its path from
-zero, compacted with the walkers still out, so no weight's rounding
-error grows with the batch size; each step adds its visits' weights into
-an (shards holding paths x N) table with one ``np.bincount``, and the
-table's columns sum to the tally.  The pass holds walker-sized arrays,
-never batch-sized ones.  Means of weights use the running-maximum
-log-sum-exp trick.  The pass casts each step's int32 states to intp once,
-because numpy gathers and ``np.bincount`` run slower on int32 indices.
+``log w_n``, the running sum of ``log f~ - log lam~`` along its path,
+with the walk's own ``log f~``, from zero, compacted with the walkers
+still out, so no weight's rounding error grows with the batch size; each
+step adds its visits' weights into an (shards holding paths x N) table
+with one ``np.bincount``, and the table's columns sum to the tally.  The
+pass holds walker-sized arrays, never batch-sized ones.  Means of
+weights use the running-maximum log-sum-exp trick.  The pass casts each
+step's int32 states to intp once, because numpy gathers and
+``np.bincount`` run slower on int32 indices.  A tally that sums past the
+float range, as it can when the base state's coordinate lies far below
+another state's, is refused with :class:`~perronmc.errors.TallyOverflow`.
 """
 
 from __future__ import annotations
@@ -62,9 +65,9 @@ import numpy as np
 
 from .chain_sim import SampleBatch, build_sampler, sample_batch
 from .errors import (EigenvalueUnderflow, EmptyBatch, InvalidArgument,
-                     TruncationBiasGuard, check_counts, check_trial)
-from .matrix_core import (NonNegativeMatrix, decompose, log_unit_scale,
-                          unit_scale)
+                     TallyOverflow, TruncationBiasGuard, check_counts,
+                     check_trial)
+from .matrix_core import NonNegativeMatrix, decompose, log_unit_scale
 
 __all__ = [
     "EstimateReport",
@@ -127,16 +130,22 @@ class EstimationConfig:
         check_counts(samples=self.samples, shards=self.shards, cap=self.cap)
 
 
-def _require_paths(batch: SampleBatch) -> None:
+def _exponent(batch: SampleBatch, fitness: np.ndarray, check, value) -> int:
+    """``e`` with ``f = f~ * 2**e``, after every entry's refusals in turn:
+    an empty batch, ``check(value)``, then a fitness not the batch's."""
     if batch.path_count == 0:
         raise EmptyBatch()
+    check(value)
+    log_scaled, exponent = log_unit_scale(fitness)
+    if not np.array_equal(log_scaled, batch.log_fitness):
+        raise InvalidArgument(
+            "fitness is not the row sums the batch was sampled under")
+    return exponent
 
 
-def _require_trial(batch: SampleBatch, lam: float) -> None:
-    """The checks of every function that weighs the batch at a given
-    ``lam``: the batch holds paths, and ``lam`` is finite and > 0."""
-    _require_paths(batch)
-    check_trial(lam)
+def _log_trial(lam: float, exponent: int) -> float:
+    """``t = log lam~``: ``log lam`` in the units of the batch's ``log f~``."""
+    return float(np.log(np.ldexp(lam, -exponent)))
 
 
 @dataclass(frozen=True)
@@ -164,20 +173,14 @@ class _PathSums:
     work: np.ndarray
 
     @classmethod
-    def of(cls, batch: SampleBatch, fitness: np.ndarray) -> "_PathSums":
-        """The batch's own ``S_p`` and ``tau_p``, which the walk took.
-
-        ``fitness`` must be the row sums the batch was sampled under, up to
-        a power-of-two factor, which leaves every ``log f~`` as it is.
-        """
-        scaled, exponent = unit_scale(fitness)
-        log_scaled, _ = log_unit_scale(fitness)
-        if not np.array_equal(log_scaled, batch.log_fitness):
-            raise InvalidArgument(
-                "fitness is not the row sums the batch was sampled under")
+    def of(cls, batch: SampleBatch, fitness: np.ndarray, check,
+           value) -> "_PathSums":
+        """The walk's ``S_p`` and ``tau_p``; refuses as :func:`_exponent`."""
+        exponent = _exponent(batch, fitness, check, value)
         lengths = batch.lengths.astype(float)
-        return cls(exponent, float(scaled.min()), float(scaled.max()),
-                   float(log_scaled.min()), batch.log_sums, lengths,
+        return cls(exponent, float(np.ldexp(fitness.min(), -exponent)),
+                   float(np.ldexp(fitness.max(), -exponent)),
+                   float(batch.log_fitness.min()), batch.log_sums, lengths,
                    np.empty_like(lengths))
 
     def log_g(self, t: float) -> tuple[float, float]:
@@ -194,11 +197,6 @@ class _PathSums:
         total = logs.sum()
         slope = -float(self.lengths @ logs / total)
         return float(m + np.log(total) - np.log(logs.shape[0])), slope
-
-    def g(self, lam: float) -> float:
-        """Mean return weight at ``lam``."""
-        t = np.log(np.ldexp(lam, -self.exponent))
-        return float(np.exp(self.log_g(t)[0]))
 
     def unscale(self, lam_scaled: float) -> float:
         """``lam`` from a root ``lam~`` of the solve, held to the row-sum
@@ -222,8 +220,8 @@ def g_hat(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
         InvalidArgument: ``lam`` is not finite and > 0, or ``fitness`` is
             not the row sums the batch was sampled under.
     """
-    _require_trial(batch, lam)
-    return _PathSums.of(batch, fitness).g(lam)
+    sums = _PathSums.of(batch, fitness, check_trial, lam)
+    return float(np.exp(sums.log_g(_log_trial(lam, sums.exponent))[0]))
 
 
 def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
@@ -244,9 +242,7 @@ def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
         EigenvalueUnderflow: the root lies more than ``2**1022`` times
             below ``max f``, past the normal range of the scaled solve.
     """
-    _require_paths(batch)
-    _check_tol(tol)
-    return _solve_lambda(_PathSums.of(batch, fitness), tol)
+    return _solve_lambda(_PathSums.of(batch, fitness, _check_tol, tol), tol)
 
 
 def _solve_lambda(sums: _PathSums, tol: float) -> float:
@@ -282,18 +278,22 @@ def _solve_lambda(sums: _PathSums, tol: float) -> float:
     return sums.unscale(math.exp(t))
 
 
-def _visit_tallies(batch: SampleBatch, fitness: np.ndarray,
-                   lam: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-state sums of the weights at ``lam``, over the batch and per
-    shard that holds paths (None when fewer than two do), in one pass over
-    the record.
+@np.errstate(over="ignore")  # an overflowing tally is refused below
+def _visit_tallies(batch: SampleBatch,
+                   t: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-state sums of the weights at ``t = log lam~``, over the batch and
+    per shard that holds paths (None when fewer than two do), in one pass
+    over the record.
 
     Row ``r`` of the table is the ``r``-th shard that holds paths, and a
     truncated walker's visits go to one more row, which is dropped.  Each
     path's first visit weighs exactly 1, so the base state's entries are
     the exact path counts and ``totals[k]`` is ``path_count``.
+
+    Raises:
+        TallyOverflow: the weights sum past the float range.
     """
-    n = fitness.shape[0]
+    n = batch.log_fitness.shape[0]
     k = batch.base_state
     held = batch.shard_path_counts > 0
     rows = max(int(held.sum()), 1)
@@ -309,7 +309,7 @@ def _visit_tallies(batch: SampleBatch, fitness: np.ndarray,
         offset = np.full(batch.attempted, rows * n)
         offset[batch.return_times > 0] = np.repeat(np.arange(0, rows * n, n),
                                                    counts)
-    log_ratio = np.log(fitness / lam)
+    log_ratio = batch.log_fitness - t
     log_w = np.full(batch.attempted, log_ratio[k])
     for keep, visited in batch.steps:
         states = visited.astype(np.intp)
@@ -321,7 +321,10 @@ def _visit_tallies(batch: SampleBatch, fitness: np.ndarray,
             states += offset
         flat += np.bincount(states, weights, minlength=flat.shape[0])
     table = table[:rows]
-    return table.sum(axis=0), table if rows > 1 else None
+    totals = table.sum(axis=0)
+    if not np.isfinite(totals.sum()):
+        raise TallyOverflow(k, int(np.argmax(totals)))
+    return totals, table if rows > 1 else None
 
 
 def _eigenvector(numerators: np.ndarray) -> np.ndarray:
@@ -338,9 +341,13 @@ def estimate_u(batch: SampleBatch, fitness: np.ndarray,
     exactly: w_0 = 1 on every path and the base state is never revisited
     inside an excursion.  So ``u[k]`` is bitwise the reciprocal mean total
     path weight.
+
+    Raises:
+        EmptyBatch, InvalidArgument: as in :func:`g_hat`.
+        TallyOverflow: the visit weights sum past the float range.
     """
-    _require_trial(batch, lam)
-    return _eigenvector(_visit_tallies(batch, fitness, lam)[0])
+    t = _log_trial(lam, _exponent(batch, fitness, check_trial, lam))
+    return _eigenvector(_visit_tallies(batch, t)[0])
 
 
 def _jackknife(nums: np.ndarray) -> np.ndarray:
@@ -361,12 +368,13 @@ def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,
     """Delete-one-shard jackknife standard errors for the eigenvector.
 
     Returns None when fewer than two shards contain paths; the figure is
-    indicative plumbing, not a calibrated confidence interval.
+    indicative plumbing, not a calibrated confidence interval.  Raises as
+    :func:`estimate_u` does.
     """
-    _require_trial(batch, lam)
+    t = _log_trial(lam, _exponent(batch, fitness, check_trial, lam))
     if np.count_nonzero(batch.shard_path_counts) < 2:
         return None
-    return _jackknife(_visit_tallies(batch, fitness, lam)[1])
+    return _jackknife(_visit_tallies(batch, t)[1])
 
 
 def run_estimation(matrix: NonNegativeMatrix,
@@ -381,6 +389,7 @@ def run_estimation(matrix: NonNegativeMatrix,
         AllTruncated: propagated from sampling.
         TruncationBiasGuard: more than 0.1% of attempts truncated.
         EigenvalueUnderflow: as in :func:`estimate_lambda`.
+        TallyOverflow: as in :func:`estimate_u`.
     """
     decomp = decompose(matrix)
     sampler = build_sampler(decomp)
@@ -390,13 +399,14 @@ def run_estimation(matrix: NonNegativeMatrix,
         raise TruncationBiasGuard(batch.truncated_count, config.samples,
                                   TRUNCATION_BIAS_LIMIT)
 
-    sums = _PathSums.of(batch, decomp.fitness)
+    sums = _PathSums.of(batch, decomp.fitness, _check_tol, config.tol)
     lam = _solve_lambda(sums, config.tol)
-    residual = abs(sums.g(lam) - 1.0)
+    t = _log_trial(lam, sums.exponent)
+    residual = abs(float(np.exp(sums.log_g(t)[0])) - 1.0)
     # Free the solve's per-path arrays before the tally's per-walker ones.
     del sums
     # One pass at the final lam feeds the eigenvector and the jackknife.
-    totals, by_shard = _visit_tallies(batch, decomp.fitness, lam)
+    totals, by_shard = _visit_tallies(batch, t)
     u = _eigenvector(totals)
     dispersion = None if by_shard is None else _jackknife(by_shard)
     return EstimateReport(

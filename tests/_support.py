@@ -14,9 +14,19 @@ from perronmc.chain_sim import (RowSampler, SampleBatch, _step_states,
                                 mix_seed)
 from perronmc.errors import AllTruncated, PerronMCError
 from perronmc.estimator import EstimationConfig
-from perronmc.matrix_core import NonNegativeMatrix, RowDecomposition, validate
+from perronmc.matrix_core import (NonNegativeMatrix, RowDecomposition,
+                                  log_unit_scale, validate)
 
 ACCEPTANCE_2X2 = [[1.0, 2.0], [3.0, 4.0]]
+
+# A 22-cycle closed by the smallest float, with a self-loop of weight
+# 1e-300 on state 2 that makes it aperiodic: every excursion goes once
+# round the cycle, so the dominant eigenvalue is 5e-324 ** (1 / 22), about
+# 2.0149e-15, and state 22 holds almost all of the eigenvector.
+CYCLE_22 = [[1.0 if j == i + 1 else 0.0 for j in range(22)]
+            for i in range(22)]
+CYCLE_22[21][0] = 5e-324
+CYCLE_22[1][1] = 1e-300
 
 # 99th-percentile chi-square critical values by degrees of freedom.
 CHI2_99 = {1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277, 5: 15.086, 6: 16.812,
@@ -301,8 +311,15 @@ def return_weight_log(exc: Excursion, fitness: np.ndarray,
 
 def step_weights_by_path(batch: SampleBatch, fitness: np.ndarray,
                          lam: float) -> np.ndarray:
-    """Per-visit weights w_n, flat, each path summed on its own from zero."""
-    log_ratio = np.log(fitness / lam)
+    """Per-visit weights w_n, flat, each path summed on its own from zero.
+
+    A step's log factor is ``log f~ - log lam~``, with ``f`` and ``lam``
+    scaled by the power of two of
+    :func:`perronmc.matrix_core.log_unit_scale`, as the walk's ``log f~``
+    is.
+    """
+    log_scaled, exponent = log_unit_scale(fitness)
+    log_ratio = log_scaled - np.log(np.ldexp(lam, -exponent))
     return np.concatenate([
         np.exp(np.concatenate(([0.0], np.cumsum(log_ratio[exc.visits])[:-1])))
         for exc in excursions(batch)

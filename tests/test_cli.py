@@ -22,7 +22,7 @@ from perronmc.errors import (
 from perronmc.estimator import EstimationConfig, run_estimation
 from perronmc.matrix_core import validate
 
-from _support import ACCEPTANCE_2X2
+from _support import ACCEPTANCE_2X2, CYCLE_22
 
 
 def _write(path, content):
@@ -572,6 +572,45 @@ class TestExitCodes:
         assert json.loads(captured.out)["lambda_hat"] == pytest.approx(
             3.1435e-162, rel=0.01)
 
+    def test_row_sums_that_vanish_against_lam(self, capsys, tmp_path):
+        # lam is near 3, so 5e-324 / lam rounds to 0: the visits to states
+        # 2 and 3 weigh by the logs of the scaled row sums, without a
+        # warning.
+        path = tmp_path / "vanish.json"
+        path.write_text(json.dumps({"n": 3, "rows": [
+            [3, 0.5, 0], [0, 0, 5e-324], [5e-324, 0, 0]]}))
+        code = main(["compare", str(path), "--samples", "2000"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("subcommand", ["estimate", "compare"])
+    def test_tally_past_the_float_range_is_refused(self, capsys, tmp_path,
+                                                   subcommand):
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"n": 22, "rows": CYCLE_22}))
+        code = main([subcommand, str(path), "--samples", "2000"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: TallyOverflow: the visit weights from base state 1 sum "
+            "past the float range; try base state 22, whose tally is the "
+            "largest\n")
+
+    def test_tally_from_the_suggested_base_state(self, capsys, tmp_path):
+        # From state 22 every weight is at most 1, and lam is the geometric
+        # mean of the cycle's entries, 5e-324 ** (1 / 22).
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"n": 22, "rows": CYCLE_22}))
+        code = main(["estimate", str(path), "--samples", "2000",
+                     "--base-state", "22"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["lambda_hat"] == pytest.approx(
+            2.0149e-15, rel=1e-4)
+
     def test_root_below_the_float_range_is_refused(self, capsys, tmp_path):
         # The eigenvalue, about 1.3e-113, is more than 2**1022 times below
         # the largest row sum, 2**1023: past the normal range of the solve.
@@ -685,7 +724,7 @@ class TestExitCodes:
                 pending.append(sub)
                 if sub not in families:
                     concrete.append(sub)
-        assert len(concrete) == 18
+        assert len(concrete) == 19
         for cls in concrete:
             owners = [f for f in families if issubclass(cls, f)]
             assert len(owners) == 1, cls

@@ -15,6 +15,7 @@ from perronmc.errors import (
     EmptyBatch,
     InvalidArgument,
     NotPrimitive,
+    TallyOverflow,
     TruncationBiasGuard,
 )
 from perronmc.estimator import (
@@ -25,11 +26,12 @@ from perronmc.estimator import (
     run_estimation,
     shard_dispersion,
 )
-from perronmc.matrix_core import decompose, validate
+from perronmc.matrix_core import decompose, log_unit_scale, validate
 from perronmc.oracle import lemma_partial_sums, power_iteration
 
 from _support import (
     ACCEPTANCE_2X2,
+    CYCLE_22,
     bench_inputs,
     closed_form_2x2,
     estimate_uk,
@@ -52,6 +54,17 @@ def _batch_for(rows, k=0, count=1000, seed=0, cap=10**6, shards=1):
     decomp = decompose(unchecked(rows))
     batch = sample_batch(build_sampler(decomp), k, count, seed, cap, shards)
     return batch, decomp
+
+
+def _path_sums(batch, fitness):
+    return estimator._PathSums.of(batch, fitness, estimator._check_tol,
+                                  EstimationConfig.tol)
+
+
+def _tallies(batch, fitness, lam):
+    """The estimator's one-pass tallies at ``lam``."""
+    t = estimator._log_trial(lam, log_unit_scale(fitness)[1])
+    return estimator._visit_tallies(batch, t)
 
 
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
@@ -156,17 +169,21 @@ class TestGHat:
             g_hat(empty, decomp.fitness, 1.0)
 
     def test_fitness_must_be_the_batch_s(self):
-        # The walk summed the sampler's log f~ along each path, so other
-        # row sums would weigh the paths by sums they did not take.  A
-        # power-of-two scale has the same f~, and scales lam exactly.
+        # The walk summed the sampler's log f~ along each path, and every
+        # stage weighs with it, so other row sums would weigh the paths by
+        # sums they did not take.  A power-of-two scale has the same f~,
+        # and scales lam exactly.
         batch, decomp = _batch_for(ACCEPTANCE_2X2, count=100)
         for fitness in (decomp.fitness[::-1], 3.0 * decomp.fitness):
-            with pytest.raises(InvalidArgument):
-                g_hat(batch, fitness, 5.0)
+            for stage in (g_hat, estimate_u, shard_dispersion):
+                with pytest.raises(InvalidArgument):
+                    stage(batch, fitness, 5.0)
             with pytest.raises(InvalidArgument):
                 estimate_lambda(batch, fitness)
         assert (estimate_lambda(batch, 2.0 * decomp.fitness)
                 == 2.0 * estimate_lambda(batch, decomp.fitness))
+        assert (_bits(estimate_u(batch, 2.0 * decomp.fitness, 10.0))
+                == _bits(estimate_u(batch, decomp.fitness, 5.0)))
 
 
 class TestEstimateLambda:
@@ -230,7 +247,7 @@ class TestEstimateLambda:
             decomp = decompose(matrix)
             batch = sample_batch(build_sampler(decomp), 0, 2000, seed=i,
                                  cap=10**6, shards=1)
-            sums = estimator._PathSums.of(batch, decomp.fitness)
+            sums = _path_sums(batch, decomp.fitness)
             newton = estimator._solve_lambda(sums, tol)
             bisection = solve_lambda_by_bisection(sums, tol)
             assert abs(math.log(newton) - math.log(bisection)) <= width, i
@@ -244,7 +261,7 @@ class TestEstimateLambda:
         rows = (rng.uniform(0.5, 2.0, (100, 100))
                 * rng.uniform(0.5, 2.0, (100, 1)))
         batch, decomp = _batch_for(rows, count=2000, seed=3)
-        sums = estimator._PathSums.of(batch, decomp.fitness)
+        sums = _path_sums(batch, decomp.fitness)
         sums.log_g(sums.log_lo)
         tiny = np.finfo(float).tiny
         assert not ((sums.work > 0.0) & (sums.work < tiny)).any()
@@ -320,7 +337,7 @@ class TestEstimateLambda:
         # Algorithms, 2002, 4.2).
         rows = np.random.default_rng(9).uniform(0.5, 2.0, (30, 30))
         batch, decomp = _batch_for(rows, count=3000, seed=5)
-        sums = estimator._PathSums.of(batch, decomp.fitness)
+        sums = _path_sums(batch, decomp.fitness)
         scaled = np.ldexp(decomp.fitness, -sums.exponent)
         terms = np.split(np.log(scaled)[batch.states],
                          offsets(batch)[1:])
@@ -340,6 +357,37 @@ class TestTrialEigenvalue:
         batch, decomp = _batch_for(ACCEPTANCE_2X2, count=500, shards=4)
         with pytest.raises(InvalidArgument):
             stage(batch, decomp.fitness, lam)
+
+    def test_refusal_order(self):
+        # An empty batch first, then the trial value or tol, then the
+        # fitness.
+        batch, decomp = _batch_for(ACCEPTANCE_2X2, count=500, shards=4)
+        empty = dataclasses.replace(
+            batch, steps=(), return_times=np.zeros(500, np.int64),
+            log_sums=np.empty(0), truncated_count=500,
+            shard_path_counts=np.zeros(4, np.int64))
+        wrong = decomp.fitness[::-1]
+        for stage in (g_hat, estimate_u, shard_dispersion):
+            with pytest.raises(EmptyBatch):
+                stage(empty, wrong, np.nan)
+            with pytest.raises(InvalidArgument, match="trial eigenvalue"):
+                stage(batch, wrong, np.nan)
+        with pytest.raises(EmptyBatch):
+            estimate_lambda(empty, wrong, 2.0)
+        with pytest.raises(InvalidArgument, match="tol"):
+            estimate_lambda(batch, wrong, 2.0)
+
+
+class TestTallyOverflow:
+    def test_refused_from_a_light_base_state(self):
+        # From state 1 a path's weight grows by f / lam, about 5e14, a step:
+        # the visit to state 22 weighs 5e14 ** 21, past the float range.
+        batch, decomp = _batch_for(CYCLE_22, count=200, shards=2)
+        lam = estimate_lambda(batch, decomp.fitness)
+        for stage in (estimate_u, shard_dispersion):
+            with pytest.raises(TallyOverflow) as info:
+                stage(batch, decomp.fitness, lam)
+            assert (info.value.base_state, info.value.largest) == (0, 21)
 
 
 class TestEstimateU:
@@ -401,7 +449,7 @@ class TestEstimateU:
         for count in (200, 2000):
             batch, decomp = _batch_for(rows, count=count, seed=1)
             lam = estimate_lambda(batch, decomp.fitness)
-            totals, _ = estimator._visit_tallies(batch, decomp.fitness, lam)
+            totals, _ = _tallies(batch, decomp.fitness, lam)
             ref = visit_tally(batch, decomp.fitness, lam).numerators
             assert _bits(totals) == _bits(ref), count
 
@@ -429,8 +477,7 @@ class TestVisitTallies:
         if cap < 10**6:
             assert batch.truncated_count > 0
         lam = estimate_lambda(batch, decomp.fitness)
-        totals, by_shard = estimator._visit_tallies(batch, decomp.fitness,
-                                                    lam)
+        totals, by_shard = _tallies(batch, decomp.fitness, lam)
         ref = shard_tallies(batch, decomp.fitness, lam)
         assert _bits(totals) == _bits(ref.sum(axis=0))
         assert totals[0] == batch.path_count
@@ -449,7 +496,7 @@ class TestVisitTallies:
         rows = np.random.default_rng(100).uniform(0.5, 2.0, (100, 100))
         batch, decomp = _batch_for(rows, count=count, seed=3)
         lam = estimate_lambda(batch, decomp.fitness)
-        totals, _ = estimator._visit_tallies(batch, decomp.fitness, lam)
+        totals, _ = _tallies(batch, decomp.fitness, lam)
         weights = step_weights_by_path(batch, decomp.fitness, lam)
         order = np.argsort(batch.states, kind="stable")
         ends = np.cumsum(np.bincount(batch.states, minlength=100))
