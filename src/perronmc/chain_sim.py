@@ -62,8 +62,8 @@ __all__ = [
 # of its row's entries on average, and a row of 4N uint16 entries takes the
 # 8N bytes of N int64 ones.
 BUCKETS_PER_STATE = 4
-# Entries of the cumulative table handled at once by build_sampler.
-_BUILD_BLOCK = 1 << 18
+# Guide buckets, M + 1 a row, handled at once by build_sampler.
+_BUILD_BLOCK = 1 << 16
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
@@ -298,12 +298,12 @@ def build_sampler(decomp: RowDecomposition) -> RowSampler:
     buckets a row.
 
     The guide costs O(N * M), done once per kernel with no loop over rows:
-    each entry's first bucket comes from ``int(c * M)`` and one threshold
-    compared with the entry, each bucket that an entry reaches first gets
-    that entry's count, and a running maximum along the row fills the
-    rest.  Rows go in blocks of about ``_BUILD_BLOCK`` entries, so the
-    build holds little beyond the two tables it returns: at N = 2,000 it
-    peaks at 66 MiB (tracemalloc), of which the tables are 61 MiB.
+    each entry's first bucket, the first whose threshold is not below it,
+    comes from ``int(c * M)`` and one threshold test, and a row's guide is
+    the running sum of its histogram of first buckets, bucket M left out.
+    Rows go in blocks of about ``_BUILD_BLOCK`` buckets, one ``np.bincount``
+    a block, so the build holds little beyond its two tables: at N = 2,000
+    it peaks at 62 MiB (tracemalloc), of which the tables are 61 MiB.
     """
     cumulative = np.cumsum(decomp.kernel, axis=1)
     n = cumulative.shape[1]
@@ -316,10 +316,8 @@ def build_sampler(decomp: RowDecomposition) -> RowSampler:
     # no guide entry passes the sentinel.  at[b] is bucket b's threshold,
     # and at[M] = inf stands for the bucket past the end.
     at = np.append(np.arange(-1, m - 1) / m, np.inf)
-    guide = np.zeros((n, m), dtype=np.min_scalar_type(n))
-    flat = guide.reshape(-1)
-    counts = np.broadcast_to(np.arange(1, n, dtype=guide.dtype), (n, n - 1))
-    rows = max(1, _BUILD_BLOCK // n)
+    guide = np.empty((n, m), dtype=np.min_scalar_type(n))
+    rows = max(1, _BUILD_BLOCK // (m + 1))
     for lo in range(0, n, rows):
         c = cumulative[lo:lo + rows]
         # The first bucket whose threshold is >= c[i, j], or M, is
@@ -332,17 +330,11 @@ def build_sampler(decomp: RowDecomposition) -> RowSampler:
         np.minimum(low, m - 1, out=low)
         low = low.astype(np.intp)
         low += at[1:][low] < c
-        # Bucket b counts the entries whose first bucket is <= b.  Entry j
-        # is the last of its row to reach its first bucket when the next
-        # entry's first bucket is later, and then that bucket counts j + 1
-        # entries; a running maximum carries each count over the buckets
-        # that no entry reaches first.  The row's last entry is the
-        # sentinel, whose first bucket is M.
-        last = low[:, :-1] < low[:, 1:]
-        low += np.arange(lo * m + 1, (lo + c.shape[0]) * m, m)[:, None]
-        flat[low[:, :-1][last]] = counts[:c.shape[0]][last]
-        block = guide[lo:lo + rows]
-        np.maximum.accumulate(block, axis=1, out=block)
+        low += np.arange(1, c.shape[0] * (m + 1), m + 1)[:, None]
+        first = np.bincount(low.ravel(), minlength=c.shape[0] * (m + 1))
+        first = first.astype(guide.dtype).reshape(-1, m + 1)
+        np.cumsum(first[:, :m], axis=1, dtype=guide.dtype,
+                  out=guide[lo:lo + rows])
     log_fitness, _ = log_unit_scale(decomp.fitness)
     return RowSampler(cumulative=_freeze(cumulative), guide=_freeze(guide),
                       log_fitness=_freeze(log_fitness))

@@ -67,7 +67,8 @@ from .chain_sim import SampleBatch, build_sampler, sample_batch
 from .errors import (EigenvalueUnderflow, EmptyBatch, InvalidArgument,
                      TallyOverflow, TruncationBiasGuard, check_counts,
                      check_trial)
-from .matrix_core import NonNegativeMatrix, decompose, log_unit_scale
+from .matrix_core import (NonNegativeMatrix, _log_scaled, decompose,
+                          log_unit_scale)
 
 __all__ = [
     "EstimateReport",
@@ -145,7 +146,7 @@ def _exponent(batch: SampleBatch, fitness: np.ndarray, check, value) -> int:
 
 def _log_trial(lam: float, exponent: int) -> float:
     """``t = log lam~``: ``log lam`` in the units of the batch's ``log f~``."""
-    return float(np.log(np.ldexp(lam, -exponent)))
+    return float(_log_scaled(lam, exponent))
 
 
 @dataclass(frozen=True)
@@ -209,11 +210,12 @@ class _PathSums:
         return float(np.ldexp(lam_scaled, self.exponent))
 
 
+@np.errstate(over="ignore")  # a mean weight past the float range is inf
 def g_hat(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
     """Mean return weight of the batch at trial eigenvalue ``lam``.
 
     Strictly decreasing in ``lam`` for a fixed batch; equals 1 (up to Monte
-    Carlo error) at the dominant eigenvalue.
+    Carlo error) at the dominant eigenvalue, and inf past the float range.
 
     Raises:
         EmptyBatch: no non-truncated excursion in the batch.

@@ -243,8 +243,9 @@ def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
         total = final.sum(axis=1)
         alive = total > 0
         survivors += int(alive.sum())
-        for share in final[alive] / total[alive, None]:  # in tree order
-            summed += share
+        # Along axis 0, reduce adds one row at a time: the trees in order.
+        summed = np.add.reduce(
+            np.vstack((summed, final[alive] / total[alive, None])), axis=0)
     if survivors == 0:
         raise NoSurvivors(trials, horizon)
     proportions = summed / survivors

@@ -214,19 +214,22 @@ def unit_scale(x) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -exponent), exponent
 
 
-def log_unit_scale(x) -> tuple[np.ndarray, int]:
-    """``log(x / 2**e)`` and ``e``, with ``2**e`` as in :func:`unit_scale`.
+def _log_scaled(x, exponent: int) -> np.ndarray:
+    """``log(x / 2**exponent)`` for positive ``x``.
 
     An entry that the division takes below the normal range, where
     ``ldexp`` would round it to a few bits or to 0, has its log taken from
-    ``x = m * 2**p`` as ``log m + (p - e) log 2``; every other entry's log
-    is that of its scaled bits, so it too is the same at every
-    power-of-two scale of ``x``.
+    ``x = m * 2**p`` as ``log m + (p - exponent) log 2``; every other
+    entry's log is that of its scaled bits, so it too is the same at every
+    power-of-two scale of ``x`` and ``2**exponent``.
     """
-    scaled, exponent = unit_scale(x)
     mantissa, exps = np.frexp(x)
     deep = exps - exponent < _TINY_EXP
-    logs = np.log(np.where(deep, 1.0, scaled))
-    logs[deep] = (np.log(mantissa[deep])
-                  + (exps[deep] - exponent) * np.log(2.0))
-    return logs, exponent
+    return np.where(deep, np.log(mantissa) + (exps - exponent) * np.log(2.0),
+                    np.log(np.where(deep, 1.0, np.ldexp(x, -exponent))))
+
+
+def log_unit_scale(x) -> tuple[np.ndarray, int]:
+    """``log(x / 2**e)`` and ``e``, with ``2**e`` as in :func:`unit_scale`."""
+    exponent = unit_scale(x)[1]
+    return _log_scaled(x, exponent), exponent

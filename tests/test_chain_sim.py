@@ -157,6 +157,24 @@ class TestBuildSampler:
         cumsum, _ = inverse_cdf_tables(kernel)
         assert np.abs(cumsum[:, -1] - 1.0).max() <= 1e-12
 
+    def test_peak_memory_beyond_the_tables(self):
+        # At N = 600 the guide's rows go in 23 blocks, each holding about
+        # 12 bytes a bucket for its histogram and first buckets, 0.8 MiB
+        # in all; one int64 histogram of every row's M + 1 buckets would
+        # alone take 11 MiB.
+        n = 600
+        decomp = decompose(validate(
+            np.random.default_rng(600).uniform(0.5, 2.0, (n, n))))
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            sampler = build_sampler(decomp)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        tables = sampler.cumulative.nbytes + sampler.guide.nbytes
+        assert peak - tables <= 24 * chain_sim._BUILD_BLOCK
+
 
 def _edge_uniforms(kernel, rows=slice(None)):
     """Uniforms on and beside every bucket edge b / M and every cumulative

@@ -377,6 +377,21 @@ class TestTrialEigenvalue:
         with pytest.raises(InvalidArgument, match="tol"):
             estimate_lambda(batch, wrong, 2.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stage", [g_hat, estimate_u, shard_dispersion])
+    @pytest.mark.parametrize("lam", [5e-324, 1e-320, 1e-300])
+    def test_trial_value_far_below_the_row_sums(self, stage, lam):
+        # lam / 2**e rounds to 0 at 5e-324, so log lam~ is taken from
+        # lam's mantissa and exponent.  A path's weight then grows by
+        # f / lam, past the float range, in a step or two: the mean weight
+        # is inf, and the tallies are refused.
+        batch, decomp = _batch_for(ACCEPTANCE_2X2, count=500, shards=4)
+        if stage is g_hat:
+            assert g_hat(batch, decomp.fitness, lam) == math.inf
+        else:
+            with pytest.raises(TallyOverflow):
+                stage(batch, decomp.fitness, lam)
+
 
 class TestTallyOverflow:
     def test_refused_from_a_light_base_state(self):
