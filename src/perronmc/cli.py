@@ -3,7 +3,9 @@
 Subcommands:
     estimate     Monte Carlo eigenpair with diagnostics.
     oracle       power-iteration eigenpair plus the equilibrium residual.
-    compare      both, with the L1 eigenvector gap and relative eigenvalue gap.
+    compare      the oracle report, then the estimate report, then the L1
+                 eigenvector gap and the relative eigenvalue gap, taken
+                 from the arrays.
     lemma-check  partial sums of the return-weight series at the oracle value.
     gw-sim       branching-tree type proportions against the oracle vector.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -124,41 +127,18 @@ def _config_dict(cfg: argparse.Namespace) -> dict:
     return config
 
 
-def _estimate_payload(matrix: NonNegativeMatrix,
-                      est: estimator.EstimationConfig) -> dict:
-    report = estimator.run_estimation(matrix, est)
-    return {
-        "lambda_hat": report.lambda_hat,
-        "u_hat": report.u_hat.tolist(),
-        "base_state": est.base_state + 1,
-        "samples": est.samples,
-        "truncated": report.truncated_count,
-        "g_residual": report.g_residual,
-        "dispersion": None if report.dispersion is None else report.dispersion.tolist(),
-    }
-
-
-def _oracle_payload(matrix: NonNegativeMatrix) -> dict:
-    pair = oracle.power_iteration(matrix)
-    residual = oracle.quasispecies_residual(matrix, pair.vector)
-    return {
-        "lambda": pair.eigenvalue,
-        "u": pair.vector.tolist(),
-        "power_residual": pair.residual,
-        "qs_max_abs": residual.max_abs,
-        "mean_fitness": residual.mean_fitness,
-    }
-
-
 def run(config: argparse.Namespace) -> dict:
     """Execute one subcommand and return the report as a plain dict.
 
     ``config`` is the resolved invocation from :func:`_config_from_args`;
-    every field is echoed into the report.
+    every field is echoed into the report.  ``compare`` is the ``oracle``
+    report, then the ``estimate`` report, then the two gaps, taken from the
+    arrays; power iteration runs before sampling.
     """
     matrix = parse_matrix(config.matrix_path)
+    command = config.subcommand
     # Refused here: the sampling flags, by the config, and the base state.
-    if config.subcommand in ("estimate", "compare"):
+    if command in ("estimate", "compare"):
         est = estimator.EstimationConfig(
             base_state=config.base_state - 1, samples=config.samples,
             seed=config.seed, cap=config.cap, shards=config.shards,
@@ -166,20 +146,35 @@ def run(config: argparse.Namespace) -> dict:
     if "base_state" in config:
         check_base_state(config.base_state - 1, matrix.n)
 
-    if config.subcommand == "estimate":
-        payload = _estimate_payload(matrix, est)
-    elif config.subcommand == "oracle":
-        payload = _oracle_payload(matrix)
-    elif config.subcommand == "compare":
-        payload = _oracle_payload(matrix)
-        payload.update(_estimate_payload(matrix, est))
-        u_hat = np.asarray(payload["u_hat"])
-        u = np.asarray(payload["u"])
-        payload["l1_error"] = float(np.abs(u_hat - u).sum())
+    payload = {}
+    if command in ("oracle", "compare"):
+        pair = oracle.power_iteration(matrix)
+        residual = oracle.quasispecies_residual(matrix, pair.vector)
+        payload |= {
+            "lambda": pair.eigenvalue,
+            "u": pair.vector.tolist(),
+            "power_residual": pair.residual,
+            "qs_max_abs": residual.max_abs,
+            "mean_fitness": residual.mean_fitness,
+        }
+    if command in ("estimate", "compare"):
+        report = estimator.run_estimation(matrix, est)
+        dispersion = report.dispersion
+        payload |= {
+            "lambda_hat": report.lambda_hat,
+            "u_hat": report.u_hat.tolist(),
+            "base_state": config.base_state,
+            "samples": config.samples,
+            "truncated": report.truncated_count,
+            "g_residual": report.g_residual,
+            "dispersion": None if dispersion is None else dispersion.tolist(),
+        }
+
+    if command == "compare":
+        payload["l1_error"] = float(np.abs(report.u_hat - pair.vector).sum())
         payload["lambda_rel_error"] = float(
-            abs(payload["lambda_hat"] - payload["lambda"]) / payload["lambda"]
-        )
-    elif config.subcommand == "lemma-check":
+            abs(report.lambda_hat - pair.eigenvalue) / pair.eigenvalue)
+    elif command == "lemma-check":
         pair = oracle.power_iteration(matrix)
         series = oracle.lemma_partial_sums(matrix, config.base_state - 1,
                                            pair.eigenvalue)
@@ -190,7 +185,7 @@ def run(config: argparse.Namespace) -> dict:
             "terms_used": int(series.terms.shape[0]),
             "tail_ratio": series.tail_ratio,
         }
-    elif config.subcommand == "gw-sim":
+    elif command == "gw-sim":
         proportions, survivors, pair = gw_app.conditioned_proportions(
             matrix, config.trials, config.horizon, config.seed,
             law=config.offspring_law,
@@ -202,26 +197,23 @@ def run(config: argparse.Namespace) -> dict:
             "u": pair.vector.tolist(),
             "l1_to_oracle": float(np.abs(proportions - pair.vector).sum()),
         }
-    else:
-        raise InvalidArgument(f"unknown subcommand {config.subcommand!r}")
+    elif command not in ("estimate", "oracle"):
+        raise InvalidArgument(f"unknown subcommand {command!r}")
 
     payload["config"] = _config_dict(config)
     return payload
 
 
-def _render_text(payload: dict, lines: list[str] | None = None,
-                 prefix: str = "") -> list[str]:
-    if lines is None:
-        lines = []
+def _render_text(payload: dict, prefix: str = "") -> Iterator[str]:
+    """The report as sorted ``key: value`` lines, nested keys dotted."""
     for key in sorted(payload):
         value = payload[key]
         if isinstance(value, dict):
-            _render_text(value, lines, prefix=f"{prefix}{key}.")
+            yield from _render_text(value, prefix=f"{prefix}{key}.")
         elif isinstance(value, list):
-            lines.append(f"{prefix}{key}: " + " ".join(map(_text, value)))
+            yield f"{prefix}{key}: " + " ".join(map(_text, value))
         else:
-            lines.append(f"{prefix}{key}: {_text(value)}")
-    return lines
+            yield f"{prefix}{key}: {_text(value)}"
 
 
 def _text(value) -> str:
@@ -288,10 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """The resolved invocation: the parsed flags, a seed reduced mod 2**64."""
-    config = vars(args).copy()
-    if "seed" in config:
-        config["seed"] %= 1 << 64
-    return argparse.Namespace(**config)
+    if "seed" in args:
+        args.seed %= 1 << 64
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -44,8 +44,9 @@ __all__ = [
 ]
 
 # A float m * 2**x with m in [0.5, 1), as frexp gives it, is normal when
-# x >= _TINY_EXP.
+# x >= _TINY_EXP and finite when x <= _HUGE_EXP.
 _TINY_EXP = int(np.frexp(np.finfo(float).tiny)[1])
+_HUGE_EXP = int(np.frexp(np.finfo(float).max)[1])
 
 
 @dataclass(frozen=True)
@@ -218,15 +219,18 @@ def _log_scaled(x, exponent: int) -> np.ndarray:
     """``log(x / 2**exponent)`` for positive ``x``.
 
     An entry that the division takes below the normal range, where
-    ``ldexp`` would round it to a few bits or to 0, has its log taken from
+    ``ldexp`` would round it to a few bits or to 0, or above the float
+    range, where it would overflow, has its log taken from
     ``x = m * 2**p`` as ``log m + (p - exponent) log 2``; every other
-    entry's log is that of its scaled bits, so it too is the same at every
-    power-of-two scale of ``x`` and ``2**exponent``.
+    entry's log is that of its scaled bits, ``m * 2**(p - exponent)``
+    exactly, so it too is the same at every power-of-two scale of ``x``
+    and ``2**exponent``.
     """
     mantissa, exps = np.frexp(x)
-    deep = exps - exponent < _TINY_EXP
-    return np.where(deep, np.log(mantissa) + (exps - exponent) * np.log(2.0),
-                    np.log(np.where(deep, 1.0, np.ldexp(x, -exponent))))
+    shift = exps - exponent
+    deep = (shift < _TINY_EXP) | (shift > _HUGE_EXP)
+    return np.where(deep, np.log(mantissa) + shift * np.log(2.0),
+                    np.log(np.ldexp(mantissa, np.where(deep, 0, shift))))
 
 
 def log_unit_scale(x) -> tuple[np.ndarray, int]:

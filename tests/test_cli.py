@@ -824,13 +824,23 @@ class TestReportSchemas:
 
     def test_compare_superset_of_estimate_and_oracle(self, capsys,
                                                      matrix_json):
-        code, payload = _run_json(capsys, [
-            "compare", matrix_json, "--samples", "2000",
-        ])
-        assert code == 0
+        # compare is the oracle report and the estimate report, value for
+        # value, plus the two gaps; with 4 shards the dispersion is a list.
+        flags = ["--samples", "2000", "--shards", "4"]
+        reports = {}
+        for subcommand in ("oracle", "estimate", "compare"):
+            code, reports[subcommand] = _run_json(
+                capsys, [subcommand, matrix_json]
+                + (flags if subcommand != "oracle" else []))
+            assert code == 0
+        payload = reports.pop("compare")
         expected = (set(SCHEMAS["estimate"]) | set(SCHEMAS["oracle"])
                     | {"l1_error", "lambda_rel_error"})
         assert set(payload) == expected
+        assert isinstance(payload["dispersion"], list)
+        for key in expected - {"l1_error", "lambda_rel_error", "config"}:
+            source = "oracle" if key in SCHEMAS["oracle"] else "estimate"
+            assert payload[key] == reports[source][key], key
 
 
 class TestDeterminism:

@@ -392,6 +392,24 @@ class TestTrialEigenvalue:
             with pytest.raises(TallyOverflow):
                 stage(batch, decomp.fitness, lam)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stage", [g_hat, estimate_u, shard_dispersion])
+    @pytest.mark.parametrize("lam", [1e10, 1e300, 1.7e308])
+    def test_trial_value_far_above_the_row_sums(self, stage, lam):
+        # The row sums are near 1e-300, so lam / 2**e passes the float
+        # range and log lam~ is taken from lam's mantissa and exponent.  A
+        # path's weight then shrinks by f / lam a step: the mean weight is
+        # tiny or 0, and every tally stays finite.
+        batch, decomp = _batch_for([[1e-300, 2e-300], [3e-300, 4e-300]],
+                                   count=500, shards=4)
+        value = np.asarray(stage(batch, decomp.fitness, lam))
+        assert np.isfinite(value).all()
+        if stage is g_hat:
+            assert value < 1.0
+        elif stage is estimate_u:
+            assert (value >= 0).all()
+            assert abs(value.sum() - 1.0) <= 1e-12
+
 
 class TestTallyOverflow:
     def test_refused_from_a_light_base_state(self):
