@@ -55,7 +55,8 @@ def parse_matrix(path: str | Path) -> NonNegativeMatrix:
     if path.suffix not in readers:
         raise ParseError(str(path), f"unsupported extension {path.suffix!r}")
     try:
-        text = path.read_text(encoding="utf-8")
+        # Not "utf-8-sig": it counts a bad byte's place from after the mark.
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ParseError(str(path), exc.strerror or str(exc))
     except UnicodeDecodeError as exc:

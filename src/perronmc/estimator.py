@@ -47,10 +47,11 @@ and the per-shard tallies of the jackknife.  Each walker carries
 with the walk's own ``log f~``, from zero, compacted with the walkers
 still out, so no weight's rounding error grows with the batch size; each
 step adds its visits' weights into an (shards holding paths x N) table
-with one ``np.bincount``, and the table's columns sum to the tally.  The
-pass holds walker-sized arrays, never batch-sized ones.  Means of
-weights use the running-maximum log-sum-exp trick.  The pass casts each
-step's int32 states to intp once, because numpy gathers and
+with one ``np.bincount``, and the table's columns sum to the tally.  A
+truncated walker starts at log weight -inf, so its visits weigh exactly
+0.  The pass holds walker-sized arrays, never batch-sized ones.  Means
+of weights use the running-maximum log-sum-exp trick.  The pass casts
+each step's int32 states to intp once, because numpy gathers and
 ``np.bincount`` run slower on int32 indices.  A tally that sums past the
 float range, as it can when the base state's coordinate lies far below
 another state's, is refused with :class:`~perronmc.errors.TallyOverflow`.
@@ -281,38 +282,34 @@ def _solve_lambda(sums: _PathSums, tol: float) -> float:
 
 
 @np.errstate(over="ignore")  # an overflowing tally is refused below
-def _visit_tallies(batch: SampleBatch,
-                   t: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-state sums of the weights at ``t = log lam~``, over the batch and
-    per shard that holds paths (None when fewer than two do), in one pass
-    over the record.
+def _visit_tallies(batch: SampleBatch, t: float) -> np.ndarray:
+    """Per-state sums of the weights at ``t = log lam~``, one row per shard
+    that holds paths, in one pass over the record.
 
-    Row ``r`` of the table is the ``r``-th shard that holds paths, and a
-    truncated walker's visits go to one more row, which is dropped.  Each
-    path's first visit weighs exactly 1, so the base state's entries are
-    the exact path counts and ``totals[k]`` is ``path_count``.
+    Each path's first visit weighs exactly 1, so the base state's entries
+    are the exact path counts and the column sums' ``[k]`` is
+    ``path_count``.  A truncated walker starts at log weight -inf, so each
+    of its visits adds exactly 0.0 and leaves every sum's bits as they are.
 
     Raises:
         TallyOverflow: the weights sum past the float range.
     """
     n = batch.log_fitness.shape[0]
     k = batch.base_state
-    held = batch.shard_path_counts > 0
-    rows = max(int(held.sum()), 1)
-    counts = batch.shard_path_counts[held]
-    table = np.zeros((rows + 1, n))
-    table[:rows, k] = counts
+    counts = batch.shard_path_counts[batch.shard_path_counts > 0]
+    table = np.zeros((counts.shape[0], n))
+    table[:, k] = counts
     flat = table.reshape(-1)
-    # Each walker's row, as an offset into the flat table: its path's
-    # shard, or the dropped row if it was truncated.  None when every
-    # walker adds into row 0.
-    offset = None
-    if rows > 1 or batch.truncated_count:
-        offset = np.full(batch.attempted, rows * n)
-        offset[batch.return_times > 0] = np.repeat(np.arange(0, rows * n, n),
-                                                   counts)
     log_ratio = batch.log_fitness - t
-    log_w = np.full(batch.attempted, log_ratio[k])
+    returned = batch.return_times > 0
+    log_w = np.where(returned, log_ratio[k], -np.inf)
+    # Each walker's row, as an offset into the flat table: its path's
+    # shard, or row 0 if it was truncated.  None when there is one row.
+    offset = None
+    if counts.shape[0] > 1:
+        offset = np.zeros(batch.attempted, dtype=np.intp)
+        offset[returned] = np.repeat(np.arange(0, flat.shape[0], n), counts)
+    del returned
     for keep, visited in batch.steps:
         states = visited.astype(np.intp)
         log_w = log_w[keep]
@@ -322,14 +319,14 @@ def _visit_tallies(batch: SampleBatch,
             offset = offset[keep]
             states += offset
         flat += np.bincount(states, weights, minlength=flat.shape[0])
-    table = table[:rows]
     totals = table.sum(axis=0)
     if not np.isfinite(totals.sum()):
         raise TallyOverflow(k, int(np.argmax(totals)))
-    return totals, table if rows > 1 else None
+    return table
 
 
-def _eigenvector(numerators: np.ndarray) -> np.ndarray:
+def _eigenvector(table: np.ndarray) -> np.ndarray:
+    numerators = table.sum(axis=0)
     u = numerators / numerators.sum()
     u.flags.writeable = False
     return u
@@ -349,11 +346,13 @@ def estimate_u(batch: SampleBatch, fitness: np.ndarray,
         TallyOverflow: the visit weights sum past the float range.
     """
     t = _log_trial(lam, _exponent(batch, fitness, check_trial, lam))
-    return _eigenvector(_visit_tallies(batch, t)[0])
+    return _eigenvector(_visit_tallies(batch, t))
 
 
-def _jackknife(nums: np.ndarray) -> np.ndarray:
-    """Delete-one-shard standard errors from the per-shard tallies."""
+def _jackknife(nums: np.ndarray) -> np.ndarray | None:
+    """Delete-one-shard standard errors, or None for a one-row table."""
+    if nums.shape[0] < 2:
+        return None
     dens = nums.sum(axis=1)
     total_num = nums.sum(axis=0)
     total_den = dens.sum()
@@ -376,7 +375,7 @@ def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,
     t = _log_trial(lam, _exponent(batch, fitness, check_trial, lam))
     if np.count_nonzero(batch.shard_path_counts) < 2:
         return None
-    return _jackknife(_visit_tallies(batch, t)[1])
+    return _jackknife(_visit_tallies(batch, t))
 
 
 def run_estimation(matrix: NonNegativeMatrix,
@@ -408,13 +407,11 @@ def run_estimation(matrix: NonNegativeMatrix,
     # Free the solve's per-path arrays before the tally's per-walker ones.
     del sums
     # One pass at the final lam feeds the eigenvector and the jackknife.
-    totals, by_shard = _visit_tallies(batch, t)
-    u = _eigenvector(totals)
-    dispersion = None if by_shard is None else _jackknife(by_shard)
+    table = _visit_tallies(batch, t)
     return EstimateReport(
         lambda_hat=lam,
-        u_hat=u,
+        u_hat=_eigenvector(table),
         truncated_count=batch.truncated_count,
         g_residual=residual,
-        dispersion=dispersion,
+        dispersion=_jackknife(table),
     )

@@ -172,6 +172,24 @@ class TestParseMatrix:
         assert main(["oracle", str(path)]) == 1
         assert "error: ParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suffix, text", [
+        (".csv", "1,2\n3,4\n"),
+        (".json", json.dumps({"n": 2, "rows": ACCEPTANCE_2X2})),
+    ], ids=["csv", "json"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, suffix, text):
+        # Excel's "CSV UTF-8" and PowerShell 5's UTF-8 files start with one.
+        path = tmp_path / f"m{suffix}"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        matrix = parse_matrix(str(path))
+        np.testing.assert_array_equal(matrix.entries, ACCEPTANCE_2X2)
+        assert main(["oracle", str(path)]) == 0
+        capsys.readouterr()
+        # A bad byte is still counted from the start of the file.
+        path.write_bytes(b"\xef\xbb\xbf1,2\n\xff")
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(str(path))
+        assert str(exc.value) == f"{path}: byte 8 is not UTF-8 text"
+
     def test_csv_bad_field_reports_location(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,oops\n")

@@ -62,9 +62,10 @@ def _path_sums(batch, fitness):
 
 
 def _tallies(batch, fitness, lam):
-    """The estimator's one-pass tallies at ``lam``."""
+    """The estimator's one-pass tally at ``lam`` and its per-shard table."""
     t = estimator._log_trial(lam, log_unit_scale(fitness)[1])
-    return estimator._visit_tallies(batch, t)
+    table = estimator._visit_tallies(batch, t)
+    return table.sum(axis=0), table
 
 
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
@@ -497,7 +498,8 @@ def _bits(a):
 
 class TestVisitTallies:
     @pytest.mark.parametrize("count, shards, cap", [
-        (3000, 1, 10**6),   # one shard: no per-shard table
+        (3000, 1, 10**6),   # one shard: a one-row table
+        (3000, 1, 60),      # one shard with truncated attempts
         (3000, 7, 10**6),   # shard boundaries fall inside chunks
         (1, 4, 10**6),      # one shard holds the only path
         (3, 7, 10**6),      # empty shards between the full ones
@@ -514,9 +516,6 @@ class TestVisitTallies:
         ref = shard_tallies(batch, decomp.fitness, lam)
         assert _bits(totals) == _bits(ref.sum(axis=0))
         assert totals[0] == batch.path_count
-        if ref.shape[0] < 2:
-            assert by_shard is None
-            return
         assert by_shard.shape == ref.shape
         assert _bits(by_shard) == _bits(ref)
 
@@ -537,12 +536,20 @@ class TestVisitTallies:
                  for part in np.split(weights[order], ends[:-1])]
         assert np.abs(totals / exact - 1.0).max() <= 1e-14
 
-    def test_final_pass_holds_no_batch_sized_array(self):
+    @pytest.mark.parametrize("shards, cap", [
+        (4, 10**6),
+        (4, 200),   # truncated walkers carry weight 0 in every row
+        (1, 200),
+    ])
+    def test_final_pass_holds_no_batch_sized_array(self, shards, cap):
         # Long excursions (mean tau ~ N): over a million visits, and the
         # tally and the jackknife hold a few walker-sized arrays.
         rows = np.random.default_rng(8).uniform(0.5, 2.0, (50, 50))
-        batch, decomp = _batch_for(rows, count=25_000, seed=4, shards=4)
+        batch, decomp = _batch_for(rows, count=25_000, seed=4, cap=cap,
+                                   shards=shards)
         assert batch.lengths.sum() >= 10**6
+        if cap < 10**6:
+            assert batch.truncated_count > 0
         lam = estimate_lambda(batch, decomp.fitness)
         for stage in (estimate_u, shard_dispersion):
             tracemalloc.start()
