@@ -78,6 +78,8 @@ def _rows_from_json(path: str, text: str) -> list[list[float]]:
         payload = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"invalid JSON: {exc}")
+    except RecursionError:
+        raise ParseError(path, "invalid JSON: nested too deeply")
     if not isinstance(payload, dict) or "n" not in payload or "rows" not in payload:
         raise ParseError(path, 'expected an object {"n": ..., "rows": ...}')
     n, rows = payload["n"], payload["rows"]

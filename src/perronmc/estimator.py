@@ -68,8 +68,8 @@ from .chain_sim import SampleBatch, build_sampler, sample_batch
 from .errors import (EigenvalueUnderflow, EmptyBatch, InvalidArgument,
                      TallyOverflow, TruncationBiasGuard, check_counts,
                      check_trial)
-from .matrix_core import (NonNegativeMatrix, _log_scaled, decompose,
-                          log_unit_scale)
+from .matrix_core import (NonNegativeMatrix, _freeze, _log_scaled,
+                          decompose, log_unit_scale)
 
 __all__ = [
     "EstimateReport",
@@ -327,9 +327,7 @@ def _visit_tallies(batch: SampleBatch, t: float) -> np.ndarray:
 
 def _eigenvector(table: np.ndarray) -> np.ndarray:
     numerators = table.sum(axis=0)
-    u = numerators / numerators.sum()
-    u.flags.writeable = False
-    return u
+    return _freeze(numerators / numerators.sum())
 
 
 def estimate_u(batch: SampleBatch, fitness: np.ndarray,
@@ -359,9 +357,7 @@ def _jackknife(nums: np.ndarray) -> np.ndarray | None:
     leave_out = (total_num[None, :] - nums) / (total_den - dens)[:, None]
     m = leave_out.shape[0]
     centered = leave_out - leave_out.mean(axis=0)
-    se = np.sqrt((m - 1) / m * (centered**2).sum(axis=0))
-    se.flags.writeable = False
-    return se
+    return _freeze(np.sqrt((m - 1) / m * (centered**2).sum(axis=0)))
 
 
 def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,

@@ -16,7 +16,8 @@ multinomial with probabilities proportional to c @ A, so a generation
 costs one Poisson draw and one multinomial draw.  Under the deterministic
 law each type-i parent has exactly f(i) children, and one multinomial call
 splits every type's children by its row of M; types without parents
-consume no draws.
+consume no draws.  An unknown law, or a mean that is not an integer under
+the deterministic law, is refused at the entries, before power iteration.
 
 The trees of a block of at most ``TREE_BLOCK`` grow in lockstep, one
 generation at a time: the block is a ``(trees, N)`` array of counts, the
@@ -45,7 +46,8 @@ import numpy as np
 from .chain_sim import _streams
 from .errors import (InvalidArgument, NoSurvivors, PopulationOverflow,
                      Subcritical, check_counts)
-from .matrix_core import NonNegativeMatrix, RowDecomposition, decompose
+from .matrix_core import (NonNegativeMatrix, RowDecomposition, _freeze,
+                          decompose)
 from .oracle import PerronPair, power_iteration
 
 __all__ = [
@@ -82,15 +84,17 @@ class Population:
         return int(self.counts.sum())
 
 
-def _whole_means(fitness: np.ndarray, present) -> np.ndarray:
-    """Children per parent under the deterministic law; refuses a type in
-    ``present`` whose mean is not an integer."""
-    per_parent = np.round(fitness)
-    off = present & (np.abs(fitness - per_parent) > 1e-9)
-    if off.any():
-        raise InvalidArgument("deterministic offspring law needs integer "
-                              f"means, got {fitness[off.argmax()]}")
-    return per_parent
+def _check_law(law: str, fitness: np.ndarray, present) -> None:
+    """Refuse an unknown offspring law, then, under the deterministic law,
+    a type in ``present`` whose mean is not an integer."""
+    if law not in OFFSPRING_LAWS:
+        raise InvalidArgument(
+            f"unknown offspring law {law!r}; pick from {OFFSPRING_LAWS}")
+    if law == "deterministic":
+        off = present & (np.abs(fitness - np.round(fitness)) > 1e-9)
+        if off.any():
+            raise InvalidArgument("deterministic offspring law needs integer "
+                                  f"means, got {fitness[off.argmax()]}")
 
 
 # A product past the float range leaves an inf mass, or a NaN one where it
@@ -100,7 +104,8 @@ def _whole_means(fitness: np.ndarray, present) -> np.ndarray:
 def _step_block(counts: np.ndarray, decomp: RowDecomposition,
                 rngs, law: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One generation of each tree of a block, from the parents ``counts``,
-    a ``(trees, N)`` int64 array, row ``t`` drawing from ``rngs[t]``.
+    a ``(trees, N)`` int64 array, row ``t`` drawing from ``rngs[t]``, under
+    a ``law`` that :func:`_check_law` has passed.
 
     The arithmetic runs once for the block; only the draws loop over the
     trees, and each tree's generator sees the calls a tree grown alone
@@ -124,8 +129,8 @@ def _step_block(counts: np.ndarray, decomp: RowDecomposition,
             split = means[draw] / mass[draw, None]
             child[draw] = [r.multinomial(r.poisson(m), p) for r, m, p
                            in zip(rngs[draw], mass[draw].tolist(), split)]
-    elif law == "deterministic":
-        per_parent = _whole_means(decomp.fitness, (counts > 0).any(axis=0))
+    else:
+        per_parent = np.round(decomp.fitness)
         over = (counts[:, None, :] @ per_parent)[:, 0] > _DRAW_LIMIT
         # Only trees that overflow have parents whose mean passes the limit,
         # so capping it leaves every total that is drawn as it was.
@@ -135,9 +140,6 @@ def _step_block(counts: np.ndarray, decomp: RowDecomposition,
         if draw.any():
             child[draw] = [r.multinomial(t, decomp.kernel).sum(axis=0)
                            for r, t in zip(rngs[draw], totals[draw])]
-    else:
-        raise InvalidArgument(
-            f"unknown offspring law {law!r}; pick from {OFFSPRING_LAWS}")
     over |= child.max(axis=1) > POPULATION_CEILING
     return child, child.sum(axis=1), over
 
@@ -175,18 +177,20 @@ def step_generation(pop: Population, decomp: RowDecomposition,
     a tree of :func:`conditioned_proportions` draws; a block of one tree.
 
     Raises:
+        InvalidArgument: an unknown ``law``, or, under the deterministic
+            law, a type in the population whose mean is not an integer.
         PopulationOverflow: some type count would exceed
             ``POPULATION_CEILING`` (supercritical growth guard), or the
             expected number of children passes what a 64-bit count can hold.
     """
+    counts = np.asarray(pop.counts)
+    _check_law(law, decomp.fitness, counts > 0)
     generation = pop.generation + 1
-    child, _, over = _step_block(np.asarray(pop.counts)[None], decomp,
+    child, _, over = _step_block(counts[None], decomp,
                                  np.array([rng], dtype=object), law)
     if over[0]:
         raise PopulationOverflow(generation, POPULATION_CEILING)
-    child = child[0]
-    child.flags.writeable = False
-    return Population(counts=child, generation=generation)
+    return Population(counts=_freeze(child[0]), generation=generation)
 
 
 def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
@@ -194,8 +198,8 @@ def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
                             ) -> tuple[np.ndarray, int, PerronPair]:
     """Average type proportions over trees that survive to the horizon.
 
-    The arguments are refused before power iteration runs, and power
-    iteration runs before any tree grows.
+    The arguments, the offspring law among them, are refused before power
+    iteration runs, and power iteration runs before any tree grows.
 
     Each tree starts from one individual of every type and gets its own
     stream, ``np.random.default_rng(mix_seed(seed, tree_index))``, so trees
@@ -214,8 +218,9 @@ def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
         matrix's Perron pair from :func:`perronmc.oracle.power_iteration`).
 
     Raises:
-        InvalidArgument: ``trials`` or ``horizon`` below 1, or, under the
-            deterministic law, a row sum that is not an integer.
+        InvalidArgument: ``trials`` or ``horizon`` below 1, an unknown
+            ``law``, or, under the deterministic law, a row sum that is not
+            an integer.
         NoConvergence: from power iteration.
         Subcritical: the dominant eigenvalue is <= 1.
         PopulationOverflow: as in :func:`step_generation`, for some tree.
@@ -223,8 +228,7 @@ def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
     """
     check_counts(trials=trials, horizon=horizon)
     decomp = decompose(matrix)
-    if law == "deterministic":  # every tree starts with each type
-        _whole_means(decomp.fitness, True)
+    _check_law(law, decomp.fitness, True)  # every tree starts with each type
     pair = power_iteration(matrix)
     if pair.eigenvalue <= 1.0:
         raise Subcritical(pair.eigenvalue)
@@ -248,6 +252,4 @@ def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
             np.vstack((summed, final[alive] / total[alive, None])), axis=0)
     if survivors == 0:
         raise NoSurvivors(trials, horizon)
-    proportions = summed / survivors
-    proportions.flags.writeable = False
-    return proportions, survivors, pair
+    return _freeze(summed / survivors), survivors, pair

@@ -6,9 +6,11 @@ entrywise positive, which the method needs.  :func:`validate` is the only
 place that certifies primitivity, so every :class:`NonNegativeMatrix`
 built from input is primitive.  Such a matrix splits into a fitness
 vector ``f`` (the row sums) and a row-stochastic kernel ``M`` with
-``A[i, j] = f[i] * M[i, j]``.  All functions here are pure and all
-returned arrays are frozen read-only, so values can be shared freely
-across threads.
+``A[i, j] = f[i] * M[i, j]``.  All functions here are pure.  Every array
+held by a matrix, a decomposition, a sampler or a batch, and every array
+that an estimator, oracle or branching entry returns, is made read-only by
+:func:`_freeze`, so values can be shared freely across threads;
+:func:`unit_scale` and :func:`log_unit_scale` return writable values.
 
 File formats accepted by the CLI for matrices (parsing lives in
 :mod:`perronmc.cli`):

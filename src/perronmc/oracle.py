@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (Divergence, NoConvergence, NotOnSimplex,
                      check_base_state, check_trial)
-from .matrix_core import NonNegativeMatrix, decompose, unit_scale
+from .matrix_core import NonNegativeMatrix, _freeze, decompose, unit_scale
 
 __all__ = [
     "PerronPair",
@@ -125,8 +125,7 @@ def power_iteration(matrix: NonNegativeMatrix) -> PerronPair:
                                       exponent))
             lam = float(np.ldexp(lam, exponent))
             if residual <= POWER_RESIDUAL_TOL * max(1.0, lam):
-                v.flags.writeable = False
-                return PerronPair(eigenvalue=lam, vector=v,
+                return PerronPair(eigenvalue=lam, vector=_freeze(v),
                                   residual=residual, iterations=it)
     raise NoConvergence(POWER_MAX_ITER)
 
@@ -185,10 +184,8 @@ def lemma_partial_sums(matrix: NonNegativeMatrix, k: int,
     # Python floats: a ratio past the float range is inf, with no warning.
     last = terms_arr[terms_arr > 0.0][-2:].tolist()
     ratio = last[1] / last[0] if len(last) == 2 else math.inf
-    partial_sums = np.cumsum(terms_arr)
-    terms_arr.flags.writeable = False
-    partial_sums.flags.writeable = False
-    return LemmaSeries(terms=terms_arr, partial_sums=partial_sums,
+    return LemmaSeries(terms=_freeze(terms_arr),
+                       partial_sums=_freeze(np.cumsum(terms_arr)),
                        tail_ratio=ratio if ratio < math.inf else None)
 
 
@@ -227,8 +224,7 @@ def quasispecies_residual(matrix: NonNegativeMatrix,
     mean_fitness = float(x @ fitness)
     creation = (x * fitness) @ decomp.kernel
     per_state = np.ldexp(np.abs(x * mean_fitness - creation), exponent)
-    per_state.flags.writeable = False
-    return EquilibriumResidual(per_state=per_state,
+    return EquilibriumResidual(per_state=_freeze(per_state),
                                max_abs=float(per_state.max()),
                                mean_fitness=float(np.ldexp(mean_fitness,
                                                            exponent)))

@@ -197,6 +197,21 @@ class TestParseMatrix:
             parse_matrix(str(path))
         assert "line 2" in str(exc.value) and "field 2" in str(exc.value)
 
+    def test_deeply_nested_json_is_refused(self, tmp_path, capsys):
+        # 100,000 levels is past the nesting any Python's json parser takes.
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 1, "rows": [[%s%s]]}' % ("[" * depth,
+                                                      "]" * depth))
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
+        assert main(["oracle", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError: ")
+        assert captured.err.count("\n") == 1
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             parse_matrix(str(tmp_path / "absent.csv"))

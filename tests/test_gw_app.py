@@ -235,6 +235,20 @@ class TestConditionedProportions:
                      "--trials", "5", "--horizon", "3"]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("rows,law", [
+        # Subcritical as well: the law is refused first.
+        ([[0.2, 0.1], [0.1, 0.2]], "geometric"),
+        (ACCEPTANCE_2X2, "geometric"),
+        ([[1.0, 1.5], [2.0, 2.0]], "deterministic"),
+    ])
+    def test_the_law_is_refused_before_power_iteration(self, rows, law,
+                                                        monkeypatch):
+        calls = []
+        monkeypatch.setattr(gw_app, "power_iteration", calls.append)
+        with pytest.raises(InvalidArgument):
+            conditioned_proportions(validate(rows), 5, 3, seed=0, law=law)
+        assert calls == []
+
     def test_integer_means_pass_the_check(self):
         props, survivors, _ = conditioned_proportions(
             validate(ACCEPTANCE_2X2), 1, 1, seed=0, law="deterministic")
