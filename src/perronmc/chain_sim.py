@@ -238,7 +238,9 @@ class SampleBatch:
     true for those that do not return at it, and ``states`` holds those
     walkers' new states as int32.  A walker still out after the last step
     was truncated: it is counted, and its return time is 0.  Paths are the
-    non-truncated attempts, in attempt order.
+    non-truncated attempts, in attempt order.  A batch holds at least one
+    path: :func:`sample_batch` raises :class:`~perronmc.errors.AllTruncated`
+    otherwise, and nothing downstream checks again.
 
     Attributes:
         base_state: the base state ``k``, 0-based.

@@ -2,7 +2,9 @@
 
 A message names a position from 1, as matrix files count: a row, column
 or state of the matrix, or an entry of a vector over its states.  The
-``row`` and ``col`` attributes count from 0, as the library does.  Every
+``row`` and ``col`` attributes count from 0, as the library does; beyond
+its message, an error keeps only the fields callers read.  A batch
+without a returned path is refused once, as :class:`AllTruncated`.  Every
 error raised by the library derives from exactly one of three families
 under :class:`PerronMCError`, and the family's ``exit_code`` is the CLI's
 exit status:
@@ -84,7 +86,6 @@ class NegativeEntry(InputError):
     def __init__(self, row: int, col: int, value: float):
         self.row = row
         self.col = col
-        self.value = value
         super().__init__(f"entry ({row + 1}, {col + 1}) is negative: {value}")
 
 
@@ -118,8 +119,6 @@ class NotPrimitive(StructuralError):
 
 class AllTruncated(GuardError):
     def __init__(self, attempts: int, cap: int):
-        self.attempts = attempts
-        self.cap = cap
         super().__init__(
             f"all {attempts} excursion attempts hit the length cap {cap}; "
             "the cap is far too small or the chain is nearly reducible"
@@ -130,14 +129,8 @@ class AllTruncated(GuardError):
 # Estimation guards
 
 
-class EmptyBatch(GuardError):
-    def __init__(self) -> None:
-        super().__init__("batch contains no non-truncated excursions")
-
-
 class EigenvalueUnderflow(GuardError):
     def __init__(self, largest: float):
-        self.largest = largest
         super().__init__(
             f"the eigenvalue lies more than 2**1022 times below the largest "
             f"row sum {largest}; the lam solve cannot resolve it in floating "
@@ -158,9 +151,6 @@ class TallyOverflow(GuardError):
 
 class TruncationBiasGuard(GuardError):
     def __init__(self, truncated: int, attempted: int, limit: float):
-        self.truncated = truncated
-        self.attempted = attempted
-        self.limit = limit
         super().__init__(
             f"{truncated}/{attempted} excursions truncated, above the "
             f"{limit:.2%} bias guard; raise the cap or check the matrix"
@@ -173,7 +163,6 @@ class TruncationBiasGuard(GuardError):
 
 class NoConvergence(GuardError):
     def __init__(self, iterations: int, detail: str = ""):
-        self.iterations = iterations
         super().__init__(detail or (
             f"power iteration did not converge within {iterations} iterations; "
             "the spectrum is nearly degenerate"
@@ -183,7 +172,6 @@ class NoConvergence(GuardError):
 class Divergence(GuardError):
     def __init__(self, term_index: int, partial_sum: float, slack: float):
         self.term_index = term_index
-        self.partial_sum = partial_sum
         super().__init__(
             f"partial sums exceeded 1 + {slack:g} at term {term_index} "
             f"(sum={partial_sum}); the trial eigenvalue is below the true one"
@@ -202,7 +190,6 @@ class NotOnSimplex(InputError):
 class PopulationOverflow(GuardError):
     def __init__(self, generation: int, ceiling: int):
         self.generation = generation
-        self.ceiling = ceiling
         super().__init__(
             f"population exceeded the ceiling {ceiling} at generation {generation}"
         )
@@ -210,8 +197,6 @@ class PopulationOverflow(GuardError):
 
 class NoSurvivors(GuardError):
     def __init__(self, trials: int, horizon: int):
-        self.trials = trials
-        self.horizon = horizon
         super().__init__(
             f"no tree out of {trials} survived to generation {horizon}; "
             "increase trials or lower the horizon"
@@ -220,7 +205,6 @@ class NoSurvivors(GuardError):
 
 class Subcritical(InputError):
     def __init__(self, eigenvalue: float):
-        self.eigenvalue = eigenvalue
         super().__init__(
             f"dominant eigenvalue {eigenvalue} is <= 1; conditioned type "
             "proportions require a supercritical mean matrix"
@@ -233,6 +217,4 @@ class Subcritical(InputError):
 
 class ParseError(InputError):
     def __init__(self, path: str, detail: str):
-        self.path = path
-        self.detail = detail
         super().__init__(f"{path}: {detail}")

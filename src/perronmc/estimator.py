@@ -65,9 +65,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_sim import SampleBatch, build_sampler, sample_batch
-from .errors import (EigenvalueUnderflow, EmptyBatch, InvalidArgument,
-                     TallyOverflow, TruncationBiasGuard, check_counts,
-                     check_trial)
+from .errors import (EigenvalueUnderflow, InvalidArgument, TallyOverflow,
+                     TruncationBiasGuard, check_counts, check_trial)
 from .matrix_core import (NonNegativeMatrix, _freeze, _log_scaled,
                           decompose, log_unit_scale)
 
@@ -132,12 +131,8 @@ class EstimationConfig:
         check_counts(samples=self.samples, shards=self.shards, cap=self.cap)
 
 
-def _exponent(batch: SampleBatch, fitness: np.ndarray, check, value) -> int:
-    """``e`` with ``f = f~ * 2**e``, after every entry's refusals in turn:
-    an empty batch, ``check(value)``, then a fitness not the batch's."""
-    if batch.path_count == 0:
-        raise EmptyBatch()
-    check(value)
+def _exponent(batch: SampleBatch, fitness: np.ndarray) -> int:
+    """``e`` with ``f = f~ * 2**e``; refuses a fitness not the batch's."""
     log_scaled, exponent = log_unit_scale(fitness)
     if not np.array_equal(log_scaled, batch.log_fitness):
         raise InvalidArgument(
@@ -175,10 +170,9 @@ class _PathSums:
     work: np.ndarray
 
     @classmethod
-    def of(cls, batch: SampleBatch, fitness: np.ndarray, check,
-           value) -> "_PathSums":
+    def of(cls, batch: SampleBatch, fitness: np.ndarray) -> "_PathSums":
         """The walk's ``S_p`` and ``tau_p``; refuses as :func:`_exponent`."""
-        exponent = _exponent(batch, fitness, check, value)
+        exponent = _exponent(batch, fitness)
         lengths = batch.lengths.astype(float)
         return cls(exponent, float(np.ldexp(fitness.min(), -exponent)),
                    float(np.ldexp(fitness.max(), -exponent)),
@@ -219,11 +213,11 @@ def g_hat(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
     Carlo error) at the dominant eigenvalue, and inf past the float range.
 
     Raises:
-        EmptyBatch: no non-truncated excursion in the batch.
         InvalidArgument: ``lam`` is not finite and > 0, or ``fitness`` is
             not the row sums the batch was sampled under.
     """
-    sums = _PathSums.of(batch, fitness, check_trial, lam)
+    check_trial(lam)
+    sums = _PathSums.of(batch, fitness)
     return float(np.exp(sums.log_g(_log_trial(lam, sums.exponent))[0]))
 
 
@@ -239,13 +233,13 @@ def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
     gives a degenerate bracket, whose one value is returned.
 
     Raises:
-        EmptyBatch: no usable excursions.
         InvalidArgument: ``tol`` outside (0, 1), or ``fitness`` is not the
             row sums the batch was sampled under.
         EigenvalueUnderflow: the root lies more than ``2**1022`` times
             below ``max f``, past the normal range of the scaled solve.
     """
-    return _solve_lambda(_PathSums.of(batch, fitness, _check_tol, tol), tol)
+    _check_tol(tol)
+    return _solve_lambda(_PathSums.of(batch, fitness), tol)
 
 
 def _solve_lambda(sums: _PathSums, tol: float) -> float:
@@ -340,10 +334,11 @@ def estimate_u(batch: SampleBatch, fitness: np.ndarray,
     path weight.
 
     Raises:
-        EmptyBatch, InvalidArgument: as in :func:`g_hat`.
+        InvalidArgument: as in :func:`g_hat`.
         TallyOverflow: the visit weights sum past the float range.
     """
-    t = _log_trial(lam, _exponent(batch, fitness, check_trial, lam))
+    check_trial(lam)
+    t = _log_trial(lam, _exponent(batch, fitness))
     return _eigenvector(_visit_tallies(batch, t))
 
 
@@ -368,7 +363,8 @@ def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,
     indicative plumbing, not a calibrated confidence interval.  Raises as
     :func:`estimate_u` does.
     """
-    t = _log_trial(lam, _exponent(batch, fitness, check_trial, lam))
+    check_trial(lam)
+    t = _log_trial(lam, _exponent(batch, fitness))
     if np.count_nonzero(batch.shard_path_counts) < 2:
         return None
     return _jackknife(_visit_tallies(batch, t))
@@ -396,7 +392,7 @@ def run_estimation(matrix: NonNegativeMatrix,
         raise TruncationBiasGuard(batch.truncated_count, config.samples,
                                   TRUNCATION_BIAS_LIMIT)
 
-    sums = _PathSums.of(batch, decomp.fitness, _check_tol, config.tol)
+    sums = _PathSums.of(batch, decomp.fitness)
     lam = _solve_lambda(sums, config.tol)
     t = _log_trial(lam, sums.exponent)
     residual = abs(float(np.exp(sums.log_g(t)[0])) - 1.0)

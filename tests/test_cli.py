@@ -757,7 +757,7 @@ class TestExitCodes:
                 pending.append(sub)
                 if sub not in families:
                     concrete.append(sub)
-        assert len(concrete) == 19
+        assert len(concrete) == 18
         for cls in concrete:
             owners = [f for f in families if issubclass(cls, f)]
             assert len(owners) == 1, cls

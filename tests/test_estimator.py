@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -11,8 +10,8 @@ from perronmc import estimator
 from perronmc.chain_sim import build_sampler, sample_batch
 from perronmc.cli import main
 from perronmc.errors import (
+    AllTruncated,
     EigenvalueUnderflow,
-    EmptyBatch,
     InvalidArgument,
     NotPrimitive,
     TallyOverflow,
@@ -57,8 +56,7 @@ def _batch_for(rows, k=0, count=1000, seed=0, cap=10**6, shards=1):
 
 
 def _path_sums(batch, fitness):
-    return estimator._PathSums.of(batch, fitness, estimator._check_tol,
-                                  EstimationConfig.tol)
+    return estimator._PathSums.of(batch, fitness)
 
 
 def _tallies(batch, fitness, lam):
@@ -158,16 +156,6 @@ class TestGHat:
         delta = float(rng.uniform(1e-6, 0.5))
         assert (g_hat(batch, decomp.fitness, lam + delta)
                 < g_hat(batch, decomp.fitness, lam))
-
-    def test_empty_batch(self):
-        batch, decomp = _batch_for(FAIR, count=10)
-        empty = dataclasses.replace(
-            batch, steps=(), return_times=np.zeros(10, np.int64),
-            log_sums=np.empty(0), truncated_count=10,
-            shard_path_counts=np.array([0]),
-        )
-        with pytest.raises(EmptyBatch):
-            g_hat(empty, decomp.fitness, 1.0)
 
     def test_fitness_must_be_the_batch_s(self):
         # The walk summed the sampler's log f~ along each path, and every
@@ -360,21 +348,12 @@ class TestTrialEigenvalue:
             stage(batch, decomp.fitness, lam)
 
     def test_refusal_order(self):
-        # An empty batch first, then the trial value or tol, then the
-        # fitness.
+        # The trial value or tol first, then the fitness.
         batch, decomp = _batch_for(ACCEPTANCE_2X2, count=500, shards=4)
-        empty = dataclasses.replace(
-            batch, steps=(), return_times=np.zeros(500, np.int64),
-            log_sums=np.empty(0), truncated_count=500,
-            shard_path_counts=np.zeros(4, np.int64))
         wrong = decomp.fitness[::-1]
         for stage in (g_hat, estimate_u, shard_dispersion):
-            with pytest.raises(EmptyBatch):
-                stage(empty, wrong, np.nan)
             with pytest.raises(InvalidArgument, match="trial eigenvalue"):
                 stage(batch, wrong, np.nan)
-        with pytest.raises(EmptyBatch):
-            estimate_lambda(empty, wrong, 2.0)
         with pytest.raises(InvalidArgument, match="tol"):
             estimate_lambda(batch, wrong, 2.0)
 
@@ -410,6 +389,37 @@ class TestTrialEigenvalue:
         elif stage is estimate_u:
             assert (value >= 0).all()
             assert abs(value.sum() - 1.0) <= 1e-12
+
+
+class TestEveryBatchHoldsAPath:
+    # From base state 0 the chain moves to state 1, which returns with
+    # probability 1/2 a step, so no excursion is shorter than 2 steps and
+    # cap 1 truncates every attempt.  The sampler refuses a batch without
+    # paths, and the estimator's stages rely on that: none checks again.
+    ROWS = [[0, 1], [1, 1]]
+    SEED = 5
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_sampler_refuses_a_batch_without_paths(self, shards):
+        with pytest.raises(AllTruncated):
+            _batch_for(self.ROWS, count=64, seed=self.SEED, cap=1,
+                       shards=shards)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("cap", range(2, 7))
+    def test_every_stage_reads_a_sampled_batch(self, cap, shards):
+        batch, decomp = _batch_for(self.ROWS, count=64, seed=self.SEED,
+                                   cap=cap, shards=shards)
+        assert batch.path_count >= 1
+        lam = estimate_lambda(batch, decomp.fitness)
+        assert math.isfinite(lam)
+        assert math.isfinite(g_hat(batch, decomp.fitness, lam))
+        assert np.isfinite(estimate_u(batch, decomp.fitness, lam)).all()
+        dispersion = shard_dispersion(batch, decomp.fitness, lam)
+        if shards == 1:
+            assert dispersion is None
+        else:
+            assert np.isfinite(dispersion).all()
 
 
 class TestTallyOverflow:
