@@ -34,10 +34,11 @@ uniform per walker it still has out, in walker order, as it would walking
 alone, so the result does not depend on execution order.
 
 A batch is kept in the layout the walk writes it: step by step, each
-step a mask of the walkers that go on and their new states as int32,
-about 5 bytes per visit, with each path's return time and log fitness
-sum taken in the walk.  Nothing in the pipeline rebuilds the paths in
-path order; :attr:`SampleBatch.states` does so on demand.
+step a mask of the walkers that go on and their new states in the guide
+table's dtype, the narrowest that holds every state (2 bytes a visit up
+to N = 255, 3 up to 65,535), with each path's return time and log
+fitness sum taken in the walk.  Nothing in the pipeline rebuilds the
+paths in path order; :attr:`SampleBatch.states` does so on demand.
 """
 
 from __future__ import annotations
@@ -236,9 +237,10 @@ class SampleBatch:
     state; step ``t`` of ``steps`` is ``(keep, states)``: ``keep`` is a
     mask over the walkers still out before the step, in walker order,
     true for those that do not return at it, and ``states`` holds those
-    walkers' new states as int32.  A walker still out after the last step
-    was truncated: it is counted, and its return time is 0.  Paths are the
-    non-truncated attempts, in attempt order.  A batch holds at least one
+    walkers' new states in the dtype of the sampler's guide table.  A
+    walker still out after the last step was truncated: it is counted,
+    and its return time is 0.  Paths are the non-truncated attempts, in
+    attempt order.  A batch holds at least one
     path: :func:`sample_batch` raises :class:`~perronmc.errors.AllTruncated`
     otherwise, and nothing downstream checks again.
 
@@ -373,11 +375,12 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
     All shards walk together, each filling its slice of one uniform buffer,
     so the walk lasts as long as the longest excursion, or ``cap`` steps.
     Each step records only its ``keep`` mask and the kept walkers' new
-    states as int32, 5 bytes per visit, and nothing rebuilds the paths:
-    the batch is that record.  Each step also adds ``log f~`` of the
-    state every walker leaves into that walker's entry of ``S_p``, so
-    each path's sum is taken in the walk, in visit order from zero.  The
-    walk itself indexes with intp, so only the stored copy is narrowed.
+    states in the guide table's dtype, 2 bytes a visit up to N = 255 and
+    3 up to 65,535, and nothing rebuilds the paths: the batch is that
+    record.  Each step also adds ``log f~`` of the state every walker
+    leaves into that walker's entry of ``S_p``, so each path's sum is
+    taken in the walk, in visit order from zero.  The walk itself
+    indexes with intp, so only the stored copy is narrowed.
 
     Args:
         sampler: tables from :func:`build_sampler`.
@@ -423,7 +426,8 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
         return_times[active[~keep]] = step
         active = active[keep]
         current = nxt[keep]
-        steps.append((_freeze(keep), _freeze(current.astype(np.int32))))
+        steps.append((_freeze(keep),
+                      _freeze(current.astype(sampler.guide.dtype))))
 
     truncated = int(active.size)
     if truncated == count:

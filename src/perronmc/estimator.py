@@ -51,10 +51,12 @@ with one ``np.bincount``, and the table's columns sum to the tally.  A
 truncated walker starts at log weight -inf, so its visits weigh exactly
 0.  The pass holds walker-sized arrays, never batch-sized ones.  Means
 of weights use the running-maximum log-sum-exp trick.  The pass casts
-each step's int32 states to intp once, because numpy gathers and
-``np.bincount`` run slower on int32 indices.  A tally that sums past the
-float range, as it can when the base state's coordinate lies far below
-another state's, is refused with :class:`~perronmc.errors.TallyOverflow`.
+each step's states, stored in the sampler's narrowest unsigned dtype, to
+intp once, since numpy's gathers and ``np.bincount`` would each convert
+them again, and adds each walker's per-shard offset in intp.  A tally
+that sums past the float range, as it can when the base state's
+coordinate lies far below another state's, is refused with
+:class:`~perronmc.errors.TallyOverflow`.
 """
 
 from __future__ import annotations

@@ -7,11 +7,12 @@ These routines share no code path with the Monte Carlo estimator, so
 agreement between the two is meaningful evidence of correctness.
 
 Their settings are module constants: :func:`power_iteration` stops once
-successive iterates differ by less than ``POWER_TOL`` in L1 and the
-eigen-residual is at most ``POWER_RESIDUAL_TOL * max(1, lam)``, and gives up
-after ``POWER_MAX_ITER`` steps; :func:`lemma_partial_sums` stops once the
-weight still to return is certified below ``LEMMA_STOP_INCREMENT``, and
-gives up after ``LEMMA_MAX_TERMS`` terms.  Giving up raises
+successive iterates differ by less than ``POWER_TOL`` in L1, refuses the
+iterate unless its eigen-residual is then at most
+``POWER_RESIDUAL_TOL * lam``, and gives up after ``POWER_MAX_ITER``
+steps; :func:`lemma_partial_sums` stops once the weight still to return
+is certified below ``LEMMA_STOP_INCREMENT``, and gives up after
+``LEMMA_MAX_TERMS`` terms.  Refusing or giving up raises
 :class:`NoConvergence`.
 """
 
@@ -101,10 +102,18 @@ def power_iteration(matrix: NonNegativeMatrix) -> PerronPair:
     ``2**k * A`` is ``2**k`` times that of ``A`` and the vector is the
     same.
 
+    Once successive iterates settle, the residual ``|v @ A - lam v|`` is
+    tested against ``lam``, both in the scaled units of the loop.  Without
+    rounding it is then of the order of ``POWER_TOL`` times ``lam``; above
+    ``POWER_RESIDUAL_TOL`` times it, the iterate settled only because
+    products of the entries underflowed, so it is refused at once.
+
     Raises:
         NoConvergence: iterate did not settle within ``POWER_MAX_ITER`` steps
             (signals a nearly degenerate spectrum), or its sum underflowed
-            to zero (entries too far below the largest one to iterate).
+            to zero, or it settled with a residual above
+            ``POWER_RESIDUAL_TOL`` times its eigenvalue (entries too far
+            below the largest one to iterate).
     """
     n = matrix.n
     a, exponent = unit_scale(matrix.entries)
@@ -120,13 +129,16 @@ def power_iteration(matrix: NonNegativeMatrix) -> PerronPair:
         diff = float(np.abs(w - v).sum())
         v = w
         if diff < POWER_TOL:
-            # The residual test reads both in the matrix's own units.
-            residual = float(np.ldexp(np.abs(v @ a - lam * v).sum(),
-                                      exponent))
-            lam = float(np.ldexp(lam, exponent))
-            if residual <= POWER_RESIDUAL_TOL * max(1.0, lam):
-                return PerronPair(eigenvalue=lam, vector=_freeze(v),
-                                  residual=residual, iterations=it)
+            residual = float(np.abs(v @ a - lam * v).sum())
+            if residual > POWER_RESIDUAL_TOL * lam:
+                raise NoConvergence(it, (
+                    f"power iteration underflowed: iterate {it} settled "
+                    f"with a residual {residual / lam:g} times its "
+                    "eigenvalue; the entries are too small to iterate"))
+            return PerronPair(eigenvalue=float(np.ldexp(lam, exponent)),
+                              vector=_freeze(v),
+                              residual=float(np.ldexp(residual, exponent)),
+                              iterations=it)
     raise NoConvergence(POWER_MAX_ITER)
 
 

@@ -424,30 +424,50 @@ class TestSampleBatch:
             assert chi2 < CHI2_99[max(int(positive.sum()) - 1, 1)]
             assert freq[~positive].sum() == 0.0
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_peak_memory_per_visit(self, monkeypatch, shards):
-        # Long excursions (mean tau ~ N): about 2M visits, each recorded
-        # during the walk as an int32 state plus a 1-byte keep mask, which
-        # the batch keeps as it is; int64 records and output took about
-        # 24.5 bytes, and rebuilding the paths in path order 9.7.
+    @pytest.mark.parametrize("n,count,bound,shards", [
+        pytest.param(100, 20_000, 3.0, 1, id="1"),
+        pytest.param(100, 20_000, 3.0, 4, id="4"),
+        pytest.param(300, 4_000, 4.5, 1, id="uint16-1"),
+        pytest.param(300, 4_000, 4.5, 4, id="uint16-4"),
+    ])
+    def test_peak_memory_per_visit(self, n, count, bound, shards):
+        # Long excursions (mean tau ~ N): more than 1M visits, each
+        # recorded during the walk as a state in the guide table's dtype
+        # (uint8 at N = 100, uint16 at N = 300) plus a 1-byte keep mask,
+        # which the batch keeps as it is.  int32 states took about 5.6
+        # bytes a visit, int64 records and output 24.5, and rebuilding the
+        # paths in path order 9.7.
         matrix = validate(
-            np.random.default_rng(100).uniform(0.5, 2.0, (100, 100)).tolist())
+            np.random.default_rng(100).uniform(0.5, 2.0, (n, n)).tolist())
         sampler = build_sampler(decompose(matrix))
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
-            batch = sample_batch(sampler, 0, count=20_000, seed=3,
+            batch = sample_batch(sampler, 0, count=count, seed=3,
                                  cap=10**6, shards=shards)
             peak = tracemalloc.get_traced_memory()[1] - live
         finally:
             tracemalloc.stop()
         visits = int(batch.lengths.sum())
         assert visits > 10**6
-        assert peak <= 7 * visits
+        assert peak <= bound * visits
+        assert all(visited.dtype == sampler.guide.dtype
+                   for _, visited in batch.steps)
 
-        # The estimator casts each step's states to intp, so the narrow
-        # dtype changes none of its arithmetic.
-        config = estimator.EstimationConfig(samples=20_000, seed=3,
+    @pytest.mark.parametrize("n,shards", [
+        (100, 1), (100, 4), (255, 3), (256, 3), (257, 3)])
+    def test_narrow_record_estimates_as_a_wide_one(self, monkeypatch, n,
+                                                   shards):
+        # The estimator casts each step's states to intp, so the record's
+        # dtype changes none of its arithmetic.  The guide's dtype, and so
+        # the record's, is uint8 up to N = 255, where the guide holds
+        # counts up to 255, and uint16 from N = 256; at N = 257 the
+        # largest state, 256, no longer fits in uint8.
+        matrix = validate(
+            np.random.default_rng(n).uniform(0.5, 2.0, (n, n)).tolist())
+        assert build_sampler(decompose(matrix)).guide.dtype == (
+            np.uint8 if n <= 255 else np.uint16)
+        config = estimator.EstimationConfig(samples=2_000, seed=4,
                                             shards=shards)
         narrow = estimator.run_estimation(matrix, config)
 
@@ -464,6 +484,7 @@ class TestSampleBatch:
             assert (a is None) == (b is None), field.name
             if a is not None:
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert narrow.u_hat[n - 1] > 0.0
 
 
 def _dense_uniform_100():

@@ -617,19 +617,48 @@ class TestExitCodes:
         assert code == 0
         assert captured.err == ""
 
-    @pytest.mark.parametrize("subcommand", ["estimate", "compare"])
+    @pytest.mark.parametrize("subcommand,error", [
+        pytest.param("estimate", (
+            "TallyOverflow: the visit weights from base state 1 sum past "
+            "the float range; try base state 22, whose tally is the "
+            "largest\n"), id="estimate"),
+        # compare runs power iteration first, and it refuses the cycle.
+        pytest.param("compare", "NoConvergence: power iteration underflowed",
+                     id="compare"),
+    ])
     def test_tally_past_the_float_range_is_refused(self, capsys, tmp_path,
-                                                   subcommand):
+                                                   subcommand, error):
         path = tmp_path / "cycle.json"
         path.write_text(json.dumps({"n": 22, "rows": CYCLE_22}))
         code = main([subcommand, str(path), "--samples", "2000"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err == (
-            "error: TallyOverflow: the visit weights from base state 1 sum "
-            "past the float range; try base state 22, whose tally is the "
-            "largest\n")
+        assert captured.err.startswith("error: " + error)
+
+    @pytest.mark.parametrize("args", [
+        ["oracle"], ["lemma-check"], ["gw-sim", "--trials", "10"],
+        ["compare", "--base-state", "22", "--samples", "2000"],
+    ], ids=["oracle", "lemma-check", "gw-sim", "compare-from-22"])
+    def test_settled_underflowed_iterate_is_refused_at_once(
+            self, capsys, tmp_path, args):
+        # The cycle's product, 5e-324, underflows in v @ A, so the iterate
+        # settles at 22 iterations on eigenvalue 1e-300, the self-loop's,
+        # not 2.0149e-15, with a residual far above 1e-10 times it.
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"n": 22, "rows": CYCLE_22}))
+        start = time.perf_counter()
+        code = main([args[0], str(path), *args[1:]])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: NoConvergence: power iteration underflowed: iterate 22 "
+            "settled with a residual ")
+        assert captured.err.endswith(
+            " times its eigenvalue; the entries are too small to iterate\n")
+        assert elapsed < 1.0
 
     def test_tally_from_the_suggested_base_state(self, capsys, tmp_path):
         # From state 22 every weight is at most 1, and lam is the geometric
