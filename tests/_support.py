@@ -3,8 +3,13 @@ scalar reference paths that the vectorized pipeline is checked against."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import io
+import json
+import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,6 +17,7 @@ import numpy as np
 
 from perronmc.chain_sim import (RowSampler, SampleBatch, _step_states,
                                 mix_seed)
+from perronmc.cli import main
 from perronmc.errors import AllTruncated, PerronMCError
 from perronmc.estimator import EstimationConfig
 from perronmc.matrix_core import (NonNegativeMatrix, RowDecomposition,
@@ -73,6 +79,42 @@ def bench_inputs(name: str, seed: int
     return validate(rows), EstimationConfig(samples=int(flags["--samples"]),
                                             seed=cli_seed,
                                             shards=int(flags["--shards"]))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden_cases() -> list[dict]:
+    """The golden corpus: each case a name, a CLI argv whose files lie in
+    ``golden/inputs``, an exit code and the sha256 of stdout and stderr."""
+    return json.loads((GOLDEN / "cases.json").read_text())
+
+
+def run_golden(argv: list[str]) -> tuple[int, str, str]:
+    """``perronmc ARGV`` in-process from ``golden/inputs``, so messages name
+    the files as the argv does: the exit code, stdout and stderr.  Usage
+    lines are wrapped at 80 columns whatever the terminal."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    os.chdir(GOLDEN / "inputs")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a usage error, from argparse
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return code, out.getvalue(), err.getvalue()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def unchecked(rows) -> NonNegativeMatrix:
