@@ -38,7 +38,9 @@ step a mask of the walkers that go on and their new states in the guide
 table's dtype, the narrowest that holds every state (2 bytes a visit up
 to N = 255, 3 up to 65,535), with each path's return time and log
 fitness sum taken in the walk.  Nothing in the pipeline rebuilds the
-paths in path order; :attr:`SampleBatch.states` does so on demand.
+paths in path order; :attr:`SampleBatch.states` does so on demand, and
+:meth:`SampleBatch.tally` is the one pass that reads the record for the
+estimator.
 """
 
 from __future__ import annotations
@@ -282,8 +284,8 @@ class SampleBatch:
     @cached_property
     def states(self) -> np.ndarray:
         """The paths' visits in path order, flat int32, each path starting
-        at the base state; replayed from ``steps`` on first use.  The
-        estimator reads ``steps`` and never builds this array."""
+        at the base state; replayed from ``steps`` on first use.
+        :meth:`tally` reads ``steps`` and never builds this array."""
         kept = self.return_times > 0
         start = np.cumsum(self.return_times) - self.return_times
         states = np.empty(int(self.lengths.sum()), dtype=np.int32)
@@ -295,6 +297,47 @@ class SampleBatch:
             states[start[walkers[alive]] + t] = visited[alive]
         return _freeze(states)
 
+    def tally(self, log_factor: np.ndarray) -> np.ndarray:
+        """Per-state sums of the visit weights in one pass over ``steps``,
+        one row per shard that holds paths.
+
+        Visit ``n`` of a path weighs ``exp(sum_{t < n} log_factor[X_t])``,
+        so a path's first visit weighs exactly 1 and the base state's
+        entries are the path counts.  Each walker carries its log weight,
+        summed from zero along its own path, so no weight's rounding error
+        grows with the batch size, and each step adds its visits' weights
+        into the table with one ``np.bincount``.  A truncated walker starts
+        at log weight -inf, so its visits add exactly 0.0.  The pass holds
+        walker-sized arrays, never batch-sized ones, and casts each step's
+        states to intp once, since numpy's gathers and ``np.bincount``
+        would each convert the guide's dtype again.  A weight or a sum past
+        the float range is inf.
+        """
+        n = self.log_fitness.shape[0]
+        k = self.base_state
+        counts = self.shard_path_counts[self.shard_path_counts > 0]
+        table = np.zeros((counts.shape[0], n))
+        table[:, k] = counts
+        flat = table.reshape(-1)
+        returned = self.return_times > 0
+        log_w = np.where(returned, log_factor[k], -np.inf)
+        # Each walker's row, as an offset into the flat table: its path's
+        # shard, or row 0 if it was truncated.  None when there is one row.
+        offset = None
+        if counts.shape[0] > 1:
+            offset = np.zeros(self.attempted, dtype=np.intp)
+            offset[returned] = np.repeat(np.arange(0, flat.shape[0], n), counts)
+        del returned
+        for keep, visited in self.steps:
+            states = visited.astype(np.intp)
+            log_w = log_w[keep]
+            weights = np.exp(log_w)
+            log_w += log_factor[states]
+            if offset is not None:
+                offset = offset[keep]
+                states += offset
+            flat += np.bincount(states, weights, minlength=flat.shape[0])
+        return table
 
 def build_sampler(decomp: RowDecomposition) -> RowSampler:
     """Build the cumulative rows, each set to the sentinel 2.0 from its last

@@ -40,22 +40,11 @@ every other entry keeps the bits of ``log f~``.  A root ``lam~`` below
 the normal range holds too few bits to report and is refused with
 :class:`~perronmc.errors.EigenvalueUnderflow`.
 
-The per-visit weights are needed only at the final ``lam``.  One pass
-over the batch's step-major record adds them into the eigenvector tally
-and the per-shard tallies of the jackknife.  Each walker carries
-``log w_n``, the running sum of ``log f~ - log lam~`` along its path,
-with the walk's own ``log f~``, from zero, compacted with the walkers
-still out, so no weight's rounding error grows with the batch size; each
-step adds its visits' weights into an (shards holding paths x N) table
-with one ``np.bincount``, and the table's columns sum to the tally.  A
-truncated walker starts at log weight -inf, so its visits weigh exactly
-0.  The pass holds walker-sized arrays, never batch-sized ones.  Means
-of weights use the running-maximum log-sum-exp trick.  The pass casts
-each step's states, stored in the sampler's narrowest unsigned dtype, to
-intp once, since numpy's gathers and ``np.bincount`` would each convert
-them again, and adds each walker's per-shard offset in intp.  A tally
-that sums past the float range, as it can when the base state's
-coordinate lies far below another state's, is refused with
+The per-visit weights are needed only at the final ``lam``: the batch's
+:meth:`~perronmc.chain_sim.SampleBatch.tally` at ``log f~ - log lam~``
+gives the eigenvector tally and the jackknife's per-shard tallies in one
+pass.  A tally that sums past the float range, as it can when the base
+state's coordinate lies far below another state's, is refused with
 :class:`~perronmc.errors.TallyOverflow`.
 """
 
@@ -278,46 +267,13 @@ def _solve_lambda(sums: _PathSums, tol: float) -> float:
 
 
 @np.errstate(over="ignore")  # an overflowing tally is refused below
-def _visit_tallies(batch: SampleBatch, t: float) -> np.ndarray:
-    """Per-state sums of the weights at ``t = log lam~``, one row per shard
-    that holds paths, in one pass over the record.
-
-    Each path's first visit weighs exactly 1, so the base state's entries
-    are the exact path counts and the column sums' ``[k]`` is
-    ``path_count``.  A truncated walker starts at log weight -inf, so each
-    of its visits adds exactly 0.0 and leaves every sum's bits as they are.
-
-    Raises:
-        TallyOverflow: the weights sum past the float range.
-    """
-    n = batch.log_fitness.shape[0]
-    k = batch.base_state
-    counts = batch.shard_path_counts[batch.shard_path_counts > 0]
-    table = np.zeros((counts.shape[0], n))
-    table[:, k] = counts
-    flat = table.reshape(-1)
-    log_ratio = batch.log_fitness - t
-    returned = batch.return_times > 0
-    log_w = np.where(returned, log_ratio[k], -np.inf)
-    # Each walker's row, as an offset into the flat table: its path's
-    # shard, or row 0 if it was truncated.  None when there is one row.
-    offset = None
-    if counts.shape[0] > 1:
-        offset = np.zeros(batch.attempted, dtype=np.intp)
-        offset[returned] = np.repeat(np.arange(0, flat.shape[0], n), counts)
-    del returned
-    for keep, visited in batch.steps:
-        states = visited.astype(np.intp)
-        log_w = log_w[keep]
-        weights = np.exp(log_w)
-        log_w += log_ratio[states]
-        if offset is not None:
-            offset = offset[keep]
-            states += offset
-        flat += np.bincount(states, weights, minlength=flat.shape[0])
+def _tally(batch: SampleBatch, t: float) -> np.ndarray:
+    """The batch's per-shard tally table at ``t = log lam~``; raises
+    :class:`TallyOverflow` where the weights sum past the float range."""
+    table = batch.tally(batch.log_fitness - t)
     totals = table.sum(axis=0)
     if not np.isfinite(totals.sum()):
-        raise TallyOverflow(k, int(np.argmax(totals)))
+        raise TallyOverflow(batch.base_state, int(np.argmax(totals)))
     return table
 
 
@@ -341,7 +297,7 @@ def estimate_u(batch: SampleBatch, fitness: np.ndarray,
     """
     check_trial(lam)
     t = _log_trial(lam, _exponent(batch, fitness))
-    return _eigenvector(_visit_tallies(batch, t))
+    return _eigenvector(_tally(batch, t))
 
 
 def _jackknife(nums: np.ndarray) -> np.ndarray | None:
@@ -369,7 +325,7 @@ def shard_dispersion(batch: SampleBatch, fitness: np.ndarray,
     t = _log_trial(lam, _exponent(batch, fitness))
     if np.count_nonzero(batch.shard_path_counts) < 2:
         return None
-    return _jackknife(_visit_tallies(batch, t))
+    return _jackknife(_tally(batch, t))
 
 
 def run_estimation(matrix: NonNegativeMatrix,
@@ -401,7 +357,7 @@ def run_estimation(matrix: NonNegativeMatrix,
     # Free the solve's per-path arrays before the tally's per-walker ones.
     del sums
     # One pass at the final lam feeds the eigenvector and the jackknife.
-    table = _visit_tallies(batch, t)
+    table = _tally(batch, t)
     return EstimateReport(
         lambda_hat=lam,
         u_hat=_eigenvector(table),

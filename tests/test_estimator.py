@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from perronmc import estimator
-from perronmc.chain_sim import build_sampler, sample_batch
+from perronmc.chain_sim import SampleBatch, build_sampler, sample_batch
 from perronmc.cli import main
 from perronmc.errors import (
     AllTruncated,
@@ -60,9 +60,9 @@ def _path_sums(batch, fitness):
 
 
 def _tallies(batch, fitness, lam):
-    """The estimator's one-pass tally at ``lam`` and its per-shard table."""
+    """The batch's one-pass tally at ``lam`` and its per-shard table."""
     t = estimator._log_trial(lam, log_unit_scale(fitness)[1])
-    table = estimator._visit_tallies(batch, t)
+    table = batch.tally(batch.log_fitness - t)
     return table.sum(axis=0), table
 
 
@@ -621,7 +621,7 @@ class TestRunEstimation:
         def no_weights(*args):
             raise AssertionError("per-visit weights computed")
 
-        monkeypatch.setattr(estimator, "_visit_tallies", no_weights)
+        monkeypatch.setattr(SampleBatch, "tally", no_weights)
         assert shard_dispersion(batch, decomp.fitness, 5.0) is None
 
     def test_single_shard_has_no_dispersion(self):
