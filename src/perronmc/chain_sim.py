@@ -39,8 +39,7 @@ table's dtype, the narrowest that holds every state (2 bytes a visit up
 to N = 255, 3 up to 65,535), with each path's return time and log
 fitness sum taken in the walk.  Nothing in the pipeline rebuilds the
 paths in path order; :attr:`SampleBatch.states` does so on demand, and
-:meth:`SampleBatch.tally` is the one pass that reads the record for the
-estimator.
+:meth:`SampleBatch.tally` weighs the visits for the estimator.
 """
 
 from __future__ import annotations
@@ -50,7 +49,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import AllTruncated, check_base_state, check_counts
+from .errors import (AllTruncated, check_base_state, check_counts,
+                     check_integers)
 from .matrix_core import RowDecomposition, _freeze, log_unit_scale
 
 __all__ = [
@@ -94,7 +94,7 @@ def _mix_seeds(seed: int, lo: int, hi: int) -> np.ndarray:
     Every constant is a numpy scalar of the array's dtype, so the arithmetic
     wraps mod 2**64 under both numpy 1.x's and NEP 50's promotion rules.
     """
-    z = (np.uint64(seed & _MASK64)
+    z = (np.uint64(int(seed) & _MASK64)
          + np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
@@ -319,15 +319,14 @@ class SampleBatch:
         table = np.zeros((counts.shape[0], n))
         table[:, k] = counts
         flat = table.reshape(-1)
-        returned = self.return_times > 0
-        log_w = np.where(returned, log_factor[k], -np.inf)
+        log_w = np.where(self.return_times > 0, log_factor[k], -np.inf)
         # Each walker's row, as an offset into the flat table: its path's
         # shard, or row 0 if it was truncated.  None when there is one row.
         offset = None
         if counts.shape[0] > 1:
             offset = np.zeros(self.attempted, dtype=np.intp)
-            offset[returned] = np.repeat(np.arange(0, flat.shape[0], n), counts)
-        del returned
+            offset[self.return_times > 0] = np.repeat(
+                np.arange(0, flat.shape[0], n), counts)
         for keep, visited in self.steps:
             states = visited.astype(np.intp)
             log_w = log_w[keep]
@@ -435,12 +434,13 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
             for fixed ``(seed, shards, count, cap)`` however it is executed.
 
     Raises:
-        InvalidArgument: ``count``, ``shards`` or ``cap`` below 1, or ``k``
-            not a state; the message counts states from 1.
+        InvalidArgument: ``count``, ``shards`` or ``cap`` below 1, ``k`` not
+            a state, or an argument but ``sampler`` not an integer.
         AllTruncated: every attempt hit the cap.
     """
     check_counts(count=count, shards=shards, cap=cap)
     check_base_state(k, sampler.n)
+    check_integers(seed=seed)
 
     block = -(-count // shards)
     # Only the first ceil(count / block) shards hold attempts.

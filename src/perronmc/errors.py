@@ -22,6 +22,7 @@ refusal is worded once.
 from __future__ import annotations
 
 import math
+import numbers
 
 
 class PerronMCError(Exception):
@@ -52,8 +53,18 @@ class InvalidArgument(InputError, ValueError):
     """An argument lies outside its documented range."""
 
 
+def check_integers(**values: int) -> None:
+    """Raise :class:`InvalidArgument` naming the first value that is not an
+    integer; a bool is not one, a numpy integer is."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+
+
 def check_counts(**counts: int) -> None:
-    """Raise :class:`InvalidArgument` naming the first count below 1."""
+    """Raise :class:`InvalidArgument` naming the first count that is not an
+    integer, as :func:`check_integers` does, or else the first below 1."""
+    check_integers(**counts)
     for name, value in counts.items():
         if value < 1:
             raise InvalidArgument(f"{name} must be >= 1")
@@ -68,8 +79,10 @@ def check_trial(lam: float) -> None:
 
 
 def check_base_state(k: int, n: int) -> None:
-    """Raise :class:`InvalidArgument` unless ``k`` is one of ``n`` states;
-    the message counts states from 1, as the CLI does."""
+    """Raise :class:`InvalidArgument` unless ``k`` is one of ``n`` states,
+    an integer as :func:`check_integers` has it; the message counts states
+    from 1, as the CLI does."""
+    check_integers(base_state=k)
     if not 0 <= k < n:
         raise InvalidArgument(f"base state {k + 1} outside 1..{n}")
 

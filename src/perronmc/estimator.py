@@ -29,23 +29,22 @@ root: from ``t = log min f`` the iterates rise to the root, quadratically
 near it, in a handful of steps.  Where rounding stops a step from rising,
 or would carry it past the bracket, the solve bisects the bracket it has
 narrowed so far, in ``t``, and stops at ``tol`` or at float resolution.
-The solve runs on
-``f~ = f / 2**e``, with ``2**e`` the power of two that brings ``max f`` into
-``[1, 2)``, and puts ``lam = lam~ * 2**e`` back with ``ldexp``.  Scaling the
-matrix by a power of two changes only ``e``, so the estimates scale
-exactly.  Row sums may span more than the float range: an ``f~`` below
-the normal range, which ``ldexp`` would round to a few bits or to 0,
-takes its log from ``f = m * 2**x`` as ``log m + (x - e) log 2``, and
-every other entry keeps the bits of ``log f~``.  A root ``lam~`` below
-the normal range holds too few bits to report and is refused with
+The solve runs on ``f~ = f / 2**e``, with ``2**e`` the power of two that
+brings ``max f`` into ``[1, 2)``, and puts ``lam = lam~ * 2**e`` back
+with ``ldexp``.  Scaling the matrix by a power of two changes only
+``e``, so the estimates scale exactly.  Row sums may span more than the
+float range: an ``f~`` below the normal range, which ``ldexp`` would
+round to a few bits or to 0, takes its log from ``f = m * 2**x`` as
+``log m + (x - e) log 2``, and every other entry keeps the bits of
+``log f~``.  A root ``lam~`` below the normal range holds too few bits
+to report and is refused with
 :class:`~perronmc.errors.EigenvalueUnderflow`.
 
-The per-visit weights are needed only at the final ``lam``: the batch's
-:meth:`~perronmc.chain_sim.SampleBatch.tally` at ``log f~ - log lam~``
-gives the eigenvector tally and the jackknife's per-shard tallies in one
-pass.  A tally that sums past the float range, as it can when the base
-state's coordinate lies far below another state's, is refused with
-:class:`~perronmc.errors.TallyOverflow`.
+At the final ``lam``, :meth:`~perronmc.chain_sim.SampleBatch.tally` at
+``log f~ - log lam~`` gives the eigenvector tally and the jackknife's
+per-shard tallies in one pass.  A tally that sums past the float range,
+as it can when the base state's coordinate lies far below another
+state's, is refused with :class:`~perronmc.errors.TallyOverflow`.
 """
 
 from __future__ import annotations
@@ -57,7 +56,8 @@ import numpy as np
 
 from .chain_sim import SampleBatch, build_sampler, sample_batch
 from .errors import (EigenvalueUnderflow, InvalidArgument, TallyOverflow,
-                     TruncationBiasGuard, check_counts, check_trial)
+                     TruncationBiasGuard, check_counts, check_integers,
+                     check_trial)
 from .matrix_core import (NonNegativeMatrix, _freeze, _log_scaled,
                           decompose, log_unit_scale)
 
@@ -106,8 +106,8 @@ class EstimationConfig:
     the base state is checked against the matrix by the sampler.
 
     Raises:
-        InvalidArgument: ``tol`` outside (0, 1), or ``samples``, ``shards``
-            or ``cap`` below 1.
+        InvalidArgument: ``tol`` outside (0, 1), ``samples``, ``shards`` or
+            ``cap`` below 1, or another field not an integer.
     """
 
     base_state: int = 0
@@ -120,6 +120,7 @@ class EstimationConfig:
     def __post_init__(self) -> None:
         _check_tol(self.tol)
         check_counts(samples=self.samples, shards=self.shards, cap=self.cap)
+        check_integers(base_state=self.base_state, seed=self.seed)
 
 
 def _exponent(batch: SampleBatch, fitness: np.ndarray) -> int:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .chain_sim import _streams
 from .errors import (InvalidArgument, NoSurvivors, PopulationOverflow,
-                     Subcritical, check_counts)
+                     Subcritical, check_counts, check_integers)
 from .matrix_core import (NonNegativeMatrix, RowDecomposition, _freeze,
                           decompose)
 from .oracle import PerronPair, power_iteration
@@ -218,7 +218,8 @@ def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
         matrix's Perron pair from :func:`perronmc.oracle.power_iteration`).
 
     Raises:
-        InvalidArgument: ``trials`` or ``horizon`` below 1, an unknown
+        InvalidArgument: ``trials`` or ``horizon`` below 1, either of them
+            or ``seed`` not an integer (a numpy integer is one), an unknown
             ``law``, or, under the deterministic law, a row sum that is not
             an integer.
         NoConvergence: from power iteration.
@@ -227,6 +228,7 @@ def conditioned_proportions(matrix: NonNegativeMatrix, trials: int,
         NoSurvivors: no tree survived to the horizon.
     """
     check_counts(trials=trials, horizon=horizon)
+    check_integers(seed=seed)
     decomp = decompose(matrix)
     _check_law(law, decomp.fitness, True)  # every tree starts with each type
     pair = power_iteration(matrix)

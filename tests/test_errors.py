@@ -1,6 +1,12 @@
+import numpy as np
 import pytest
 
-from perronmc import errors
+from perronmc import errors, gw_app
+from perronmc.chain_sim import build_sampler, sample_batch
+from perronmc.estimator import EstimationConfig, run_estimation
+from perronmc.gw_app import conditioned_proportions
+from perronmc.matrix_core import decompose, validate
+from perronmc.oracle import lemma_partial_sums
 
 # One case per concrete error class (two for NoConvergence, whose detail
 # replaces the default message), built with fixed arguments in the order
@@ -64,3 +70,68 @@ def test_message_and_exit_code(cls, args, message, exit_code):
     exc = cls(*args)
     assert str(exc) == message
     assert exc.exit_code == exit_code
+
+
+class TestIntegerArguments:
+    """A count, a base state or a seed that is not an integer is refused
+    with :class:`errors.InvalidArgument` at every entry point that takes
+    one: a bool is not an integer, a numpy integer is one."""
+
+    MATRIX = [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 2.5), ("samples", True), ("shards", 2.0),
+        ("cap", np.float64(10.0)), ("seed", 1.5), ("seed", False),
+        ("base_state", 1.0), ("base_state", True)])
+    def test_estimation_config(self, field, value):
+        with pytest.raises(errors.InvalidArgument,
+                           match=f"^{field} must be an integer, got "):
+            EstimationConfig(**{field: value})
+
+    @pytest.mark.parametrize("args", [
+        (0.0, 10, 0, 100, 1), (True, 10, 0, 100, 1), (0, 10.0, 0, 100, 1),
+        (0, 10, True, 100, 1), (0, 10, 1.5, 100, 1), (0, 10, 0, 100.0, 1),
+        (0, 10, 0, 100, 1.0)])
+    def test_sample_batch(self, args):
+        sampler = build_sampler(decompose(validate(self.MATRIX)))
+        with pytest.raises(errors.InvalidArgument, match=" must be an integer"):
+            sample_batch(sampler, *args)
+
+    @pytest.mark.parametrize("args", [(2.5, 10, 0), (10, True, 0),
+                                      (10, 10, 1.5), (10, 10, True)])
+    def test_conditioned_proportions(self, args, monkeypatch):
+        # Refused before power iteration runs.
+        monkeypatch.setattr(gw_app, "power_iteration", None)
+        with pytest.raises(errors.InvalidArgument, match=" must be an integer"):
+            conditioned_proportions(validate(self.MATRIX), *args)
+
+    @pytest.mark.parametrize("k", [1.0, True, np.float64(0.0)])
+    def test_lemma_partial_sums(self, k):
+        with pytest.raises(errors.InvalidArgument,
+                           match="^base_state must be an integer, got "):
+            lemma_partial_sums(validate(self.MATRIX), k, 5.4)
+
+    def test_numpy_integers_are_integers(self):
+        matrix = validate(self.MATRIX)
+        as_int = run_estimation(matrix, EstimationConfig(
+            base_state=1, samples=500, seed=3, cap=1000, shards=2))
+        as_numpy = run_estimation(matrix, EstimationConfig(
+            base_state=np.int64(1), samples=np.int32(500),
+            seed=np.uint64(3), cap=np.int64(1000), shards=np.uint8(2)))
+        assert as_numpy.lambda_hat == as_int.lambda_hat
+        assert as_numpy.u_hat.tobytes() == as_int.u_hat.tobytes()
+        assert as_numpy.dispersion.tobytes() == as_int.dispersion.tobytes()
+        np.testing.assert_array_equal(
+            conditioned_proportions(matrix, np.int64(50), np.int16(5),
+                                    np.int64(7))[0],
+            conditioned_proportions(matrix, 50, 5, 7)[0])
+        assert (lemma_partial_sums(matrix, np.int64(1), 5.4).partial_sums[-1]
+                == lemma_partial_sums(matrix, 1, 5.4).partial_sums[-1])
+
+    def test_range_messages_are_unchanged(self):
+        with pytest.raises(errors.InvalidArgument) as info:
+            errors.check_counts(samples=5, shards=0)
+        assert str(info.value) == "shards must be >= 1"
+        with pytest.raises(errors.InvalidArgument) as info:
+            errors.check_base_state(np.int64(2), 2)
+        assert str(info.value) == "base state 3 outside 1..2"
