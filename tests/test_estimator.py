@@ -8,7 +8,7 @@ import pytest
 
 from perronmc import estimator
 from perronmc.chain_sim import SampleBatch, build_sampler, sample_batch
-from perronmc.cli import main
+from perronmc.cli import main, parse_matrix
 from perronmc.errors import (
     AllTruncated,
     EigenvalueUnderflow,
@@ -31,6 +31,7 @@ from perronmc.oracle import lemma_partial_sums, power_iteration
 from _support import (
     ACCEPTANCE_2X2,
     CYCLE_22,
+    GOLDEN,
     bench_inputs,
     closed_form_2x2,
     estimate_uk,
@@ -739,3 +740,84 @@ class TestRunEstimation:
                                                      - 1.0))
         assert _bits(report.dispersion) == _bits(shard_dispersion(batch, f,
                                                                   lam))
+
+
+
+def _log_weight_rounding(batch, t):
+    """Bounds, relative, on how far the rounding of the log weights at
+    ``t = log lam~`` can move the tally-solve identity's two sides.
+
+    Returns ``(step, ret)``.  ``step`` bounds one visit's mismatch: its
+    weight times ``f / lam`` and the next visit's weight differ by the
+    rounding of ``log f~ - t`` and of one addition to the running log
+    weight.  ``ret`` bounds the gap between a path's log return weight as
+    the tally reaches it, a running sum of ``log f~ - t``, and as ``g``
+    takes it, ``S_p - tau_p t``: recursive summation errs by at most u
+    times the sum of its partial sums' magnitudes (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 2002, section 4.2).
+    """
+    u = np.finfo(float).eps / 2
+    starts = np.cumsum(batch.lengths) - batch.lengths
+    log_f = batch.log_fitness[batch.states]
+
+    def partial_sums(terms):
+        sums = np.cumsum(terms)
+        return sums - np.repeat(sums[starts] - terms[starts], batch.lengths)
+
+    log_w = partial_sums(log_f - t)
+    step = u * (np.abs(log_w).max() + np.abs(batch.log_fitness).max()
+                + abs(t))
+    ret = u * (np.add.reduceat(np.abs(log_w), starts)
+               + np.add.reduceat(np.abs(partial_sums(log_f)), starts)
+               + batch.lengths * abs(t)).max()
+    return step, ret
+
+
+class TestTallySolveIdentity:
+    """At any trial lam, on any batch, ``u.f / lam = 1 + (g(lam) - 1) u[k]``.
+
+    For each path, ``sum_{n < tau} w_n f(X_n) / lam = sum_{n=1}^{tau} w_n``,
+    which is ``sum_{n < tau} w_n - 1 + w_tau``; summed over the paths, the
+    tally ``Y`` gives ``Y.f / lam = sum Y - P + P g(lam)``, and ``u = Y /
+    sum Y`` with ``u[k] = P / sum Y``.  The tally replays the walk's record
+    visit by visit, while ``g`` comes from each path's ``S_p`` and ``tau_p``
+    alone, so a tally that drops or shifts a step's weights breaks it.
+
+    The sides agree to 1e-13 relative, widened only by the rounding of the
+    log weights (:func:`_log_weight_rounding`).  That matters only on long
+    excursions far below the root: on spread10 from state 1 (about 1,000
+    steps a path) at 0.8 lam the sides were up to 1.9e-10 apart.
+    """
+
+    @staticmethod
+    def _matrix(name):
+        if name in ("compare-uniform-n100", "compare-master-n200"):
+            return bench_inputs(name, 0)[0]
+        return parse_matrix(GOLDEN / "inputs" / f"{name}.json")
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("name", ["m2", "sparse3", "spread10",
+                                      "compare-uniform-n100",
+                                      "compare-master-n200"])
+    def test_identity_holds_at_and_around_the_root(self, name, shards):
+        decomp = decompose(self._matrix(name))
+        f = decomp.fitness
+        batch = sample_batch(build_sampler(decomp), 0, 5_000, 0, 10**6,
+                             shards)
+        k = batch.base_state
+        lam_hat = estimate_lambda(batch, f)
+        for factor in (1.0, 0.8, 0.99, 1.01, 1.3):
+            lam = lam_hat * factor
+            try:
+                u = estimate_u(batch, f, lam)
+            except TallyOverflow:
+                # Weights grow along a path only below the root.
+                assert factor < 1.0
+                continue
+            g = g_hat(batch, f, lam)
+            left = math.fsum(u * f) / lam
+            right = 1.0 + (g - 1.0) * u[k]
+            step, ret = _log_weight_rounding(
+                batch, estimator._log_trial(lam, log_unit_scale(f)[1]))
+            bound = (1e-13 + 4 * step) * abs(right) + 2 * ret * g * u[k]
+            assert abs(left - right) <= bound, (factor, left, right)
