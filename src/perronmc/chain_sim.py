@@ -302,16 +302,15 @@ class SampleBatch:
         one row per shard that holds paths.
 
         Visit ``n`` of a path weighs ``exp(sum_{t < n} log_factor[X_t])``,
-        so a path's first visit weighs exactly 1 and the base state's
+        so each path's first visit weighs exactly 1 and the base state's
         entries are the path counts.  Each walker carries its log weight,
-        summed from zero along its own path, so no weight's rounding error
-        grows with the batch size, and each step adds its visits' weights
-        into the table with one ``np.bincount``.  A truncated walker starts
-        at log weight -inf, so its visits add exactly 0.0.  The pass holds
-        walker-sized arrays, never batch-sized ones, and casts each step's
-        states to intp once, since numpy's gathers and ``np.bincount``
-        would each convert the guide's dtype again.  A weight or a sum past
-        the float range is inf.
+        summed from zero along its own path, so no rounding error grows
+        with the batch size; each step adds its weights into the table with
+        one ``np.bincount``, and a truncated walker's visits, at log weight
+        -inf, add exactly 0.0.  The pass holds walker-sized arrays only, and
+        casts each step's states to intp once, since numpy's gathers and
+        ``np.bincount`` would each convert the guide's dtype again.  A
+        weight or a sum past the float range is inf.
         """
         n = self.log_fitness.shape[0]
         k = self.base_state
@@ -337,6 +336,7 @@ class SampleBatch:
                 states += offset
             flat += np.bincount(states, weights, minlength=flat.shape[0])
         return table
+
 
 def build_sampler(decomp: RowDecomposition) -> RowSampler:
     """Build the cumulative rows, each set to the sentinel 2.0 from its last

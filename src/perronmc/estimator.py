@@ -29,15 +29,15 @@ root: from ``t = log min f`` the iterates rise to the root, quadratically
 near it, in a handful of steps.  Where rounding stops a step from rising,
 or would carry it past the bracket, the solve bisects the bracket it has
 narrowed so far, in ``t``, and stops at ``tol`` or at float resolution.
-The solve runs on ``f~ = f / 2**e``, with ``2**e`` the power of two that
-brings ``max f`` into ``[1, 2)``, and puts ``lam = lam~ * 2**e`` back
-with ``ldexp``.  Scaling the matrix by a power of two changes only
-``e``, so the estimates scale exactly.  Row sums may span more than the
-float range: an ``f~`` below the normal range, which ``ldexp`` would
-round to a few bits or to 0, takes its log from ``f = m * 2**x`` as
-``log m + (x - e) log 2``, and every other entry keeps the bits of
-``log f~``.  A root ``lam~`` below the normal range holds too few bits
-to report and is refused with
+The solve runs on
+``f~ = f / 2**e``, with ``2**e`` the power of two that brings ``max f`` into
+``[1, 2)``, and puts ``lam = lam~ * 2**e`` back with ``ldexp``.  Scaling the
+matrix by a power of two changes only ``e``, so the estimates scale
+exactly.  Row sums may span more than the float range: an ``f~`` below
+the normal range, which ``ldexp`` would round to a few bits or to 0,
+takes its log from ``f = m * 2**x`` as ``log m + (x - e) log 2``, and
+every other entry keeps the bits of ``log f~``.  A root ``lam~`` below
+the normal range holds too few bits to report and is refused with
 :class:`~perronmc.errors.EigenvalueUnderflow`.
 
 At the final ``lam``, :meth:`~perronmc.chain_sim.SampleBatch.tally` at

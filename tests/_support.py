@@ -12,6 +12,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 
@@ -95,21 +96,17 @@ def run_golden(argv: list[str]) -> tuple[int, str, str]:
     the files as the argv does: the exit code, stdout and stderr.  Usage
     lines are wrapped at 80 columns whatever the terminal."""
     out, err = io.StringIO(), io.StringIO()
-    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    cwd = os.getcwd()
     os.chdir(GOLDEN / "inputs")
-    os.environ["COLUMNS"] = "80"
     try:
-        with redirect_stdout(out), redirect_stderr(err):
+        with (patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out),
+              redirect_stderr(err)):
             try:
                 code = main(argv)
             except SystemExit as exc:  # a usage error, from argparse
                 code = exc.code
     finally:
         os.chdir(cwd)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
     return code, out.getvalue(), err.getvalue()
 
 
