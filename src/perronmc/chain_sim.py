@@ -44,8 +44,10 @@ paths in path order; :attr:`SampleBatch.states` does so on demand, and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +69,13 @@ __all__ = [
 BUCKETS_PER_STATE = 4
 # Guide buckets, M + 1 a row, handled at once by build_sampler.
 _BUILD_BLOCK = 1 << 16
+# Bytes a walker in a recorded step: a keep-mask entry and a state in the
+# guide's dtype, 1 or 2 bytes.  Bytes a state and shard row in a step's
+# sums: one float64.
+_RECORD_BYTES = 3
+_SUM_BYTES = 8
+# The largest x with exp(x) finite.
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
@@ -80,8 +89,11 @@ def mix_seed(seed: int, index: int) -> int:
 
     The base seed is advanced by ``index + 1`` golden-ratio increments and
     passed through the standard xor-shift/multiply finalizer.  The constants
-    are fixed so batches are reproducible everywhere.
+    are fixed so batches are reproducible everywhere.  Numpy integers are
+    taken as the Python ints they hold, so their fixed width never wraps
+    the arithmetic.
     """
+    seed, index = operator.index(seed), operator.index(index)
     z = (seed + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
@@ -94,7 +106,7 @@ def _mix_seeds(seed: int, lo: int, hi: int) -> np.ndarray:
     Every constant is a numpy scalar of the array's dtype, so the arithmetic
     wraps mod 2**64 under both numpy 1.x's and NEP 50's promotion rules.
     """
-    z = (np.uint64(int(seed) & _MASK64)
+    z = (np.uint64(operator.index(seed) & _MASK64)
          + np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
@@ -233,37 +245,73 @@ class RowSampler:
 @dataclass(frozen=True)
 class SampleBatch:
     """A deterministic batch of first-return excursions from one base state,
-    in the step-major layout the walk writes.
+    held as the walk leaves it: per-step sums of the visit weights while
+    walkers are many, and a record of the sparse steps after.
 
-    Walker ``w`` makes attempt ``w``.  Every walker starts at the base
-    state; step ``t`` of ``steps`` is ``(keep, states)``: ``keep`` is a
-    mask over the walkers still out before the step, in walker order,
-    true for those that do not return at it, and ``states`` holds those
-    walkers' new states in the dtype of the sampler's guide table.  A
-    walker still out after the last step was truncated: it is counted,
-    and its return time is 0.  Paths are the non-truncated attempts, in
-    attempt order.  A batch holds at least one
-    path: :func:`sample_batch` raises :class:`~perronmc.errors.AllTruncated`
-    otherwise, and nothing downstream checks again.
+    Walker ``w`` makes attempt ``w``, and every walker starts at the base
+    state.  Visit ``n`` of a path weighs ``exp(S_n - n t)`` at a trial
+    ``t = log lam~``, where ``S_n = sum_{i < n} log f~(X_i)`` is the walk's
+    running sum, so a path's return weight is ``exp(S_p - tau_p t)``, as
+    the lam solve takes it.  The steps come in two runs:
+
+    * Dense steps, ``n = 1 .. len(shifts)``.  Row ``r`` of ``dense[n - 1]``
+      holds, per state, ``exp(S_n - shifts[n - 1])`` summed over the
+      step-``n`` visits of shard ``r``'s walkers, where ``shifts[n - 1]`` is
+      the largest ``S_n`` of the step; the weights at any ``t`` are that row
+      times ``exp(shifts[n - 1] - n t)``.  Column ``k`` holds the return
+      weights of the walkers that come back at the step, which no tally
+      reads.  A step takes 8 bytes per state and row, whatever its walkers.
+    * Tail steps, from the first step at which recording it takes less:
+      ``3 B x walkers < 8 B x rows x N``.  Tail step ``i`` is ``(keep,
+      states)``: ``keep`` is a mask over the walkers still out before the
+      step, in walker order, true for those that do not return at it, and
+      ``states`` holds those walkers' new states in the dtype of the
+      sampler's guide table.
+
+    Walker counts only fall, so the walk switches once.  A walker still out
+    after the last step was truncated: it is counted, its return time is 0
+    and its visits weigh 0.  Paths are the non-truncated attempts, in
+    attempt order.  A batch holds at least one path: :func:`sample_batch`
+    raises :class:`~perronmc.errors.AllTruncated` otherwise, and nothing
+    downstream checks again.
 
     Attributes:
         base_state: the base state ``k``, 0-based.
-        steps: the per-step record, as above.
+        sampler, seed, cap, shards: the arguments of :func:`sample_batch`,
+            of which the batch is a pure function; :attr:`states` walks
+            again from them.
         return_times: per attempt, the step at which it returned, or 0.
         log_sums: per path, ``S_p = sum_{t < tau_p} log f~(X_t)`` with the
             sampler's ``log_fitness``, summed in the walk from zero.
-        log_fitness: the sampler's ``log_fitness``.
         truncated_count: attempts that hit the cap.
         shard_path_counts: paths per shard.
+        dense: the dense steps' sums, ``(steps, rows, N)``, with a row for
+            each shard that holds attempts.
+        shifts: per dense step, its largest ``S_n``.
+        tail: the tail steps' record, as above.
+        tail_sums: the ``S`` at the first tail step of each walker then
+            out, in walker order, ``-inf`` for a walker that is later
+            truncated.
     """
 
     base_state: int
-    steps: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    sampler: RowSampler = field(repr=False)
+    seed: int
+    cap: int
+    shards: int
     return_times: np.ndarray
     log_sums: np.ndarray
-    log_fitness: np.ndarray
     truncated_count: int
     shard_path_counts: np.ndarray
+    dense: np.ndarray = field(repr=False)
+    shifts: np.ndarray = field(repr=False)
+    tail: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    tail_sums: np.ndarray = field(repr=False)
+
+    @property
+    def log_fitness(self) -> np.ndarray:
+        """The sampler's ``log_fitness``, ``log f~``."""
+        return self.sampler.log_fitness
 
     @cached_property
     def lengths(self) -> np.ndarray:
@@ -284,58 +332,79 @@ class SampleBatch:
     @cached_property
     def states(self) -> np.ndarray:
         """The paths' visits in path order, flat int32, each path starting
-        at the base state; replayed from ``steps`` on first use.
-        :meth:`tally` reads ``steps`` and never builds this array."""
+        at the base state.  The batch records its tail steps only, so the
+        first use walks the same stream again, recording every step.
+        :meth:`tally` never builds this array."""
+        steps = _walk(self.sampler, self.base_state, self.attempted,
+                      self.seed, self.cap, self.shards, dense=False).tail
         kept = self.return_times > 0
         start = np.cumsum(self.return_times) - self.return_times
         states = np.empty(int(self.lengths.sum()), dtype=np.int32)
         states[start[kept]] = self.base_state
         walkers = np.arange(self.attempted)
-        for t, (keep, visited) in enumerate(self.steps, start=1):
+        for t, (keep, visited) in enumerate(steps, start=1):
             walkers = walkers[keep]
             alive = kept[walkers] if self.truncated_count else slice(None)
             states[start[walkers[alive]] + t] = visited[alive]
         return _freeze(states)
 
-    def tally(self, log_factor: np.ndarray) -> np.ndarray:
-        """Per-state sums of the visit weights in one pass over ``steps``,
-        one row per shard that holds paths.
+    def tally(self, t: float) -> np.ndarray:
+        """Per-state sums of the visit weights at ``t = log lam~``, one row
+        per shard that holds paths.
 
-        Visit ``n`` of a path weighs ``exp(sum_{t < n} log_factor[X_t])``,
-        so each path's first visit weighs exactly 1 and the base state's
-        entries are the path counts.  Each walker carries its log weight,
-        summed from zero along its own path, so no rounding error grows
-        with the batch size; each step adds its weights into the table with
-        one ``np.bincount``, and a truncated walker's visits, at log weight
-        -inf, add exactly 0.0.  The pass holds walker-sized arrays only, and
-        casts each step's states to intp once, since numpy's gathers and
-        ``np.bincount`` would each convert the guide's dtype again.  A
-        weight or a sum past the float range is inf.
+        Visit ``n`` of a path weighs ``exp(S_n - n t)``, so each path's
+        first visit weighs exactly 1 and the base state's entries are the
+        path counts.  The dense steps take one product: each step's sums
+        times ``exp(shifts[n - 1] - n t)``, all shifted by the largest of
+        those exponents (log-sum-exp).  The tail replays its record from
+        ``tail_sums``, adding ``log f~`` of each state a walker leaves to
+        its ``S`` as the walk did, so each tail weight is ``exp(S_n - n t)``
+        with the walk's own bits of ``S_n``; each step adds its weights
+        with one ``np.bincount``, and a truncated walker, at ``S = -inf``,
+        adds exactly 0.0.  The pass holds the table and the tail's
+        walker-sized arrays, and casts each tail step's states to intp
+        once, since numpy's gathers and ``np.bincount`` would each convert
+        the guide's dtype again.  A weight or a sum past the float range
+        is inf.
         """
-        n = self.log_fitness.shape[0]
-        k = self.base_state
-        counts = self.shard_path_counts[self.shard_path_counts > 0]
-        table = np.zeros((counts.shape[0], n))
-        table[:, k] = counts
+        n = self.sampler.n
+        steps, rows = self.dense.shape[:2]
+        table = np.zeros((rows, n))
+        if steps:
+            logs = self.shifts - np.arange(1, steps + 1) * t
+            top = logs.max()
+            np.exp(logs - top, out=logs)
+            table = (logs @ self.dense.reshape(steps, -1)).reshape(rows, n)
+            if top <= _LOG_MAX:
+                table *= np.exp(top)
+            else:
+                # Only the sums that pass the float range go to inf.
+                with np.errstate(divide="ignore"):
+                    table = np.exp(np.log(table) + top)
         flat = table.reshape(-1)
-        log_w = np.where(self.return_times > 0, log_factor[k], -np.inf)
-        # Each walker's row, as an offset into the flat table: its path's
-        # shard, or row 0 if it was truncated.  None when there is one row.
+        # Each tail walker's row, as an offset into the flat table: its
+        # shard's.  None when there is one row.  The walkers out at the
+        # first tail step are those that return after it or never.
         offset = None
-        if counts.shape[0] > 1:
-            offset = np.zeros(self.attempted, dtype=np.intp)
-            offset[self.return_times > 0] = np.repeat(
-                np.arange(0, flat.shape[0], n), counts)
-        for keep, visited in self.steps:
+        if rows > 1:
+            times = self.return_times
+            block = -(-self.attempted // self.shards)
+            offset = np.flatnonzero((times > steps) | (times == 0))
+            offset //= block
+            offset *= n
+        log_s = self.tail_sums
+        for step, (keep, visited) in enumerate(self.tail, start=steps + 1):
             states = visited.astype(np.intp)
-            log_w = log_w[keep]
-            weights = np.exp(log_w)
-            log_w += log_factor[states]
+            log_s = log_s[keep]
+            weights = np.exp(log_s - step * t)
+            log_s += self.log_fitness[states]
             if offset is not None:
                 offset = offset[keep]
                 states += offset
             flat += np.bincount(states, weights, minlength=flat.shape[0])
-        return table
+        counts = self.shard_path_counts[:rows]
+        table[:, self.base_state] = counts
+        return table[counts > 0]
 
 
 def build_sampler(decomp: RowDecomposition) -> RowSampler:
@@ -410,19 +479,116 @@ def _step_states(sampler: RowSampler, current: np.ndarray,
     return pos - row
 
 
+class _Walk(NamedTuple):
+    """What :func:`_walk` leaves: the attempts' ``return_times`` and
+    ``log_sums``, the number of walkers still out after the last step, and
+    the fields of :class:`SampleBatch` that hold the visits."""
+
+    return_times: np.ndarray
+    log_sums: np.ndarray
+    out: int
+    dense: np.ndarray
+    shifts: np.ndarray
+    tail: tuple
+    tail_sums: np.ndarray
+
+
+def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
+          shards: int, dead: np.ndarray | None = None,
+          dense: bool = True) -> _Walk:
+    """Walk ``count`` attempts from ``k`` as :func:`sample_batch` does.
+
+    Each step draws every walker's uniform, moves it, and adds ``log f~``
+    of the state it leaves into its ``S``; the uniforms are then spent, so
+    their buffer takes the step's weights.  While ``dense`` holds and the
+    record of a step would take at least its sums, ``_RECORD_BYTES`` a
+    walker against ``_SUM_BYTES`` a state and row, the step's weights
+    ``exp(S_n - max S_n)`` are added per shard, with one ``np.bincount`` of
+    each live shard's contiguous slice of walkers.  From then on every
+    step is recorded.  A walker that ``dead`` marks weighs 0 in the sums
+    and takes no part in their shift.
+    """
+    n = sampler.n
+    block = -(-count // shards)
+    # Only the first ceil(count / block) shards hold attempts.
+    edges = np.minimum(np.arange(0, count + block, block), count)
+    rngs = _streams(seed, 0, edges.size - 1)
+    rows = len(rngs)
+    active = np.arange(count)
+    current = np.full(count, k, dtype=np.intp)
+    return_times = np.zeros(count, dtype=np.int64)
+    log_sums = np.zeros(count)
+    u = np.empty(count)
+    live = list(range(rows))
+    sums, shifts, tail = [], [], []
+    tail_sums = np.empty(0)
+
+    step = 0
+    while active.size and step < cap:
+        step += 1
+        size = active.size
+        # Shard s's active walkers are active[ends[s]:ends[s + 1]]; a shard
+        # whose walkers have all stopped never has any again.
+        ends = active.searchsorted(edges).tolist()
+        live = [s for s in live if ends[s] < ends[s + 1]]
+        for s in live:
+            rngs[s].random(out=u[ends[s]:ends[s + 1]])
+        nxt = _step_states(sampler, current, u[:size])
+        w = u[:size]
+        log_s = log_sums[active]
+        log_s += np.take(sampler.log_fitness, current, out=w)
+        log_sums[active] = log_s
+        dense = dense and _RECORD_BYTES * size >= _SUM_BYTES * rows * n
+        if dense:
+            if dead is None:
+                top = log_s.max()
+            else:
+                gone = dead[active]
+                top = np.max(log_s, where=~gone, initial=-np.inf)
+            np.subtract(log_s, top, out=w)
+            np.exp(w, out=w)
+            if dead is not None:
+                w[gone] = 0.0
+            if rows == 1:
+                sums.append(np.bincount(nxt, w, minlength=n))
+            else:
+                row = np.zeros((rows, n))
+                for s in live:
+                    lo, hi = ends[s], ends[s + 1]
+                    row[s] = np.bincount(nxt[lo:hi], w[lo:hi], minlength=n)
+                sums.append(row)
+            shifts.append(top)
+        elif not tail:
+            tail_sums = log_s
+        keep = nxt != k
+        return_times[active[~keep]] = step
+        active = active[keep]
+        current = nxt[keep]
+        if not dense:
+            tail.append((_freeze(keep),
+                         _freeze(current.astype(sampler.guide.dtype))))
+
+    return _Walk(return_times, log_sums, active.size,
+                 np.array(sums).reshape(len(shifts), rows, n),
+                 np.array(shifts, dtype=float), tuple(tail), tail_sums)
+
+
 def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
                  cap: int, shards: int) -> SampleBatch:
     """Sample ``count`` excursion attempts, split deterministically by shard.
 
     All shards walk together, each filling its slice of one uniform buffer,
     so the walk lasts as long as the longest excursion, or ``cap`` steps.
-    Each step records only its ``keep`` mask and the kept walkers' new
-    states in the guide table's dtype, 2 bytes a visit up to N = 255 and
-    3 up to 65,535, and nothing rebuilds the paths: the batch is that
-    record.  Each step also adds ``log f~`` of the state every walker
-    leaves into that walker's entry of ``S_p``, so each path's sum is
-    taken in the walk, in visit order from zero.  The walk itself
-    indexes with intp, so only the stored copy is narrowed.
+    Each step adds ``log f~`` of the state every walker leaves into that
+    walker's entry of ``S_p``, so each path's sum is taken in the walk, in
+    visit order from zero.  While walkers are many, each step's visit
+    weights go into one N-vector per shard; once a step's record takes
+    less, ``3 B x walkers < 8 B x rows x N``, the walk records its steps
+    (see :class:`SampleBatch`).  Nothing keeps a visit of the dense steps,
+    so the batch holds about ``min(visits x 3 B, steps x rows x N x 8 B)``
+    beyond its per-attempt arrays.  A walker that is truncated has been
+    added into the sums, so if any is, the walk is taken again, on the
+    same stream, with the truncated walkers at weight 0.
 
     Args:
         sampler: tables from :func:`build_sampler`.
@@ -441,51 +607,47 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
     check_counts(count=count, shards=shards, cap=cap)
     check_base_state(k, sampler.n)
     check_integers(seed=seed)
+    k, count, seed, cap, shards = map(operator.index,
+                                      (k, count, seed, cap, shards))
 
-    block = -(-count // shards)
-    # Only the first ceil(count / block) shards hold attempts.
-    edges = np.minimum(np.arange(0, count + block, block), count)
-    rngs = _streams(seed, 0, edges.size - 1)
-    active = np.arange(count)
-    current = np.full(count, k, dtype=np.intp)
-    return_times = np.zeros(count, dtype=np.int64)
-    log_sums = np.zeros(count)
-    u = np.empty(count)
-    live = list(range(len(rngs)))
-    steps = []
-
-    step = 0
-    while active.size and step < cap:
-        step += 1
-        # Shard s's active walkers are active[ends[s]:ends[s + 1]]; a shard
-        # whose walkers have all stopped never has any again.
-        ends = active.searchsorted(edges).tolist()
-        live = [s for s in live if ends[s] < ends[s + 1]]
-        for s in live:
-            rngs[s].random(out=u[ends[s]:ends[s + 1]])
-        log_sums[active] += sampler.log_fitness[current]
-        nxt = _step_states(sampler, current, u[:active.size])
-        keep = nxt != k
-        return_times[active[~keep]] = step
-        active = active[keep]
-        current = nxt[keep]
-        steps.append((_freeze(keep),
-                      _freeze(current.astype(sampler.guide.dtype))))
-
-    truncated = int(active.size)
+    (return_times, log_sums, truncated, dense, shifts, tail,
+     tail_sums) = _walk(sampler, k, count, seed, cap, shards)
     if truncated == count:
         raise AllTruncated(count, cap)
     kept = return_times > 0
     if truncated:
+        if shifts.size:
+            # The dense steps again, on the same stream: the tail's record
+            # is the same, and a walk of the same walkers switches at the
+            # same step.
+            del dense
+            again = _walk(sampler, k, count, seed, shifts.size, shards,
+                          dead=~kept)
+            dense, shifts = again.dense, again.shifts
+            del again
+        if tail:
+            # The walkers out at the first tail step return after it or
+            # never.
+            out = return_times[~kept | (return_times > shifts.size)] == 0
+            tail_sums[out] = -np.inf
         log_sums = log_sums[kept]
-    shard_path_counts = np.bincount(np.flatnonzero(kept) // block,
-                                    minlength=shards)
+    block = -(-count // shards)
+    shard_path_counts = np.zeros(shards, dtype=np.int64)
+    starts = np.arange(0, count, block)
+    shard_path_counts[:starts.size] = np.add.reduceat(kept, starts,
+                                                      dtype=np.int64)
     return SampleBatch(
         base_state=k,
-        steps=tuple(steps),
+        sampler=sampler,
+        seed=seed,
+        cap=cap,
+        shards=shards,
         return_times=_freeze(return_times),
         log_sums=_freeze(log_sums),
-        log_fitness=sampler.log_fitness,
         truncated_count=truncated,
         shard_path_counts=_freeze(shard_path_counts),
+        dense=_freeze(dense),
+        shifts=_freeze(shifts),
+        tail=tail,
+        tail_sums=_freeze(tail_sums),
     )

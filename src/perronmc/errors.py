@@ -70,9 +70,18 @@ def check_counts(**counts: int) -> None:
             raise InvalidArgument(f"{name} must be >= 1")
 
 
+def check_real(name: str, value: float) -> None:
+    """Raise :class:`InvalidArgument` unless ``value`` is a real number: a
+    Python or numpy int or float, not a bool, a string, None or a complex
+    number, so that the range check after it can compare it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgument(f"{name} must be a real number, got {value!r}")
+
+
 def check_trial(lam: float) -> None:
     """Raise :class:`InvalidArgument` unless the trial eigenvalue ``lam`` is
-    finite and > 0."""
+    a real number, finite and > 0."""
+    check_real("trial eigenvalue", lam)
     if not 0 < lam < math.inf:
         raise InvalidArgument(
             f"trial eigenvalue must be finite and > 0, got {lam}")

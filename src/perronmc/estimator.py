@@ -57,7 +57,7 @@ import numpy as np
 from .chain_sim import SampleBatch, build_sampler, sample_batch
 from .errors import (EigenvalueUnderflow, InvalidArgument, TallyOverflow,
                      TruncationBiasGuard, check_counts, check_integers,
-                     check_trial)
+                     check_real, check_trial)
 from .matrix_core import (NonNegativeMatrix, _freeze, _log_scaled,
                           decompose, log_unit_scale)
 
@@ -92,6 +92,7 @@ class EstimateReport:
 
 
 def _check_tol(tol: float) -> None:
+    check_real("tol", tol)
     if not 0 < tol < 1:
         raise InvalidArgument(f"tol must lie in (0, 1), got {tol}")
 
@@ -106,8 +107,8 @@ class EstimationConfig:
     the base state is checked against the matrix by the sampler.
 
     Raises:
-        InvalidArgument: ``tol`` outside (0, 1), ``samples``, ``shards`` or
-            ``cap`` below 1, or another field not an integer.
+        InvalidArgument: ``tol`` not a number in (0, 1), ``samples``,
+            ``shards`` or ``cap`` below 1, or another field not an integer.
     """
 
     base_state: int = 0
@@ -205,8 +206,8 @@ def g_hat(batch: SampleBatch, fitness: np.ndarray, lam: float) -> float:
     Carlo error) at the dominant eigenvalue, and inf past the float range.
 
     Raises:
-        InvalidArgument: ``lam`` is not finite and > 0, or ``fitness`` is
-            not the row sums the batch was sampled under.
+        InvalidArgument: ``lam`` is not a finite number > 0, or
+            ``fitness`` is not the row sums the batch was sampled under.
     """
     check_trial(lam)
     sums = _PathSums.of(batch, fitness)
@@ -225,8 +226,8 @@ def estimate_lambda(batch: SampleBatch, fitness: np.ndarray,
     gives a degenerate bracket, whose one value is returned.
 
     Raises:
-        InvalidArgument: ``tol`` outside (0, 1), or ``fitness`` is not the
-            row sums the batch was sampled under.
+        InvalidArgument: ``tol`` not a number in (0, 1), or ``fitness`` is
+            not the row sums the batch was sampled under.
         EigenvalueUnderflow: the root lies more than ``2**1022`` times
             below ``max f``, past the normal range of the scaled solve.
     """
@@ -271,7 +272,7 @@ def _solve_lambda(sums: _PathSums, tol: float) -> float:
 def _tally(batch: SampleBatch, t: float) -> np.ndarray:
     """The batch's per-shard tally table at ``t = log lam~``; raises
     :class:`TallyOverflow` where the weights sum past the float range."""
-    table = batch.tally(batch.log_fitness - t)
+    table = batch.tally(t)
     totals = table.sum(axis=0)
     if not np.isfinite(totals.sum()):
         raise TallyOverflow(batch.base_state, int(np.argmax(totals)))

@@ -7,6 +7,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,7 +21,7 @@ from perronmc.chain_sim import (RowSampler, SampleBatch, _step_states,
                                 mix_seed)
 from perronmc.cli import main
 from perronmc.errors import AllTruncated, PerronMCError
-from perronmc.estimator import EstimationConfig
+from perronmc.estimator import EstimationConfig, _log_trial
 from perronmc.matrix_core import (NonNegativeMatrix, RowDecomposition,
                                   log_unit_scale, validate)
 
@@ -65,10 +66,9 @@ def random_primitive_matrix(rng: np.random.Generator, n_max: int = 8,
             continue
 
 
-def bench_inputs(name: str, seed: int
-                 ) -> tuple[NonNegativeMatrix, EstimationConfig]:
-    """The matrix and the sampling settings that a ``compare`` workload of
-    ``perfbench/workloads.py`` hands the CLI at bench seed ``seed``."""
+def _bench_workload(name: str, seed: int):
+    """The workload ``name`` of ``perfbench/workloads.py``, its matrix and
+    the CLI's ``--seed`` at bench seed ``seed``."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -76,10 +76,37 @@ def bench_inputs(name: str, seed: int
     spec.loader.exec_module(workloads)
     workload = workloads.WORKLOADS[name]
     rows, cli_seed = workloads.inputs(workload, seed)
+    return workload, validate(rows), cli_seed
+
+
+def bench_matrix(name: str, seed: int) -> NonNegativeMatrix:
+    """The matrix that any workload of ``perfbench/workloads.py`` hands the
+    CLI at bench seed ``seed``."""
+    return _bench_workload(name, seed)[1]
+
+
+def bench_inputs(name: str, seed: int
+                 ) -> tuple[NonNegativeMatrix, EstimationConfig]:
+    """The matrix and the sampling settings that a ``compare`` workload of
+    ``perfbench/workloads.py`` hands the CLI at bench seed ``seed``."""
+    workload, matrix, cli_seed = _bench_workload(name, seed)
     flags = dict(zip(workload.flags[::2], workload.flags[1::2]))
-    return validate(rows), EstimationConfig(samples=int(flags["--samples"]),
-                                            seed=cli_seed,
-                                            shards=int(flags["--shards"]))
+    return matrix, EstimationConfig(samples=int(flags["--samples"]),
+                                    seed=cli_seed,
+                                    shards=int(flags["--shards"]))
+
+
+def collatz_wielandt(entries: np.ndarray,
+                     v: np.ndarray) -> tuple[float, float]:
+    """The Collatz-Wielandt bracket of a positive row vector ``v``:
+    ``min_j (vA)_j / v_j <= rho(A) <= max_j (vA)_j / v_j`` for every
+    non-negative ``A`` (Horn & Johnson, *Matrix Analysis*, 2nd ed., 2013,
+    section 8.1; Meyer, *Matrix Analysis and Applied Linear Algebra*, 2000,
+    section 8.3).  The bracket bounds rho itself, whatever the rest of the
+    spectrum, and it narrows to rho as ``v`` nears the left Perron
+    vector."""
+    ratios = (v @ entries) / v
+    return float(ratios.min()), float(ratios.max())
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -350,28 +377,29 @@ def return_weight_log(exc: Excursion, fitness: np.ndarray,
 
 def step_weights_by_path(batch: SampleBatch, fitness: np.ndarray,
                          lam: float) -> np.ndarray:
-    """Per-visit weights w_n, flat, each path summed on its own from zero.
+    """Per-visit weights ``w_n = exp(S_n - n t)``, flat, path by path.
 
-    A step's log factor is ``log f~ - log lam~``, with ``f`` and ``lam``
-    scaled by the power of two of
-    :func:`perronmc.matrix_core.log_unit_scale`, as the walk's ``log f~``
-    is.
+    ``S_n`` is the path's running sum of ``log f~`` from zero, as the walk
+    takes it, and ``t = log lam~``, with ``f`` and ``lam`` scaled by the
+    power of two of :func:`perronmc.matrix_core.log_unit_scale`, as the
+    walk's ``log f~`` is.
     """
     log_scaled, exponent = log_unit_scale(fitness)
-    log_ratio = log_scaled - np.log(np.ldexp(lam, -exponent))
-    return np.concatenate([
-        np.exp(np.concatenate(([0.0], np.cumsum(log_ratio[exc.visits])[:-1])))
-        for exc in excursions(batch)
-    ])
+    t = np.log(np.ldexp(lam, -exponent))
+    weights = []
+    for exc in excursions(batch):
+        sums = np.concatenate(([0.0], np.cumsum(log_scaled[exc.visits])[:-1]))
+        weights.append(np.exp(sums - np.arange(exc.return_time) * t))
+    return np.concatenate(weights)
 
 
 def shard_tallies(batch: SampleBatch, fitness: np.ndarray,
                   lam: float) -> np.ndarray:
     """Per-state sums of the weights at ``lam``, one row per shard that
     holds paths, from each path's own weights (:func:`step_weights_by_path`)
-    added in the order the estimator adds them: for n = 0, 1, ..., one
-    ``np.bincount`` of the n-th visits of the paths still out, in attempt
-    order, added into the table."""
+    added in the order the tally adds a recorded step's: for n = 0, 1, ...,
+    one ``np.bincount`` of the n-th visits of the paths still out, in
+    attempt order, added into the table."""
     n = fitness.shape[0]
     counts = batch.shard_path_counts[batch.shard_path_counts > 0]
     lengths = batch.lengths
@@ -390,6 +418,23 @@ def shard_tallies(batch: SampleBatch, fitness: np.ndarray,
     return table
 
 
+def exact_tally(batch: SampleBatch, fitness: np.ndarray,
+                lam: float) -> np.ndarray:
+    """Per-state sums of the path-by-path weights at ``lam``
+    (:func:`step_weights_by_path`), one row per shard that holds paths,
+    each summed exactly by ``math.fsum`` and rounded once."""
+    n = fitness.shape[0]
+    counts = batch.shard_path_counts[batch.shard_path_counts > 0]
+    weights = step_weights_by_path(batch, fitness, lam)
+    row = np.repeat(np.repeat(np.arange(counts.shape[0]), counts),
+                    batch.lengths)
+    bins = row * n + batch.states
+    order = np.argsort(bins, kind="stable")
+    ends = np.cumsum(np.bincount(bins, minlength=counts.shape[0] * n))
+    sums = [math.fsum(part) for part in np.split(weights[order], ends[:-1])]
+    return np.array(sums).reshape(counts.shape[0], n)
+
+
 @dataclass(frozen=True)
 class VisitTally:
     """Accumulated visit weights over a batch.
@@ -406,10 +451,11 @@ class VisitTally:
 
 def visit_tally(batch: SampleBatch, fitness: np.ndarray,
                 lam: float) -> VisitTally:
-    """Per-state visit weights of the batch at ``lam``, summed in the same
-    order as :func:`perronmc.estimator.estimate_u` sums them: the column
-    sums of :func:`shard_tallies`."""
-    numerators = shard_tallies(batch, fitness, lam).sum(axis=0)
+    """Per-state visit weights of the batch at ``lam``, summed as
+    :func:`perronmc.estimator.estimate_u` sums them: the column sums of the
+    batch's own tally table."""
+    exponent = log_unit_scale(fitness)[1]
+    numerators = batch.tally(_log_trial(lam, exponent)).sum(axis=0)
     return VisitTally(numerators=numerators, denominator=float(numerators.sum()))
 
 

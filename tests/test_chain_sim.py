@@ -66,6 +66,19 @@ class TestMixSeed:
         seen = {mix_seed(s, i) for s in range(8) for i in range(8)}
         assert len(seen) == 64
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int8,
+                                      np.uint32])
+    def test_numpy_integers_mix_as_python_ints(self, kind):
+        # A fixed-width seed would overflow (int64) or wrap with a warning
+        # (uint64) in the mix's arithmetic; it is taken as its value.
+        for seed, index in [(1, 0), (0, 1), (127, 7)]:
+            got = mix_seed(kind(seed), kind(index))
+            assert type(got) is int
+            assert got == mix_seed(seed, index)
+        if np.iinfo(kind).max >= 2**64 - 1:
+            assert mix_seed(kind(2**64 - 1), 7) == 4638043754431676516
+
 
 class TestStreams:
     """``_streams`` re-implements the seeding of ``np.random.default_rng``:
@@ -431,12 +444,13 @@ class TestSampleBatch:
         pytest.param(300, 4_000, 4.5, 4, id="uint16-4"),
     ])
     def test_peak_memory_per_visit(self, n, count, bound, shards):
-        # Long excursions (mean tau ~ N): more than 1M visits, each
-        # recorded during the walk as a state in the guide table's dtype
-        # (uint8 at N = 100, uint16 at N = 300) plus a 1-byte keep mask,
-        # which the batch keeps as it is.  int32 states took about 5.6
-        # bytes a visit, int64 records and output 24.5, and rebuilding the
-        # paths in path order 9.7.
+        # Long excursions (mean tau ~ N): more than 1M visits.  The walk
+        # adds the early steps' visits into per-step sums, and records the
+        # tail's as states in the guide table's dtype (uint8 at N = 100,
+        # uint16 at N = 300) plus a 1-byte keep mask, which the batch keeps
+        # as it is.  A record of every step took about 2.6 bytes a visit,
+        # int32 states 5.6, int64 records and output 24.5, and rebuilding
+        # the paths in path order 9.7.
         matrix = validate(
             np.random.default_rng(100).uniform(0.5, 2.0, (n, n)).tolist())
         sampler = build_sampler(decompose(matrix))
@@ -451,18 +465,41 @@ class TestSampleBatch:
         visits = int(batch.lengths.sum())
         assert visits > 10**6
         assert peak <= bound * visits
+        assert batch.tail
         assert all(visited.dtype == sampler.guide.dtype
-                   for _, visited in batch.steps)
+                   for _, visited in batch.tail)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_batch_retains_under_a_byte_per_visit(self, shards):
+        # The dense uniform 100x100, 20,000 attempts, about 2M visits: the
+        # batch keeps the early steps as 8-byte sums per state and shard
+        # row, the tail's record and the per-attempt arrays, about 0.3
+        # bytes a visit (tracemalloc of what the batch still holds once
+        # the walk has returned).  A record of every step held 2.4.
+        sampler = _sampler_for(_dense_uniform_100().entries)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            batch = sample_batch(sampler, 0, count=20_000, seed=3,
+                                 cap=10**6, shards=shards)
+            held = tracemalloc.get_traced_memory()[0] - live
+        finally:
+            tracemalloc.stop()
+        visits = int(batch.lengths.sum())
+        assert visits > 10**6
+        assert batch.shifts.size > 0 and batch.tail
+        assert held <= 1.0 * visits
 
     @pytest.mark.parametrize("n,shards", [
         (100, 1), (100, 4), (255, 3), (256, 3), (257, 3)])
     def test_narrow_record_estimates_as_a_wide_one(self, monkeypatch, n,
                                                    shards):
-        # The estimator casts each step's states to intp, so the record's
+        # The tally casts each tail step's states to intp, so the record's
         # dtype changes none of its arithmetic.  The guide's dtype, and so
         # the record's, is uint8 up to N = 255, where the guide holds
         # counts up to 255, and uint16 from N = 256; at N = 257 the
-        # largest state, 256, no longer fits in uint8.
+        # largest state, 256, no longer fits in uint8, and the tail's
+        # record holds it.
         matrix = validate(
             np.random.default_rng(n).uniform(0.5, 2.0, (n, n)).tolist())
         assert build_sampler(decompose(matrix)).guide.dtype == (
@@ -473,9 +510,10 @@ class TestSampleBatch:
 
         def widened(*args):
             batch = sample_batch(*args)
-            steps = tuple((keep, visited.astype(np.int64))
-                          for keep, visited in batch.steps)
-            return dataclasses.replace(batch, steps=steps)
+            assert any((visited == n - 1).any() for _, visited in batch.tail)
+            tail = tuple((keep, visited.astype(np.int64))
+                         for keep, visited in batch.tail)
+            return dataclasses.replace(batch, tail=tail)
 
         monkeypatch.setattr(estimator, "sample_batch", widened)
         wide = estimator.run_estimation(matrix, config)
@@ -544,7 +582,12 @@ class TestOneWalk:
         monkeypatch.setattr(chain_sim, "_step_states", counted)
         batch = sample_batch(_sampler_for(rows().entries), 0, count=20_000,
                              seed=3, cap=cap, shards=8)
-        expected = cap if batch.truncated_count else int(batch.lengths.max())
+        expected = int(batch.lengths.max())
+        if batch.truncated_count:
+            # The dense steps are walked again, with the truncated walkers
+            # at weight 0.
+            assert batch.shifts.size > 0
+            expected = cap + batch.shifts.size
         assert len(calls) == expected
 
     def test_generators_only_for_shards_that_hold_attempts(self,

@@ -3,7 +3,9 @@ import pytest
 
 from perronmc import errors, gw_app
 from perronmc.chain_sim import build_sampler, sample_batch
-from perronmc.estimator import EstimationConfig, run_estimation
+from perronmc.estimator import (EstimationConfig, estimate_lambda,
+                                estimate_u, g_hat, run_estimation,
+                                shard_dispersion)
 from perronmc.gw_app import conditioned_proportions
 from perronmc.matrix_core import decompose, validate
 from perronmc.oracle import lemma_partial_sums
@@ -70,6 +72,52 @@ def test_message_and_exit_code(cls, args, message, exit_code):
     exc = cls(*args)
     assert str(exc) == message
     assert exc.exit_code == exit_code
+
+
+class TestRealArguments:
+    """A tolerance or a trial eigenvalue that is not a real number is
+    refused with :class:`errors.InvalidArgument` before any comparison:
+    a bool is not one, a numpy float or integer is one."""
+
+    MATRIX = [[1.0, 2.0], [3.0, 4.0]]
+    NOT_REAL = ["0.5", None, True, 1j, [0.5]]
+
+    @staticmethod
+    def _batch():
+        decomp = decompose(validate(TestRealArguments.MATRIX))
+        return (sample_batch(build_sampler(decomp), 0, 200, 1, 10**4, 2),
+                decomp.fitness)
+
+    @pytest.mark.parametrize("tol", NOT_REAL)
+    def test_tol(self, tol):
+        with pytest.raises(errors.InvalidArgument,
+                           match="^tol must be a real number, got "):
+            EstimationConfig(tol=tol)
+        batch, f = self._batch()
+        with pytest.raises(errors.InvalidArgument,
+                           match="^tol must be a real number, got "):
+            estimate_lambda(batch, f, tol)
+
+    @pytest.mark.parametrize("lam", NOT_REAL + ["5"])
+    def test_trial_eigenvalue(self, lam):
+        batch, f = self._batch()
+        for stage in (g_hat, estimate_u, shard_dispersion):
+            with pytest.raises(errors.InvalidArgument,
+                               match="^trial eigenvalue must be a real "
+                                     "number, got "):
+                stage(batch, f, lam)
+        with pytest.raises(errors.InvalidArgument,
+                           match="^trial eigenvalue must be a real number"):
+            lemma_partial_sums(validate(self.MATRIX), 0, lam)
+
+    def test_numpy_numbers_are_real(self):
+        batch, f = self._batch()
+        assert (EstimationConfig(tol=np.float32(0.25)).tol
+                == np.float32(0.25))
+        assert estimate_lambda(batch, f, np.float64(1e-9)) == estimate_lambda(
+            batch, f, 1e-9)
+        assert g_hat(batch, f, np.float64(5.5)) == g_hat(batch, f, 5.5)
+        assert g_hat(batch, f, np.int64(5)) == g_hat(batch, f, 5.0)
 
 
 class TestIntegerArguments:

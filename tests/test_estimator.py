@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from perronmc import estimator
+from perronmc import chain_sim, estimator
 from perronmc.chain_sim import SampleBatch, build_sampler, sample_batch
 from perronmc.cli import main, parse_matrix
 from perronmc.errors import (
@@ -35,6 +35,7 @@ from _support import (
     bench_inputs,
     closed_form_2x2,
     estimate_uk,
+    exact_tally,
     excursions,
     path_log_weights,
     random_primitive_matrix,
@@ -63,7 +64,7 @@ def _path_sums(batch, fitness):
 def _tallies(batch, fitness, lam):
     """The batch's one-pass tally at ``lam`` and its per-shard table."""
     t = estimator._log_trial(lam, log_unit_scale(fitness)[1])
-    table = batch.tally(batch.log_fitness - t)
+    table = batch.tally(t)
     return table.sum(axis=0), table
 
 
@@ -472,6 +473,13 @@ class TestEstimateU:
         assert tally.denominator == tally.numerators.sum()
         assert estimate_uk(batch, decomp.fitness, lam) == u[k]
         np.testing.assert_array_equal(u, tally.numerators / tally.denominator)
+        # Within rounding of the exact sums of the path-by-path weights:
+        # 2.0e-15 at most over these seeds.
+        exact = exact_tally(batch, decomp.fitness, lam).sum(axis=0)
+        assert ((tally.numerators == 0) == (exact == 0)).all()
+        seen = exact > 0
+        assert (np.abs(tally.numerators[seen] / exact[seen] - 1.0).max()
+                <= 1e-14)
 
     def test_stochastic_reduction_equals_plain_visit_counts(self):
         rng = np.random.default_rng(17)
@@ -483,20 +491,33 @@ class TestEstimateU:
         counts = np.bincount(batch.states, minlength=4).astype(float)
         np.testing.assert_array_equal(u, counts / counts.sum())
 
-    def test_step_weight_error_does_not_grow_with_batch(self):
+    def test_step_weight_error_does_not_grow_with_batch(self, monkeypatch):
         # Skewed 10x10 matrix: returns to state 0 are rare, mean tau ~ 800.
-        # The tally's weights are each path's own, summed from zero, at
-        # every batch size: its sums equal bitwise those of the weights
-        # taken path by path.
+        # The tally's weights are each path's own, exp(S_n - n t) from the
+        # walk's running S_n, at every batch size.  Recorded step by step,
+        # its sums equal bitwise those of the weights taken path by path,
+        # added a step at a time; summed in the walk while walkers are
+        # many, they stay as close to the exact sums at 2,000 paths as at
+        # 200 (8.0e-15 and 6.4e-15; the step-by-step sums 5.6e-15 and
+        # 5.2e-15).
         rng = np.random.default_rng(0)
         rows = rng.uniform(0.5, 2.0, (10, 10))
         rows[:, 0] *= 0.01
         for count in (200, 2000):
-            batch, decomp = _batch_for(rows, count=count, seed=1)
+            with monkeypatch.context() as patch:
+                patch.setattr(chain_sim, "_SUM_BYTES", math.inf)
+                batch, decomp = _batch_for(rows, count=count, seed=1)
+            assert batch.shifts.size == 0
             lam = estimate_lambda(batch, decomp.fitness)
             totals, _ = _tallies(batch, decomp.fitness, lam)
-            ref = visit_tally(batch, decomp.fitness, lam).numerators
+            ref = shard_tallies(batch, decomp.fitness, lam).sum(axis=0)
             assert _bits(totals) == _bits(ref), count
+
+            batch, decomp = _batch_for(rows, count=count, seed=1)
+            assert batch.shifts.size > 0
+            totals, _ = _tallies(batch, decomp.fitness, lam)
+            exact = exact_tally(batch, decomp.fitness, lam).sum(axis=0)
+            assert np.abs(totals / exact - 1.0).max() <= 2e-14, count
 
     def test_deterministic_chain_uk_exact(self):
         batch, decomp = _batch_for(FLIP, count=100, seed=19)
@@ -516,10 +537,19 @@ class TestVisitTallies:
         (3, 7, 10**6),      # empty shards between the full ones
         (3000, 4, 60),      # truncated attempts leave holes in the shards
     ])
-    def test_tallies_equal_bincount_of_the_weights(self, count, shards, cap):
+    def test_tallies_equal_bincount_of_the_weights(self, monkeypatch, count,
+                                                   shards, cap):
+        # Recorded step by step, the tally adds each step's path-by-path
+        # weights with one np.bincount, bitwise.  Summed in the walk while
+        # walkers are many, each entry is within rounding of the exact sum
+        # of the same weights (1.1e-15 at most over these cases), and an
+        # entry is 0 exactly where no visit is.
         rows = np.random.default_rng(9).uniform(0.5, 2.0, (30, 30))
-        batch, decomp = _batch_for(rows, count=count, seed=5, cap=cap,
-                                   shards=shards)
+        with monkeypatch.context() as patch:
+            patch.setattr(chain_sim, "_SUM_BYTES", math.inf)
+            batch, decomp = _batch_for(rows, count=count, seed=5, cap=cap,
+                                       shards=shards)
+        assert batch.shifts.size == 0
         if cap < 10**6:
             assert batch.truncated_count > 0
         lam = estimate_lambda(batch, decomp.fitness)
@@ -529,6 +559,17 @@ class TestVisitTallies:
         assert totals[0] == batch.path_count
         assert by_shard.shape == ref.shape
         assert _bits(by_shard) == _bits(ref)
+
+        batch, decomp = _batch_for(rows, count=count, seed=5, cap=cap,
+                                   shards=shards)
+        assert (batch.shifts.size > 0) == (count > 3)
+        totals, by_shard = _tallies(batch, decomp.fitness, lam)
+        exact = exact_tally(batch, decomp.fitness, lam)
+        assert totals[0] == batch.path_count
+        assert by_shard.shape == exact.shape
+        assert ((by_shard == 0) == (exact == 0)).all()
+        seen = exact > 0
+        assert np.abs(by_shard[seen] / exact[seen] - 1.0).max() <= 1e-14
 
     @pytest.mark.parametrize("count", [2_000, 8_000, 20_000])
     def test_tally_error_does_not_grow_with_batch(self, count):
@@ -749,12 +790,18 @@ def _log_weight_rounding(batch, t):
 
     Returns ``(step, ret)``.  ``step`` bounds one visit's mismatch: its
     weight times ``f / lam`` and the next visit's weight differ by the
-    rounding of ``log f~ - t`` and of one addition to the running log
-    weight.  ``ret`` bounds the gap between a path's log return weight as
-    the tally reaches it, a running sum of ``log f~ - t``, and as ``g``
-    takes it, ``S_p - tau_p t``: recursive summation errs by at most u
-    times the sum of its partial sums' magnitudes (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., 2002, section 4.2).
+    rounding of ``log f~ - t`` and of one addition to a running log
+    weight.  ``ret`` bounds the gap between a path's log return weight
+    taken as a running sum of ``log f~ - t`` and as ``g`` takes it,
+    ``S_p - tau_p t``: recursive summation errs by at most u times the sum
+    of its partial sums' magnitudes (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 2002, section 4.2).
+
+    The bounds were set for a tally that summed ``log f~ - t`` along each
+    path.  The tally now weighs visit ``n`` by ``exp(S_n - n t)`` from the
+    walk's own ``S_n``, the form ``g`` takes, and leaves smaller gaps far
+    below the root: 1.5e-12 against 1.9e-10 on spread10 at 0.8 lam.  That
+    is still above 1e-13, so the bounds stay as they were.
     """
     u = np.finfo(float).eps / 2
     starts = np.cumsum(batch.lengths) - batch.lengths
@@ -779,14 +826,14 @@ class TestTallySolveIdentity:
     For each path, ``sum_{n < tau} w_n f(X_n) / lam = sum_{n=1}^{tau} w_n``,
     which is ``sum_{n < tau} w_n - 1 + w_tau``; summed over the paths, the
     tally ``Y`` gives ``Y.f / lam = sum Y - P + P g(lam)``, and ``u = Y /
-    sum Y`` with ``u[k] = P / sum Y``.  The tally replays the walk's record
-    visit by visit, while ``g`` comes from each path's ``S_p`` and ``tau_p``
-    alone, so a tally that drops or shifts a step's weights breaks it.
+    sum Y`` with ``u[k] = P / sum Y``.  The tally sums the walk's steps,
+    while ``g`` comes from each path's ``S_p`` and ``tau_p`` alone, so a
+    tally that drops or shifts a step's weights breaks it.
 
     The sides agree to 1e-13 relative, widened only by the rounding of the
     log weights (:func:`_log_weight_rounding`).  That matters only on long
     excursions far below the root: on spread10 from state 1 (about 1,000
-    steps a path) at 0.8 lam the sides were up to 1.9e-10 apart.
+    steps a path) at 0.8 lam the sides were 1.5e-12 apart.
     """
 
     @staticmethod

@@ -10,6 +10,7 @@ from perronmc.errors import (
     NoConvergence,
     NotOnSimplex,
 )
+from perronmc.cli import parse_matrix
 from perronmc.matrix_core import validate
 from perronmc.oracle import (
     lemma_partial_sums,
@@ -19,7 +20,10 @@ from perronmc.oracle import (
 
 from _support import (
     ACCEPTANCE_2X2,
+    GOLDEN,
+    bench_matrix,
     closed_form_2x2,
+    collatz_wielandt,
     lemma_terms_reference,
     random_primitive_matrix,
     random_stochastic_matrix,
@@ -28,6 +32,33 @@ from _support import (
 
 
 class TestPowerIteration:
+    @pytest.mark.parametrize("name", [
+        "m2", "sparse3", "spread10", "compare-uniform-n100",
+        "compare-master-n200", "gw-n10"])
+    def test_eigenvalue_in_the_collatz_wielandt_bracket(self, name):
+        # The bracket on the oracle's own vector bounds rho whatever the
+        # rest of the spectrum.  Its relative width was 5.5e-15 (m2) to
+        # 4.5e-14 (sparse3).  The oracle's lam is the sum of the product of
+        # the iterate before the last, so it may lie outside the bracket of
+        # the last one, but by no more than the residual it reports: sum(v
+        # A) is the v-weighted mean of the bracket's ratios, and it differs
+        # from lam by at most sum|v A - lam v|.  On m2 lam lies 1.2e-14
+        # above the bracket, with a residual of 1.4e-14 times lam.
+        if name.startswith(("compare-", "gw-")):
+            matrix = bench_matrix(name, 0)
+        elif name == "m2":
+            matrix = validate(ACCEPTANCE_2X2)
+        else:
+            matrix = parse_matrix(GOLDEN / "inputs" / f"{name}.json")
+        pair = power_iteration(matrix)
+        lam = pair.eigenvalue
+        lo, hi = collatz_wielandt(matrix.entries, pair.vector)
+        assert 0 < lo <= hi
+        assert hi - lo <= 1e-12 * lam
+        # A dot product of n terms rounds by at most n eps of its terms.
+        slack = pair.residual + matrix.n * np.finfo(float).eps * lam
+        assert lo - slack <= lam <= hi + slack
+
     def test_2x2_closed_form(self):
         lam_true, u_true = closed_form_2x2()
         pair = power_iteration(validate(ACCEPTANCE_2X2))

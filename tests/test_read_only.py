@@ -41,7 +41,10 @@ def _lam():
 
 
 def _steps():
-    return [a for step in _batch().steps for a in step]
+    # The recorded steps: the tail's, and its walkers' log sums.
+    batch = _batch()
+    assert batch.tail
+    return [a for step in batch.tail for a in step] + [batch.tail_sums]
 
 
 def _report():
@@ -69,6 +72,7 @@ ARRAYS = {
     "sample_batch.lengths-truncated": lambda: [_batch(cap=3).lengths],
     "sample_batch.states": lambda: [_batch().states],
     "sample_batch.steps": _steps,
+    "sample_batch.dense": lambda: [_batch().dense, _batch().shifts],
     "estimate_u": lambda: [estimate_u(_batch(), _fitness(), _lam())],
     "shard_dispersion": lambda: [shard_dispersion(_batch(), _fitness(),
                                                   _lam())],
