@@ -41,10 +41,14 @@ the normal range holds too few bits to report and is refused with
 :class:`~perronmc.errors.EigenvalueUnderflow`.
 
 At the final ``lam``, :meth:`~perronmc.chain_sim.SampleBatch.tally` at
-``log f~ - log lam~`` gives the eigenvector tally and the jackknife's
-per-shard tallies in one pass.  A tally that sums past the float range,
-as it can when the base state's coordinate lies far below another
-state's, is refused with :class:`~perronmc.errors.TallyOverflow`.
+``t = log lam~`` gives the eigenvector tally and the jackknife's
+per-shard tallies in one pass: one product over the per-step sums the
+walk kept while walkers were many, and a replay of the recorded tail.
+It weighs visit ``n`` by ``exp(S_n - n t)`` from the walk's own running
+``S_n``, the form the solve takes a path's return weight in.  A tally
+that sums past the float range, as it can when the base state's
+coordinate lies far below another state's, is refused with
+:class:`~perronmc.errors.TallyOverflow`.
 """
 
 from __future__ import annotations
