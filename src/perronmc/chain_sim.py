@@ -33,22 +33,15 @@ with it too.  All shards walk together; at each step a shard draws one
 uniform per walker it still has out, in walker order, as it would walking
 alone, so the result does not depend on execution order.
 
-A batch keeps no record of a visit while walkers are many.  Visit ``n``
-of a path weighs ``exp(S_n - n t)`` at any trial ``t = log lam~``, with
-``S_n`` the walker's running sum of ``log f~``, which the walk keeps
-anyway; so each step's weights can be added as the walk goes, relative
-to the step's largest ``S_n``, into one N-vector per shard, and scaled
-to any ``t`` later by one factor per step.  Those sums take 8 bytes per
-state a step, and a record of the step about 3 bytes per walker (a mask
-of the walkers that go on and their new states in the guide table's
-dtype), so the walk sums its steps until walkers are few enough that
-the record is smaller, and records the rest: on a dense N = 100 chain
-with 20,000 attempts, 0.34 MB of sums and 0.05 MB of record stand for
-2M visits, which a record of every step held in 3.9 MB.  Each path's
-return time and log fitness sum are taken in the walk too.  Nothing in
-the pipeline rebuilds the paths in path order; :attr:`SampleBatch.states`
-walks the stream again to do so on demand, and :meth:`SampleBatch.tally`
-weighs the visits for the estimator.
+A batch keeps no record of a visit while walkers are many: the walk adds
+each step's visit weights into one N-vector per shard, relative to the
+step's largest log weight, and records its steps only once walkers are so
+few that a record takes less (see :class:`SampleBatch`).  On a dense
+N = 100 chain with 20,000 attempts, 0.34 MB of sums and 0.05 MB of record
+stand for 2M visits, which a record of every step held in 3.9 MB.  Nothing
+in the pipeline rebuilds the paths in path order;
+:attr:`SampleBatch.states` walks the stream again to do so on demand, and
+:meth:`SampleBatch.tally` weighs the visits for the estimator.
 """
 
 from __future__ import annotations
@@ -363,21 +356,19 @@ class SampleBatch:
         """Per-state sums of the visit weights at ``t = log lam~``, one row
         per shard that holds paths.
 
-        Visit ``n`` of a path weighs ``exp(S_n - n t)``, so each path's
-        first visit weighs exactly 1 and the base state's entries are the
-        path counts.  The dense steps take one product: each step's sums
-        times ``exp(shifts[n - 1] - n t)``, all shifted by the largest of
-        those exponents (log-sum-exp).  The tail replays its record from
-        ``tail_sums``, or from ``log f~(k)`` if it starts at step 1, adding
-        ``log f~`` of each state a walker leaves to its ``S`` as the walk
-        did, so each tail weight is ``exp(S_n - n t)`` with the walk's own
-        bits of ``S_n``; each step adds its weights with one
-        ``np.bincount``, and a truncated walker, at ``S = -inf``, adds
-        exactly 0.0.  The pass holds the table and the tail's
-        walker-sized arrays, and casts each tail step's states to intp
-        once, since numpy's gathers and ``np.bincount`` would each convert
-        the guide's dtype again.  A weight or a sum past the float range
-        is inf.
+        Visit ``n`` weighs ``exp(S_n - n t)``, so each path's first visit
+        weighs exactly 1 and the base state's entries are the path counts.
+        The summed steps take one product: each step's sums times
+        ``exp(shifts[n - 1] - n t)``, shifted by the largest of those
+        exponents.  The tail replays its record from ``tail_sums`` (from
+        ``log f~(k)`` if it starts at step 1), adding ``log f~`` of each
+        state left to ``S`` as the walk did, so its weights take the walk's
+        own bits of ``S_n``.  Each tail step casts its states to intp once,
+        since numpy's gathers and ``np.bincount`` would each convert the
+        guide's dtype again, and adds its weights with one ``np.bincount``;
+        a truncated walker, at ``S = -inf``, adds exactly 0.0.  The pass
+        holds the table and the tail's walker-sized arrays.  A weight or a
+        sum past the float range is inf.
         """
         n = self.sampler.n
         steps, rows = self.dense.shape[:2]
@@ -495,9 +486,7 @@ def _step_states(sampler: RowSampler, current: np.ndarray,
 
 
 class _Walk(NamedTuple):
-    """What :func:`_walk` leaves: the attempts' ``return_times`` and
-    ``log_sums``, the number of walkers still out after the last step, and
-    the fields of :class:`SampleBatch` that hold the visits."""
+    """What :func:`_walk` leaves; ``out`` counts the walkers still out."""
 
     return_times: np.ndarray
     log_sums: np.ndarray
@@ -513,13 +502,11 @@ def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
           dense: bool = True) -> _Walk:
     """Walk ``count`` attempts from ``k`` as :func:`sample_batch` does.
 
-    Each step draws every walker's uniform, moves it, and adds ``log f~``
-    of the state it leaves into its ``S``; the uniforms are then spent, so
-    their buffer takes the step's weights.  While ``dense`` holds and the
-    record of a step would take at least its sums, ``_RECORD_BYTES`` a
-    walker against ``_SUM_BYTES`` a state and row, the step's weights
-    ``exp(S_n - max S_n)`` are added per shard, with one ``np.bincount`` of
-    each live shard's contiguous slice of walkers.  From then on every
+    Once a step has moved its walkers, its uniforms are spent, so their
+    buffer takes ``log f~`` of the states left and then the step's weights
+    ``exp(S_n - max S_n)``.  While ``dense`` holds and a step's record
+    would take at least its sums, these are added per shard with one
+    ``np.bincount`` of each live shard's slice of walkers; every later
     step is recorded.  A walker that ``dead`` marks weighs 0 in the sums.
     """
     n = sampler.n
@@ -598,14 +585,12 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
     so the walk lasts as long as the longest excursion, or ``cap`` steps.
     Each step adds ``log f~`` of the state every walker leaves into that
     walker's entry of ``S_p``, so each path's sum is taken in the walk, in
-    visit order from zero.  While walkers are many, each step's visit
-    weights go into one N-vector per shard; once a step's record takes
-    less, ``3 B x walkers < 8 B x rows x N``, the walk records its steps
-    (see :class:`SampleBatch`).  Nothing keeps a visit of the dense steps,
-    so the batch holds about ``min(visits x 3 B, steps x rows x N x 8 B)``
-    beyond its per-attempt arrays.  A walker that is truncated has been
-    added into the sums, so if any is, the walk is taken again, on the
-    same stream, with the truncated walkers at weight 0.
+    visit order from zero.  The visits go into per-step sums or a record
+    (see :class:`SampleBatch`), whichever takes less, so the batch holds
+    about ``min(visits x 3 B, steps x rows x N x 8 B)`` beyond its
+    per-attempt arrays.  A truncated walker has been added into the sums,
+    so if any is, the summed steps are walked again, on the same stream,
+    with the truncated walkers at weight 0.
 
     Args:
         sampler: tables from :func:`build_sampler`.
