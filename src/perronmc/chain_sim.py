@@ -49,7 +49,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -340,7 +339,7 @@ class SampleBatch:
         first use walks the same stream again, recording every step.
         :meth:`tally` never builds this array."""
         steps = _walk(self.sampler, self.base_state, self.attempted,
-                      self.seed, self.cap, self.shards, dense=False).tail
+                      self.seed, self.cap, self.shards, dense=False)[5]
         kept = self.return_times > 0
         start = np.cumsum(self.return_times) - self.return_times
         states = np.empty(int(self.lengths.sum()), dtype=np.int32)
@@ -485,22 +484,15 @@ def _step_states(sampler: RowSampler, current: np.ndarray,
     return pos - row
 
 
-class _Walk(NamedTuple):
-    """What :func:`_walk` leaves; ``out`` counts the walkers still out."""
-
-    return_times: np.ndarray
-    log_sums: np.ndarray
-    out: int
-    dense: np.ndarray
-    shifts: np.ndarray
-    tail: tuple
-    tail_sums: np.ndarray
-
-
 def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
           shards: int, dead: np.ndarray | None = None,
-          dense: bool = True) -> _Walk:
+          dense: bool = True) -> tuple:
     """Walk ``count`` attempts from ``k`` as :func:`sample_batch` does.
+
+    Returns the attempts' ``return_times`` and ``log_sums``, the number of
+    walkers still out after the last step, and the :class:`SampleBatch`
+    fields ``dense``, ``shifts``, ``tail`` and ``tail_sums``, in this
+    order.
 
     Once a step has moved its walkers, its uniforms are spent, so their
     buffer takes ``log f~`` of the states left and then the step's weights
@@ -573,8 +565,8 @@ def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
 
     if table is None:
         table = np.array(sums).reshape(len(shifts), rows, n)
-    return _Walk(return_times, log_sums, active.size, table,
-                 np.array(shifts, dtype=float), tuple(tail), tail_sums)
+    return (return_times, log_sums, active.size, table,
+            np.array(shifts, dtype=float), tuple(tail), tail_sums)
 
 
 def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
@@ -623,10 +615,8 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
             # is the same, and a walk of the same walkers switches at the
             # same step.
             del dense
-            again = _walk(sampler, k, count, seed, shifts.size, shards,
-                          dead=~kept)
-            dense, shifts = again.dense, again.shifts
-            del again
+            dense, shifts = _walk(sampler, k, count, seed, shifts.size,
+                                  shards, dead=~kept)[3:5]
         if tail_sums.size:
             # The walkers out at the first tail step return after it or
             # never.
