@@ -539,14 +539,11 @@ def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
             np.exp(w, out=w)
             if dead is not None:
                 w[dead[active]] = 0.0
-            if rows == 1:
-                sums.append(np.bincount(nxt, w, minlength=n))
-            else:
-                row = np.zeros((rows, n))
-                for s in live:
-                    lo, hi = ends[s], ends[s + 1]
-                    row[s] = np.bincount(nxt[lo:hi], w[lo:hi], minlength=n)
-                sums.append(row)
+            row = np.zeros((rows, n))
+            for s in live:
+                lo, hi = ends[s], ends[s + 1]
+                row[s] = np.bincount(nxt[lo:hi], w[lo:hi], minlength=n)
+            sums.append(row)
             shifts.append(top)
         elif table is None:
             # The first tail step: the sums are stacked now, while the
@@ -555,6 +552,8 @@ def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
             sums = None
             if shifts:
                 tail_sums = log_s
+        # Freed before the filters below take their walker-sized arrays.
+        del log_s
         keep = nxt != k
         return_times[active[~keep]] = step
         active = active[keep]

