@@ -21,6 +21,7 @@ from _support import (
     ACCEPTANCE_2X2,
     closed_form_2x2,
     estimate_uk,
+    exact_tally,
     random_primitive_matrix,
     random_stochastic_matrix,
     scale,
@@ -134,6 +135,14 @@ def test_criterion_5_exact_algebraic_invariants():
                                  cap=10**6, shards=1)
             tally = visit_tally(batch, decomp.fitness, report.lambda_hat)
             assert tally.numerators[k] == float(batch.path_count)
+            # Every state's tally is within rounding of the exact sum of
+            # its visits' weights, each taken path by path.
+            exact = exact_tally(batch, decomp.fitness,
+                                report.lambda_hat).sum(axis=0)
+            seen = exact > 0
+            assert ((tally.numerators > 0) == seen).all()
+            assert (np.abs(tally.numerators[seen] / exact[seen] - 1.0).max()
+                    <= 1e-14)
             assert (estimate_uk(batch, decomp.fitness, report.lambda_hat)
                     == estimate_u(batch, decomp.fitness, report.lambda_hat)[k])
 
