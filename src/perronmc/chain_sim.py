@@ -450,11 +450,17 @@ def build_sampler(decomp: RowDecomposition) -> RowSampler:
         np.minimum(low, m - 1, out=low)
         low = low.astype(np.intp)
         low += at[1:][low] < c
-        low += np.arange(1, c.shape[0] * (m + 1), m + 1)[:, None]
-        first = np.bincount(low.ravel(), minlength=c.shape[0] * (m + 1))
-        first = first.astype(guide.dtype).reshape(-1, m + 1)
-        np.cumsum(first[:, :m], axis=1, dtype=guide.dtype,
-                  out=guide[lo:lo + rows])
+        # The histogram is bucket-major, bucket b of row i at b * r + i,
+        # so that the running sums go down its columns at once, not along
+        # one row at a time.
+        r = c.shape[0]
+        low += 1
+        low *= r
+        low += np.arange(r)[:, None]
+        first = np.bincount(low.ravel(), minlength=(m + 1) * r)
+        first = first.astype(guide.dtype).reshape(m + 1, r)
+        np.cumsum(first[:m], axis=0, dtype=guide.dtype,
+                  out=guide[lo:lo + r].T)
     log_fitness, _ = log_unit_scale(decomp.fitness)
     return RowSampler(cumulative=_freeze(cumulative), guide=_freeze(guide),
                       log_fitness=_freeze(log_fitness))
@@ -473,15 +479,22 @@ def _step_states(sampler: RowSampler, current: np.ndarray,
     n = sampler.n
     m = sampler.guide.shape[1]
     cum = sampler.cumulative.reshape(-1)
-    row = current * n
-    pos = row + sampler.guide.reshape(-1)[current * m
-                                          + (u * m).astype(np.intp)]
-    todo = (cum[pos] <= u).nonzero()[0]
+    # Each walker-sized temporary is dropped once used, so that a step
+    # holds few at a time: the guide index goes before the positions are
+    # made, and the row offsets are made again to take them off.
+    pos = (u * m).astype(np.intp)
+    pos += current * m
+    first = sampler.guide.reshape(-1).take(pos, mode="clip")
+    pos = current * n
+    pos += first
+    del first
+    todo = (cum.take(pos, mode="clip") <= u).nonzero()[0]
     while todo.size:
         p = pos[todo] + 1
         pos[todo] = p
         todo = todo[cum[p] <= u[todo]]
-    return pos - row
+    pos -= current * n
+    return pos
 
 
 def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
@@ -494,12 +507,17 @@ def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
     fields ``dense``, ``shifts``, ``tail`` and ``tail_sums``, in this
     order.
 
-    Once a step has moved its walkers, its uniforms are spent, so their
-    buffer takes ``log f~`` of the states left and then the step's weights
+    Each walker's running ``S`` lives in an array aligned with the walkers
+    still out, filtered with them on a step at which some walker returns;
+    a walker's ``log_sums`` entry is written at its return, and the
+    entries of the walkers still out after the last step at the end.  Once
+    a step has moved its walkers, its uniforms are spent, so their buffer
+    takes ``log f~`` of the states left and then the step's weights
     ``exp(S_n - max S_n)``.  While ``dense`` holds and a step's record
     would take at least its sums, these are added per shard with one
-    ``np.bincount`` of each live shard's slice of walkers; every later
-    step is recorded.  A walker that ``dead`` marks weighs 0 in the sums.
+    ``np.bincount`` of each live shard's slice of walkers, or of all of
+    them when one shard holds attempts; every later step is recorded.  A
+    walker that ``dead`` marks weighs 0 in the sums.
     """
     n = sampler.n
     block = -(-count // shards)
@@ -511,6 +529,8 @@ def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
     current = np.full(count, k, dtype=np.intp)
     return_times = np.zeros(count, dtype=np.int64)
     log_sums = np.zeros(count)
+    # The running S of each walker still out, aligned with ``active``.
+    log_s = np.zeros(count)
     u = np.empty(count)
     live = list(range(rows))
     sums, shifts, tail = [], [], []
@@ -521,17 +541,20 @@ def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
     while active.size and step < cap:
         step += 1
         size = active.size
-        # Shard s's active walkers are active[ends[s]:ends[s + 1]]; a shard
-        # whose walkers have all stopped never has any again.
-        ends = active.searchsorted(edges).tolist()
-        live = [s for s in live if ends[s] < ends[s + 1]]
-        for s in live:
-            rngs[s].random(out=u[ends[s]:ends[s + 1]])
-        nxt = _step_states(sampler, current, u[:size])
         w = u[:size]
-        log_s = log_sums[active]
-        log_s += np.take(sampler.log_fitness, current, out=w)
-        log_sums[active] = log_s
+        if rows == 1:
+            rngs[0].random(out=w)
+        else:
+            # Shard s's active walkers are active[ends[s]:ends[s + 1]]; a
+            # shard whose walkers have all stopped never has any again.
+            ends = active.searchsorted(edges).tolist()
+            live = [s for s in live if ends[s] < ends[s + 1]]
+            for s in live:
+                rngs[s].random(out=u[ends[s]:ends[s + 1]])
+        nxt = _step_states(sampler, current, w)
+        log_s += sampler.log_fitness.take(current, out=w, mode="clip")
+        # Freed before the returners' index arrays are made.
+        del current
         dense = dense and _RECORD_BYTES * size >= _SUM_BYTES * rows * n
         if dense:
             top = log_s.max()
@@ -539,11 +562,14 @@ def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
             np.exp(w, out=w)
             if dead is not None:
                 w[dead[active]] = 0.0
-            row = np.zeros((rows, n))
-            for s in live:
-                lo, hi = ends[s], ends[s + 1]
-                row[s] = np.bincount(nxt[lo:hi], w[lo:hi], minlength=n)
-            sums.append(row)
+            if rows == 1:
+                sums.append(np.bincount(nxt, w, minlength=n))
+            else:
+                row = np.zeros((rows, n))
+                for s in live:
+                    lo, hi = ends[s], ends[s + 1]
+                    row[s] = np.bincount(nxt[lo:hi], w[lo:hi], minlength=n)
+                sums.append(row)
             shifts.append(top)
         elif table is None:
             # The first tail step: the sums are stacked now, while the
@@ -551,17 +577,26 @@ def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
             table = np.array(sums).reshape(len(shifts), rows, n)
             sums = None
             if shifts:
-                tail_sums = log_s
-        # Freed before the filters below take their walker-sized arrays.
-        del log_s
-        keep = nxt != k
-        return_times[active[~keep]] = step
-        active = active[keep]
-        current = nxt[keep]
+                tail_sums = log_s.copy()
+        # The walkers that return leave S in log_sums, and only a step
+        # that has any filters the walk's arrays.
+        back = (nxt == k).nonzero()[0]
+        if back.size:
+            stopped = active[back]
+            return_times[stopped] = step
+            log_sums[stopped] = log_s[back]
+            keep = nxt != k
+            active = active[keep]
+            log_s = log_s[keep]
+            nxt = nxt[keep]
+        elif not dense:
+            keep = np.ones(size, dtype=bool)
+        current = nxt
         if not dense:
             tail.append((_freeze(keep),
                          _freeze(current.astype(sampler.guide.dtype))))
 
+    log_sums[active] = log_s
     if table is None:
         table = np.array(sums).reshape(len(shifts), rows, n)
     return (return_times, log_sums, active.size, table,
@@ -575,13 +610,14 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
     All shards walk together, each filling its slice of one uniform buffer,
     so the walk lasts as long as the longest excursion, or ``cap`` steps.
     Each step adds ``log f~`` of the state every walker leaves into that
-    walker's entry of ``S_p``, so each path's sum is taken in the walk, in
-    visit order from zero.  The visits go into per-step sums or a record
-    (see :class:`SampleBatch`), whichever takes less, so the batch holds
-    about ``min(visits x 3 B, steps x rows x N x 8 B)`` beyond its
-    per-attempt arrays.  A truncated walker has been added into the sums,
-    so if any is, the summed steps are walked again, on the same stream,
-    with the truncated walkers at weight 0.
+    walker's running ``S``, held for the walkers still out only, so each
+    path's sum is taken in the walk, in visit order from zero, and is
+    written into ``log_sums`` at its return.  The visits go into per-step
+    sums or a record (see :class:`SampleBatch`), whichever takes less, so
+    the batch holds about ``min(visits x 3 B, steps x rows x N x 8 B)``
+    beyond its per-attempt arrays.  A truncated walker has been added into
+    the sums, so if any is, the summed steps are walked again, on the same
+    stream, with the truncated walkers at weight 0.
 
     Args:
         sampler: tables from :func:`build_sampler`.

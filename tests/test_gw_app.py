@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -482,6 +483,52 @@ class TestOffspringLaw:
                                          "deterministic").counts
                 np.testing.assert_array_equal(counts, expected)
             assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestExactMean:
+    """The mean population is exact: from one individual of each type,
+    E[Z_n] = 1ᵀAⁿ under both laws, counting extinct trees as 0 (Athreya &
+    Ney, *Branching Processes*, 1972, ch. V).  Unlike ``l1_to_oracle`` it
+    carries no horizon or survival bias, so a sampler defect shows in the
+    z-score of the trees' mean total.  The trees are ``gw-sim``'s: tree
+    ``t`` of seed ``s`` draws from stream ``t`` of ``s``, in blocks of
+    ``TREE_BLOCK``.  The deterministic law's total varies less, and its
+    trees cost more, so it grows fewer."""
+
+    HORIZON = 10
+    TREES = {"poisson": 10_000, "deterministic": 2_000}
+
+    def _z(self, decomp, seed, law, trees):
+        a = np.asarray(ACCEPTANCE_2X2, dtype=np.int64)
+        ones = np.ones(2, dtype=np.int64)
+        expected = ones @ np.linalg.matrix_power(a, self.HORIZON) @ ones
+        totals = []
+        for lo in range(0, trees, gw_app.TREE_BLOCK):
+            hi = min(lo + gw_app.TREE_BLOCK, trees)
+            final, overflowed = _grow(decomp, np.ones((hi - lo, 2), np.int64),
+                                      self.HORIZON, _streams(seed, lo, hi),
+                                      law)
+            assert not overflowed.any()
+            totals.append(final.sum(axis=1))
+        total = np.concatenate(totals).astype(float)
+        return (total.mean() - expected) / (total.std(ddof=1)
+                                            / np.sqrt(trees))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("law", OFFSPRING_LAWS)
+    def test_mean_total_is_one_a_to_the_n(self, law, seed):
+        # z read -2.19, -0.86, -0.22 (Poisson) and -1.16, 1.36, 1.50
+        # (deterministic) at seeds 0-2.
+        decomp = decompose(validate(ACCEPTANCE_2X2))
+        assert abs(self._z(decomp, seed, law, self.TREES[law])) <= 4
+
+    @pytest.mark.parametrize("law", OFFSPRING_LAWS)
+    def test_kernel_with_rows_swapped_fails(self, law):
+        # Each type's children split by the other type's row: z read 34
+        # (Poisson) and 103 (deterministic) at 2,000 trees.
+        decomp = decompose(validate(ACCEPTANCE_2X2))
+        swapped = dataclasses.replace(decomp, kernel=decomp.kernel[::-1])
+        assert abs(self._z(swapped, 0, law, 2_000)) > 4
 
 
 class TestFrozenDeterministicStream:
