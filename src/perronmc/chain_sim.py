@@ -70,6 +70,9 @@ __all__ = [
 BUCKETS_PER_STATE = 4
 # Guide buckets, M + 1 a row, handled at once by build_sampler.
 _BUILD_BLOCK = 1 << 16
+# Walkers a block of the walk's first step: its few block-sized arrays,
+# about 0.4 MB, fit in L2.
+_FIRST_STEP_BLOCK = 1 << 14
 # Bytes a walker in a recorded step: a keep-mask entry and a state in the
 # guide's dtype, 1 or 2 bytes.  Bytes a state and shard row in a step's
 # sums: one float64.
@@ -270,7 +273,12 @@ class SampleBatch:
       ``states`` holds those walkers' new states in the dtype of the
       sampler's guide table.
 
-    Walker counts only fall, so the walk switches once.  A walker still out
+    Walker counts only fall, so the walk switches once.  Every walker
+    leaves the base state with the same ``S``, so a dense step 1's sums
+    are counts.  The walk that makes a batch holds little beyond the
+    batch's 16 B an attempt of ``return_times`` and ``log_sums``: step 1's
+    survivors, a fifth of the attempts on a master-sequence kernel, and a
+    block of step 1 (see :func:`sample_batch`).  A walker still out
     after the last step was truncated: it is counted, its return time is 0
     and its visits weigh 0.  Paths are the non-truncated attempts, in
     attempt order.  A batch holds at least one path: :func:`sample_batch`
@@ -475,19 +483,22 @@ def _step_states(sampler: RowSampler, current: np.ndarray,
     walkers still advancing, and the row's sentinel stops every walker
     inside its row.  Cost is O(1) expected per walker.  ``u * M`` rounds
     below ``M`` for every ``u < 1``, so the bucket is always in range.
+    ``current`` is an intp array, or one state for every walker.
     """
     n = sampler.n
     m = sampler.guide.shape[1]
     cum = sampler.cumulative.reshape(-1)
     # Each walker-sized temporary is dropped once used, so that a step
     # holds few at a time: the guide index goes before the positions are
-    # made, and the row offsets are made again to take them off.
+    # made, and the row offsets are made again to take them off.  The
+    # guide entries are cast to intp before a row offset is added, which
+    # as a Python int would keep the guide's narrow dtype.
     pos = (u * m).astype(np.intp)
     pos += current * m
     first = sampler.guide.reshape(-1).take(pos, mode="clip")
-    pos = current * n
-    pos += first
+    pos = first.astype(np.intp)
     del first
+    pos += current * n
     todo = (cum.take(pos, mode="clip") <= u).nonzero()[0]
     while todo.size:
         p = pos[todo] + 1
@@ -495,6 +506,52 @@ def _step_states(sampler: RowSampler, current: np.ndarray,
         todo = todo[cum[p] <= u[todo]]
     pos -= current * n
     return pos
+
+
+def _first_step(sampler: RowSampler, k: int, rngs: list, edges: list,
+                dead: np.ndarray | None, dense: bool,
+                return_times: np.ndarray, log_sums: np.ndarray) -> tuple:
+    """Step 1 of :func:`_walk`, in closed form.
+
+    Every walker leaves ``k`` with ``S = log f~(k)``, so the step holds no
+    attempt-sized state of its own: it runs over each shard's attempts in
+    blocks of ``_FIRST_STEP_BLOCK``, drawing the shard's next uniforms in
+    order, and writes each block's returners into ``return_times`` and
+    ``log_sums`` at once.  Its visit weights are all ``exp(0) = 1``, or 0
+    for a walker that ``dead`` marks, so its sums are counts, exact
+    whatever the blocks.
+
+    Returns ``S`` after the step, the survivors' indices and states, and
+    the step's sums, ``(rows, N)``, if ``dense``, else its keep mask.
+    """
+    n = sampler.n
+    # S summed from zero, as every later step sums it.
+    log_s = 0.0 + sampler.log_fitness[k]
+    sums = np.zeros((len(rngs), n)) if dense else None
+    keep = None if dense else np.empty(edges[-1], dtype=bool)
+    u = np.empty(min(_FIRST_STEP_BLOCK, edges[1]))
+    active, current = [], []
+    for s, rng in enumerate(rngs):
+        for lo in range(edges[s], edges[s + 1], _FIRST_STEP_BLOCK):
+            hi = min(lo + _FIRST_STEP_BLOCK, edges[s + 1])
+            w = u[:hi - lo]
+            rng.random(out=w)
+            nxt = _step_states(sampler, k, w)
+            back = nxt == k
+            return_times[lo:hi] = back
+            np.copyto(log_sums[lo:hi], log_s, where=back)
+            if dense:
+                counted = nxt if dead is None else nxt[~dead[lo:hi]]
+                sums[s] += np.bincount(counted, minlength=n)
+            stay = np.logical_not(back, out=back)
+            if not dense:
+                keep[lo:hi] = stay
+            out = stay.nonzero()[0]
+            current.append(nxt.take(out))
+            out += lo
+            active.append(out)
+    return (log_s, np.concatenate(active), np.concatenate(current),
+            sums if dense else keep)
 
 
 def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
@@ -507,17 +564,19 @@ def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
     fields ``dense``, ``shifts``, ``tail`` and ``tail_sums``, in this
     order.
 
-    Each walker's running ``S`` lives in an array aligned with the walkers
-    still out, filtered with them on a step at which some walker returns;
-    a walker's ``log_sums`` entry is written at its return, and the
-    entries of the walkers still out after the last step at the end.  Once
-    a step has moved its walkers, its uniforms are spent, so their buffer
-    takes ``log f~`` of the states left and then the step's weights
-    ``exp(S_n - max S_n)``.  While ``dense`` holds and a step's record
-    would take at least its sums, these are added per shard with one
-    ``np.bincount`` of each live shard's slice of walkers, or of all of
-    them when one shard holds attempts; every later step is recorded.  A
-    walker that ``dead`` marks weighs 0 in the sums.
+    Step 1 is :func:`_first_step`'s.  From step 2 each walker's running
+    ``S`` lives in an array aligned with the walkers still out, filtered
+    with them on a step at which some walker returns: by the keep mask,
+    or by the kept walkers' indices when more than half return, which
+    gathers faster then.  A walker's ``log_sums`` entry is written at its
+    return, and the entries of the walkers still out after the last step
+    at the end.  Once a step has moved its walkers, its uniforms are
+    spent, so their buffer takes ``log f~`` of the states left and then
+    the step's weights ``exp(S_n - max S_n)``.  While ``dense`` holds and
+    a step's record would take at least its sums, these are added per
+    shard with one ``np.bincount`` of each live shard's slice of walkers,
+    or of all of them when one shard holds attempts; every later step is
+    recorded.  A walker that ``dead`` marks weighs 0 in the sums.
     """
     n = sampler.n
     block = -(-count // shards)
@@ -525,19 +584,28 @@ def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
     edges = np.minimum(np.arange(0, count + block, block), count)
     rngs = _streams(seed, 0, edges.size - 1)
     rows = len(rngs)
-    active = np.arange(count)
-    current = np.full(count, k, dtype=np.intp)
     return_times = np.zeros(count, dtype=np.int64)
     log_sums = np.zeros(count)
-    # The running S of each walker still out, aligned with ``active``.
-    log_s = np.zeros(count)
-    u = np.empty(count)
-    live = list(range(rows))
     sums, shifts, tail = [], [], []
     table = None
     tail_sums = np.empty(0)
 
-    step = 0
+    dense = dense and _RECORD_BYTES * count >= _SUM_BYTES * rows * n
+    first_s, active, current, first = _first_step(
+        sampler, k, rngs, edges.tolist(), dead, dense, return_times,
+        log_sums)
+    if dense:
+        sums.append(first[0] if rows == 1 else first)
+        shifts.append(first_s)
+    else:
+        tail.append((_freeze(first),
+                     _freeze(current.astype(sampler.guide.dtype))))
+    # The running S of each walker still out, aligned with ``active``.
+    log_s = np.full(active.size, first_s)
+    u = np.empty(active.size)
+    live = list(range(rows))
+
+    step = 1
     while active.size and step < cap:
         step += 1
         size = active.size
@@ -586,9 +654,10 @@ def _walk(sampler: RowSampler, k: int, count: int, seed: int, cap: int,
             return_times[stopped] = step
             log_sums[stopped] = log_s[back]
             keep = nxt != k
-            active = active[keep]
-            log_s = log_s[keep]
-            nxt = nxt[keep]
+            kept = keep.nonzero()[0] if 2 * back.size > size else keep
+            active = active[kept]
+            log_s = log_s[kept]
+            nxt = nxt[kept]
         elif not dense:
             keep = np.ones(size, dtype=bool)
         current = nxt
@@ -615,9 +684,14 @@ def sample_batch(sampler: RowSampler, k: int, count: int, seed: int,
     written into ``log_sums`` at its return.  The visits go into per-step
     sums or a record (see :class:`SampleBatch`), whichever takes less, so
     the batch holds about ``min(visits x 3 B, steps x rows x N x 8 B)``
-    beyond its per-attempt arrays.  A truncated walker has been added into
-    the sums, so if any is, the summed steps are walked again, on the same
-    stream, with the truncated walkers at weight 0.
+    beyond its per-attempt arrays.  Step 1 leaves the base state in
+    blocks, so the walk holds the 16 B an attempt of ``return_times`` and
+    ``log_sums``, step 1's survivors and one block: on a master-sequence
+    N = 200 kernel with 100,000 attempts, of which about 80% return at
+    step 1, it peaks at 2.5 MiB (tracemalloc), against 6.4 MiB when step
+    1 ran over every attempt at once.  A truncated walker has been added
+    into the sums, so if any is, the summed steps are walked again, on the
+    same stream, with the truncated walkers at weight 0.
 
     Args:
         sampler: tables from :func:`build_sampler`.

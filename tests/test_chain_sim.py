@@ -491,17 +491,15 @@ class TestSampleBatch:
         assert held <= 1.0 * visits
 
     def test_peak_memory_of_a_short_walk_of_many_walkers(self):
-        # A master-sequence kernel: the base column carries 4x each row's
-        # sum, so about 80% of the 100,000 walkers return at step 1 and
-        # the walk takes a few steps.  Its peak is a handful of arrays per
-        # attempt; at step 1 the returners' index arrays come on top of
-        # them, so each walker-sized array freed before then counts.  The
-        # walk that gathered and scattered every walker's log sum each
-        # step peaked at 7,208,657 bytes here when run with this file and
-        # 7,216,129 when run alone (numpy 2.4.6); this walk at 6.75 MB.
-        a = np.random.default_rng(200).uniform(0.5, 2.0, (200, 200))
-        a[:, 0] = 4.0 * a.sum(axis=1)
-        sampler = build_sampler(decompose(validate(a)))
+        # A master-sequence kernel: about 80% of the 100,000 walkers
+        # return at step 1 and the walk takes a few steps.  Step 1 runs in
+        # blocks from the base state and keeps only its survivors, so the
+        # walk holds the 16 bytes an attempt of return times and log sums,
+        # the 20% that survive step 1 and one block.  It peaked at
+        # 2,659,479 bytes here (numpy 2.4.6); the bound leaves 10% above
+        # that.  The walk that took step 1 over every walker at once
+        # peaked at 6.75 MB.
+        sampler = build_sampler(decompose(_master_shaped(200)))
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
@@ -511,7 +509,7 @@ class TestSampleBatch:
         finally:
             tracemalloc.stop()
         assert batch.lengths.mean() < 1.5
-        assert peak < 7_208_657
+        assert peak < 2_925_000
 
     @pytest.mark.parametrize("n,shards", [
         (100, 1), (100, 4), (255, 3), (256, 3), (257, 3)])
@@ -551,6 +549,14 @@ class TestSampleBatch:
 def _dense_uniform_100():
     return validate(
         np.random.default_rng(100).uniform(0.5, 2.0, (100, 100)).tolist())
+
+
+def _master_shaped(n):
+    """The master-sequence kernel: the base column carries 4x each row's
+    sum, so about 80% of walkers return at each step."""
+    a = np.random.default_rng(n).uniform(0.5, 2.0, (n, n))
+    a[:, 0] = 4.0 * a.sum(axis=1)
+    return validate(a)
 
 
 class TestOneWalk:
@@ -594,24 +600,72 @@ class TestOneWalk:
     def test_walks_as_long_as_the_longest_excursion(self, monkeypatch, rows,
                                                     cap):
         # Walked shard by shard, the 8 shards of the dense 100x100 take
-        # 6,697 steps where the longest of their paths has 1,040.
-        calls = []
+        # 6,697 steps where the longest of their paths has 1,040.  Step 1
+        # is taken in blocks, a _step_states call each from the base state,
+        # and every later step is one call with a walker array.
+        first, later = [], []
 
-        def counted(*args):
-            calls.append(1)
-            return step_states(*args)
+        def counted(sampler, current, u):
+            (first if np.ndim(current) == 0 else later).append(u.size)
+            return step_states(sampler, current, u)
 
         step_states = chain_sim._step_states
         monkeypatch.setattr(chain_sim, "_step_states", counted)
+        monkeypatch.setattr(chain_sim, "_FIRST_STEP_BLOCK", 1_000)
         batch = sample_batch(_sampler_for(rows().entries), 0, count=20_000,
                              seed=3, cap=cap, shards=8)
-        expected = int(batch.lengths.max())
+        walks, expected = 1, int(batch.lengths.max())
         if batch.truncated_count:
             # The dense steps are walked again, with the truncated walkers
             # at weight 0.
             assert batch.shifts.size > 0
-            expected = cap + batch.shifts.size
-        assert len(calls) == expected
+            walks, expected = 2, cap + batch.shifts.size
+        assert walks + len(later) == expected
+        # Each shard's 2,500 attempts take ceil(2,500 / 1,000) blocks.
+        assert first == [1_000, 1_000, 500] * 8 * walks
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("rows,k,count,cap,shards", [
+        pytest.param(_dense_uniform_100, 0, 3_000, 10**6, 1, id="1-shard"),
+        pytest.param(_dense_uniform_100, 0, 3_000, 10**6, 3, id="3-shards"),
+        pytest.param(_dense_uniform_100, 0, 3_000, 10**6, 8, id="8-shards"),
+        # Most walkers return at step 1.
+        pytest.param(lambda: _master_shaped(50), 0, 3_000, 10**6, 3,
+                     id="master"),
+        # Truncations: the dense steps are walked again with them dead.
+        pytest.param(lambda: validate([[0.0, 1.0], [1.0, 500.0]]), 0, 2_000,
+                     300, 3, id="truncating"),
+        # 3 B x 200 walkers < 8 B x 3 rows x 100 states: recorded from
+        # step 1.
+        pytest.param(_dense_uniform_100, 0, 200, 10**6, 3, id="recorded"),
+        pytest.param(_dense_uniform_100, 4, 3_000, 10**6, 3,
+                     id="base-state-4"),
+    ])
+    def test_first_step_blocks_change_no_bit(self, monkeypatch, block, rows,
+                                             k, count, cap, shards):
+        sampler = _sampler_for(rows().entries)
+
+        def walked():
+            batch = sample_batch(sampler, k, count, 5, cap, shards)
+            values = [(f.name, getattr(batch, f.name))
+                      for f in dataclasses.fields(batch)
+                      if f.name not in ("sampler", "tail")]
+            values += [(f"tail[{i}]", a) for i, step in enumerate(batch.tail)
+                       for a in step]
+            return batch, values + [("states", batch.states)]
+
+        default, want = walked()
+        monkeypatch.setattr(chain_sim, "_FIRST_STEP_BLOCK", block)
+        _, got = walked()
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (name, a), (_, b) in zip(got, want):
+            a, b = np.asarray(a), np.asarray(b)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        if count == 200:
+            assert default.shifts.size == 0
+        if cap == 300:
+            assert default.truncated_count > 0 and default.shifts.size > 0
 
     def test_generators_only_for_shards_that_hold_attempts(self,
                                                             monkeypatch):
